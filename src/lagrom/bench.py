@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -30,8 +31,8 @@ from .roms import (build_collocation, build_galerkin, build_gappy_rom,
                    integrate_rom, VARIANTS)
 from .sampling import greedy_sample_indices, validate_sample_set
 from .spd_approx import build_matrix_gappy_basis, matrix_pod_modes, rbs_fit
-from .truss import (ForcingConfig, build_truss, fundamental_frequency,
-                    rayleigh_coefficients)
+from .truss import (ForcingConfig, build_truss, damping_matrix,
+                    fundamental_frequency, rayleigh_coefficients)
 
 logger = logging.getLogger(__name__)
 
@@ -63,8 +64,9 @@ class ExperimentConfig:
     newton_max_iters: int = 500
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "final_time"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite" % name)
         if any(not 0 < p <= 100 for p in self.sampling_percentages):
             raise ValueError("sampling percentages must lie in (0, 100]")
         unknown = set(self.variants) - set(VARIANTS)
@@ -168,6 +170,27 @@ def online_points(config: ExperimentConfig) -> np.ndarray:
     return mu
 
 
+def nominal_setup(config: ExperimentConfig):
+    """Nominal truss, forcing and Rayleigh coefficients of an experiment.
+
+    Returns ``(model, forcing, alpha, beta)``.  The nominal point is the
+    center of the parameter box (force switched off for conservative
+    runs); ``omega0`` and the damping fit depend on its geometry only.
+    """
+    mu = np.zeros(16)
+    if config.conservative:
+        mu = _apply_conservative(mu)
+    model = build_truss(config.bays, mu)
+    forcing = ForcingConfig(nominal_amplitudes=tuple(config.nominal_forces),
+                            omega0=fundamental_frequency(model),
+                            final_time=config.final_time)
+    alpha, beta = 0.0, 0.0
+    if config.zeta > 0.0 and not config.conservative:
+        k0 = model.tangent_stiffness(np.zeros(model.dof_count))
+        alpha, beta = rayleigh_coefficients(model.mass_dense(), k0, config.zeta)
+    return model, forcing, alpha, beta
+
+
 def run_offline(config: ExperimentConfig) -> OfflineProducts:
     """Full-order training runs, snapshot collection, bases, matrix snapshots.
 
@@ -175,16 +198,7 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
     so the second half of every comparison is predictive.  An unstable
     training run aborts the offline stage.
     """
-    nominal = build_truss(config.bays, np.zeros(16))
-    omega0 = fundamental_frequency(nominal)
-    forcing = ForcingConfig(nominal_amplitudes=tuple(config.nominal_forces),
-                            omega0=omega0, final_time=config.final_time)
-    zeta = 0.0 if config.conservative else config.zeta
-    if zeta > 0.0:
-        k0 = nominal.tangent_stiffness(np.zeros(nominal.dof_count))
-        alpha, beta = rayleigh_coefficients(nominal.mass_dense(), k0, zeta)
-    else:
-        alpha, beta = 0.0, 0.0
+    _, forcing, alpha, beta = nominal_setup(config)
 
     mu_train = training_points(config)
     half = config.final_time / 2.0
@@ -204,8 +218,7 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
                 % (i, traj.failed_steps, traj.times[-1]))
 
         mass = model.mass_dense()
-        damping = alpha * mass + beta * model.tangent_stiffness(
-            np.zeros(model.dof_count)) if (alpha or beta) else None
+        damping = damping_matrix(model, alpha, beta) if (alpha or beta) else None
         cho = scipy.linalg.cho_factor(mass)
         for t, q, v in zip(traj.times, traj.q, traj.v):
             grad = model.internal_force(q)
@@ -227,7 +240,8 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
                   for name, snaps in term_snaps.items()}
     modes = matrix_pod_modes(mass_snapshots, config.energy_matrix)
 
-    return OfflineProducts(config=config, mu_train=mu_train, omega0=omega0,
+    return OfflineProducts(config=config, mu_train=mu_train,
+                           omega0=forcing.omega0,
                            alpha=alpha, beta=beta, phi=basis.columns,
                            phi_singular_values=basis.singular_values,
                            term_bases=term_bases, matrix_modes=modes,
@@ -369,7 +383,7 @@ def run_online(offline: OfflineProducts, reduced: ReducedProducts, mu_star,
                          record_energy=record_energy)
     return OnlineResult(variant=variant, percentage=reduced.percentage,
                         trajectory=traj,
-                        build_seconds=system.setup_seconds,
+                        build_seconds=build_seconds,
                         rom_seconds=build_seconds + traj.wall_time)
 
 
@@ -514,19 +528,7 @@ def verify_timestep(config: ExperimentConfig, dt=None, horizon=None,
     settings = NewtonSettings(rel_tol=rel_tol,
                               max_iters=config.newton_max_iters)
 
-    mu = np.zeros(16)
-    if config.conservative:
-        mu = _apply_conservative(mu)
-    model = build_truss(config.bays, mu)
-    omega0 = fundamental_frequency(model)
-    forcing = ForcingConfig(nominal_amplitudes=tuple(config.nominal_forces),
-                            omega0=omega0, final_time=config.final_time)
-    zeta = 0.0 if config.conservative else config.zeta
-    if zeta > 0.0:
-        k0 = model.tangent_stiffness(np.zeros(model.dof_count))
-        alpha, beta = rayleigh_coefficients(model.mass_dense(), k0, zeta)
-    else:
-        alpha, beta = 0.0, 0.0
+    model, forcing, alpha, beta = nominal_setup(config)
     q0 = model.initial_displacement(forcing)
 
     values = []

@@ -17,6 +17,7 @@ from .bench import (ExperimentConfig, OnlineResult, load_offline, load_reduced,
                     online_points, reduce_products, run_comparison, run_offline,
                     run_online, save_offline, save_reduced, verify_timestep,
                     write_trajectory_csv)
+from .roms import VARIANTS
 
 TRAINING_ARCHIVE = "training.lgrm"
 
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one online reduced run")
     p.add_argument("--out", required=True)
     p.add_argument("--percent", type=float, required=True)
-    p.add_argument("--variant", required=True)
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--online-index", type=int, default=0)
     p.add_argument("--mu", help="explicit 16-entry JSON parameter vector")
     p.set_defaults(func=cmd_simulate)

@@ -12,6 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .sampling import SampleIndexSet
+from .spd_approx import symmetrize
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,13 @@ def build_potential_map(reduced_hessian, sampled_hessian, sample_set,
     if sample_set.m < n:
         raise ValueError("sample set smaller than the reduced dimension")
     try:
-        l_phi = np.linalg.cholesky(_sym(h_r))
-        l_s = np.linalg.cholesky(_sym(h_s))
+        l_phi = np.linalg.cholesky(symmetrize(h_r))
+        l_s = np.linalg.cholesky(symmetrize(h_s))
     except np.linalg.LinAlgError:
         raise ValueError(
             "equilibrium Hessian not positive definite on sample/reduced space")
     factor = scipy.linalg.solve_triangular(l_s.T, l_phi.T, lower=False)
     return SparsePotentialMap(factor=factor, sample_set=sample_set, parameter=parameter)
-
-
-def _sym(a):
-    return 0.5 * (a + a.T)
 
 
 def approx_reduced_gradient(pmap: SparsePotentialMap, sampled_gradient, q_r):
@@ -91,4 +88,4 @@ def approx_reduced_hessian(pmap: SparsePotentialMap, sampled_hessian_block, q_r)
     rows = pmap.rows
     dq = pmap.factor @ q_r
     h = np.asarray(sampled_hessian_block(rows, rows, rows, dq), dtype=float)
-    return _sym(pmap.factor.T @ h @ pmap.factor)
+    return symmetrize(pmap.factor.T @ h @ pmap.factor)

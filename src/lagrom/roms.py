@@ -21,14 +21,10 @@ from .midpoint import (NewtonSettings, SecondOrderSystem, State, Trajectory,
 from .potential_map import (build_potential_map, approx_reduced_gradient,
                             approx_reduced_hessian)
 from .spd_approx import (MatrixGappyBasis, RBSMap, gappy_matrix_assemble,
-                         gappy_matrix_coeffs, rbs_apply)
+                         gappy_matrix_coeffs, rbs_apply, symmetrize)
+from .truss import damping_matrix
 
 VARIANTS = ("galerkin", "collocation", "gappy_pod", "sp_rbs", "sp_matrix_gappy")
-STRUCTURE_PRESERVING = ("galerkin", "sp_rbs", "sp_matrix_gappy")
-
-
-def _sym(a):
-    return 0.5 * (a + a.T)
 
 
 @dataclass
@@ -75,14 +71,6 @@ def _qoi(model, phi, q_ref):
     return phi[tip, :].copy(), float(np.asarray(q_ref)[tip])
 
 
-def _damping_dense(model, alpha, beta):
-    n = model.dof_count
-    if alpha == 0.0 and beta == 0.0:
-        return np.zeros((n, n))
-    k0 = model.tangent_stiffness(np.zeros(n))
-    return alpha * model.mass_dense() + beta * k0
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -97,8 +85,8 @@ def build_galerkin(model, phi, q_ref=None, alpha=0.0, beta=0.0,
 
     # A congruence is symmetric; kill the product round-off so the
     # structural dichotomy against sampled variants is exact.
-    mass_r = _sym(phi.T @ (model.mass_dense() @ phi))
-    damping_r = _sym(phi.T @ (_damping_dense(model, alpha, beta) @ phi))
+    mass_r = symmetrize(phi.T @ (model.mass_dense() @ phi))
+    damping_r = symmetrize(phi.T @ (damping_matrix(model, alpha, beta) @ phi))
 
     def grad(q_r):
         return phi.T @ model.internal_force(q_ref + phi @ q_r)
@@ -139,7 +127,7 @@ def build_collocation(model, phi, sample_set, q_ref=None, alpha=0.0, beta=0.0,
     phi_s = phi[s_idx, :]
 
     mass_r = phi_s.T @ (model.mass_dense()[s_idx, :] @ phi)
-    damping_r = phi_s.T @ (_damping_dense(model, alpha, beta)[s_idx, :] @ phi)
+    damping_r = phi_s.T @ (damping_matrix(model, alpha, beta)[s_idx, :] @ phi)
 
     def grad(q_r):
         return phi_s.T @ model.internal_force_rows_dense(s_idx, q_ref + phi @ q_r)
@@ -182,7 +170,7 @@ def build_gappy_rom(model, phi, reconstructors, sample_set, q_ref=None,
     g_force = reconstructors["force"]
 
     mass_r = g_mass @ (model.mass_dense()[s_idx, :] @ phi)
-    damping_r = g_damp @ (_damping_dense(model, alpha, beta)[s_idx, :] @ phi)
+    damping_r = g_damp @ (damping_matrix(model, alpha, beta)[s_idx, :] @ phi)
 
     def grad(q_r):
         return g_grad @ model.internal_force_rows_dense(s_idx, q_ref + phi @ q_r)
@@ -303,7 +291,7 @@ def full_order_system(model, alpha=0.0, beta=0.0, forcing=None) -> SecondOrderSy
         def force(t):
             return model.external_force(t, forcing)
     return SecondOrderSystem(mass=model.mass_dense(),
-                             damping=_damping_dense(model, alpha, beta),
+                             damping=damping_matrix(model, alpha, beta),
                              grad=model.internal_force,
                              hess=model.tangent_stiffness,
                              force=force)

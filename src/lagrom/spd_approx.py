@@ -35,7 +35,8 @@ def _upper_triangle_indices(m):
     return np.triu_indices(m)
 
 
-def _symmetrize(a):
+def symmetrize(a):
+    """Symmetric part of a square matrix."""
     return 0.5 * (a + a.T)
 
 
@@ -166,7 +167,7 @@ def rbs_apply(rbs_map: RBSMap, sampled_matrix) -> np.ndarray:
     if a.shape != (rbs_map.m, rbs_map.m):
         raise ValueError("sampled matrix shape %s does not match map (%d, %d)"
                          % (a.shape, rbs_map.m, rbs_map.m))
-    return _symmetrize(rbs_map.factor.T @ a @ rbs_map.factor)
+    return symmetrize(rbs_map.factor.T @ a @ rbs_map.factor)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def matrix_pod_modes(matrix_snapshots, energy):
         raise ValueError("matrix snapshots must share one square shape")
     vectorized = np.column_stack([a.ravel() for a in mats])
     basis = compute_pod_basis(vectorized, energy)
-    return [_symmetrize(basis.columns[:, i].reshape(big_n, big_n))
+    return [symmetrize(basis.columns[:, i].reshape(big_n, big_n))
             for i in range(basis.n)]
 
 
@@ -234,7 +235,7 @@ def build_matrix_gappy_basis(modes, phi, sample_set, pd_threshold=None) -> Matri
         a = np.asarray(a, dtype=float)
         a_s = a[np.ix_(s_idx, s_idx)]
         sampled.append(a_s)
-        reduced.append(_symmetrize(phi.T @ a @ phi))
+        reduced.append(symmetrize(phi.T @ a @ phi))
         op_cols.append(a_s[rows, cols])
     return MatrixGappyBasis(
         sampled_basis=np.array(sampled),
@@ -304,7 +305,7 @@ def gappy_matrix_coeffs(sampled_online, basis: MatrixGappyBasis):
 
 def gappy_matrix_assemble(x, basis: MatrixGappyBasis) -> np.ndarray:
     """Assemble the reduced approximation from coefficients."""
-    approx = _symmetrize(_assemble(basis, x))
+    approx = symmetrize(_assemble(basis, x))
     if float(np.linalg.eigvalsh(approx)[0]) <= 0.0:
         raise ValueError("assembled matrix is not positive definite; "
                          "constraint enforcement failed upstream")

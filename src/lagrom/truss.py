@@ -11,10 +11,12 @@ Bay topology: each bay carries 4 longitudinal chords, 4 perimeter bars in
 its end cross-section, and 8 side-face diagonals (16 bars, 12 free degrees
 of freedom per bay).  The clamped end face carries no degrees of freedom.
 
-All operators expose sampled evaluators (selected rows/entries, sparse
-displacement arguments) that reproduce the full assembly bit for bit; the
-element-local arithmetic and accumulation order are shared between both
-paths.
+Every operator is one gather -> element kernel -> ``np.add.at`` scatter
+through an :class:`AssemblyPlan`.  The full assembly is the plan over all
+dofs; the sampled evaluators (selected rows/entries, sparse displacement
+arguments) use plans over their index sets, whose scatters are the full
+scatter filtered in its own order, so both agree bit for bit by
+construction.
 """
 
 from dataclasses import dataclass
@@ -37,12 +39,21 @@ _CORNERS = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
 # Side faces of a bay as corner pairs; each carries two crossing diagonals.
 _SIDE_FACES = ((0, 1), (1, 2), (2, 3), (3, 0))
 
+# Element-matrix node blocks (row end, column end) in the order each full
+# matrix scatter visits them; 0 is an element's first node, 1 its second.
+# Reordering either changes the summation order, and with it the last bits
+# of the assembled matrix.
+_STIFFNESS_BLOCKS = ((1, 1), (0, 0), (1, 0), (0, 1))
+_MASS_BLOCKS = ((0, 0), (1, 1), (0, 1), (1, 0))
+
 
 def validate_parameters(mu) -> np.ndarray:
     """Check the 16-parameter vector against its componentwise bounds."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (16,):
         raise ValueError("parameter vector must have 16 components")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("parameters must be finite")
     if np.any(mu[:8] < -1.0) or np.any(mu > 1.0):
         raise ValueError("geometry/initial-condition parameters must lie in [-1, 1]")
     if np.any(mu[8:] < -2.0):
@@ -65,11 +76,94 @@ class ForcingConfig:
     directions: tuple = (1, 1, 2, 2)  # dof axis loaded per corner group
 
 
+def _incident_elements(el_dofs, dofs, dof_count) -> np.ndarray:
+    """Ascending indices of the elements with a nodal dof among ``dofs``."""
+    marked = np.zeros(dof_count + 1, dtype=bool)
+    marked[dofs] = True
+    return np.flatnonzero(marked[el_dofs].any(axis=(0, 2)))
+
+
+def _positions(index, size) -> np.ndarray:
+    """Position of every dof in ``index``; -1 for dofs not in it."""
+    pos = np.full(size, -1)
+    pos[index] = np.arange(index.size)
+    return pos
+
+
+def _kept(dst):
+    """Entries of a scatter, in order, whose destination is in the output."""
+    keep = dst.ravel() >= 0
+    return np.flatnonzero(keep), dst.ravel()[keep]
+
+
+class AssemblyPlan:
+    """The full assembly restricted to ``rows`` (vectors) or ``rows x cols``.
+
+    ``elements`` are the bars incident to the rows, ascending.  Their nodal
+    displacements are gathered (``gather``, shape (2, elements, 3)) from a
+    compact source vector: the displacement at ``dofs`` followed by a zero
+    slot for clamped dofs.  A scatter is the full assembly's scatter
+    filtered, in its order, to the entries that land in the output, so each
+    output entry sums the same terms in the same order as in the full
+    assembly.
+    """
+
+    def __init__(self, el_dofs, dof_count, rows, cols):
+        self.dof_count = dof_count
+        self.elements = _incident_elements(el_dofs, rows, dof_count)
+        self._local = el_dofs[:, self.elements]
+        self.dofs = np.unique(self._local[self._local < dof_count])
+        self._source_pos = np.full(dof_count + 1, self.dofs.size)
+        self._source_pos[self.dofs] = np.arange(self.dofs.size)
+        self.gather = self._source_pos[self._local]
+        self.shape = (rows.size, cols.size)
+        self._row_pos = _positions(rows, dof_count + 1)
+        self._col_pos = _positions(cols, dof_count + 1)
+        # The force scatter adds every element's second-node entries, then
+        # its first-node entries.
+        self._vector = _kept(self._row_pos[self._local[::-1]])
+        self._matrix = {}
+
+    def dense_source(self, q) -> np.ndarray:
+        q = np.asarray(q, dtype=float)
+        if q.shape != (self.dof_count,):
+            raise ValueError("configuration must have %d entries" % self.dof_count)
+        return np.append(q[self.dofs], 0.0)
+
+    def sparse_source(self, dq_idx, dq_val) -> np.ndarray:
+        """Source for a displacement that is zero off the dofs ``dq_idx``."""
+        source = np.zeros(self.dofs.size + 1)
+        source[self._source_pos[np.asarray(dq_idx, dtype=int)]] = dq_val
+        source[-1] = 0.0   # dofs outside the plan landed in the zero slot
+        return source
+
+    def scatter_vector(self, values) -> np.ndarray:
+        """Sum nodal values (2, elements, 3), second node first, into rows."""
+        src, dst = self._vector
+        out = np.zeros(self.shape[0])
+        np.add.at(out, dst, values.ravel()[src])
+        return out
+
+    def scatter_matrix(self, blocks, values) -> np.ndarray:
+        """Sum element blocks (len(blocks), elements, 3, 3) into rows x cols."""
+        if blocks not in self._matrix:
+            ends = np.array(blocks)
+            row = self._row_pos[self._local[ends[:, 0]]][..., :, None]
+            col = self._col_pos[self._local[ends[:, 1]]][..., None, :]
+            self._matrix[blocks] = _kept(np.where(
+                (row >= 0) & (col >= 0), row * self.shape[1] + col, -1))
+        src, dst = self._matrix[blocks]
+        out = np.zeros(self.shape)
+        np.add.at(out.ravel(), dst, values.ravel()[src])
+        return out
+
+
 class TrussModel:
     """Assembled truss at one parameter value.
 
-    Construction is O(N); all evaluators afterwards are pure in their
-    arguments and safe for concurrent use.
+    Construction is O(N).  Evaluators are pure in their arguments; each
+    builds its :class:`AssemblyPlan` on first use and the model caches it
+    by index set, so repeated queries on one sample set reuse it.
     """
 
     def __init__(self, bays: int, mu):
@@ -87,6 +181,8 @@ class TrussModel:
 
         self._build_geometry()
         self._build_elements()
+        self._plans = {}
+        self._pattern_cache = {}
         self._mass_dense = None
 
     # -- geometry -----------------------------------------------------------
@@ -123,7 +219,6 @@ class TrussModel:
                 pairs.append((lo + c1, hi + c2))
                 pairs.append((lo + c2, hi + c1))
         self.elements = np.array(pairs, dtype=int)
-        n_el = len(pairs)
 
         self.el_vec = (self.node_coords[self.elements[:, 1]]
                        - self.node_coords[self.elements[:, 0]])
@@ -135,63 +230,37 @@ class TrussModel:
         self.el_eal = self.modulus * self.area * self.el_length
         self.el_mass_coeff = self.density * self.area * self.el_length / 6.0
 
-        dof1 = np.empty((n_el, 3), dtype=int)
-        dof2 = np.empty((n_el, 3), dtype=int)
-        for e, (n1, n2) in enumerate(self.elements):
-            for axis in range(3):
-                dof1[e, axis] = self._dof(n1, axis)
-                dof2[e, axis] = self._dof(n2, axis)
-        self.el_dof1 = dof1
-        self.el_dof2 = dof2
-
-        incident = [[] for _ in range(self.dof_count)]
-        for e in range(n_el):
-            for d in (*dof1[e], *dof2[e]):
-                if d < self.dof_count:
-                    incident[d].append(e)
-        self._dof_elements = [np.array(sorted(set(lst)), dtype=int) for lst in incident]
+        # Nodal dofs of both element ends, shape (2, elements, 3), as in _dof.
+        nodes = self.elements.T[:, :, None]
+        self.el_dofs = np.where(nodes < 4, self.dof_count,
+                                3 * (nodes - 4) + np.arange(3))
+        self.el_dof1, self.el_dof2 = self.el_dofs
 
     def elements_for_dofs(self, dofs) -> np.ndarray:
         """Ascending indices of elements incident to any of the given dofs."""
-        dofs = np.asarray(dofs, dtype=int)
-        if dofs.size == 0:
-            return np.empty(0, dtype=int)
-        return np.unique(np.concatenate([self._dof_elements[d] for d in dofs]))
+        return _incident_elements(self.el_dofs, np.asarray(dofs, dtype=int),
+                                  self.dof_count)
 
     def dofs_needed_for_rows(self, rows) -> np.ndarray:
         """All dofs entering the element computations behind the given rows."""
-        els = self.elements_for_dofs(rows)
-        dofs = np.concatenate([self.el_dof1[els].ravel(), self.el_dof2[els].ravel()])
-        return np.unique(dofs[dofs < self.dof_count])
+        return self._plan(rows).dofs.copy()
 
-    # -- displacement gathering ----------------------------------------------
+    def _plan(self, rows=None, cols=None) -> AssemblyPlan:
+        """The plan over ``rows`` x ``cols``; ``None`` means all dofs.
 
-    def _pad(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.dof_count,):
-            raise ValueError("configuration must have %d entries" % self.dof_count)
-        return np.append(q, 0.0)
+        Plans are kept for the model's lifetime, one per distinct index set.
+        """
+        rows, cols = (None if ix is None else np.asarray(ix, dtype=int)
+                      for ix in (rows, cols))
+        key = tuple(None if ix is None else ix.tobytes() for ix in (rows, cols))
+        if key not in self._plans:
+            every = np.arange(self.dof_count)
+            self._plans[key] = AssemblyPlan(
+                self.el_dofs, self.dof_count,
+                every if rows is None else rows, every if cols is None else cols)
+        return self._plans[key]
 
-    def _gather_dense(self, q_pad, els):
-        return q_pad[self.el_dof1[els]], q_pad[self.el_dof2[els]]
-
-    def _gather_sparse(self, els, dq_idx, dq_val):
-        dq_idx = np.asarray(dq_idx, dtype=int)
-        dq_val = np.asarray(dq_val, dtype=float)
-        if dq_idx.size == 0:
-            return np.zeros((els.size, 3)), np.zeros((els.size, 3))
-        order = np.argsort(dq_idx, kind="stable")
-        idx_sorted, val_sorted = dq_idx[order], dq_val[order]
-
-        def lookup(dofs):
-            pos = np.searchsorted(idx_sorted, dofs)
-            pos_c = np.minimum(pos, idx_sorted.size - 1)
-            found = (idx_sorted[pos_c] == dofs) & (dofs < self.dof_count)
-            return np.where(found, val_sorted[pos_c], 0.0)
-
-        return lookup(self.el_dof1[els]), lookup(self.el_dof2[els])
-
-    # -- element kernels ------------------------------------------------------
+    # -- assembly: gather -> element kernel -> scatter -------------------------
 
     def _element_strain(self, els, u1, u2):
         # Green--Lagrange strain with the squared-length difference expanded
@@ -207,26 +276,34 @@ class TrussModel:
         strain = stretch / (2.0 * length_sq)
         return d, strain
 
-    def _element_forces(self, els, u1, u2):
-        d, strain = self._element_strain(els, u1, u2)
-        f2 = (self.ea_over_l[els] * strain)[:, None] * d
-        return f2
+    def _energy(self, plan, source) -> float:
+        _, strain = self._element_strain(plan.elements, *source[plan.gather])
+        return float(np.sum(0.5 * self.el_eal[plan.elements] * strain**2))
 
-    def _element_stiffness(self, els, u1, u2):
-        d, strain = self._element_strain(els, u1, u2)
-        coeff = self.ea_over_l[els]
+    def _force(self, plan, source) -> np.ndarray:
+        d, strain = self._element_strain(plan.elements, *source[plan.gather])
+        f2 = (self.ea_over_l[plan.elements] * strain)[:, None] * d
+        return plan.scatter_vector(np.stack([f2, -f2]))
+
+    def _stiffness(self, plan, source) -> np.ndarray:
+        els = plan.elements
+        d, strain = self._element_strain(els, *source[plan.gather])
         outer = np.einsum("ik,il->ikl", d, d) / self.el_length_sq[els, None, None]
-        k22 = coeff[:, None, None] * (strain[:, None, None] * np.eye(3) + outer)
-        return k22
+        k22 = self.ea_over_l[els, None, None] * (strain[:, None, None] * np.eye(3)
+                                                 + outer)
+        return plan.scatter_matrix(_STIFFNESS_BLOCKS,
+                                   np.stack([k22, k22, -k22, -k22]))
+
+    def _mass(self, plan) -> np.ndarray:
+        coeff = self.el_mass_coeff[plan.elements, None, None]
+        return plan.scatter_matrix(_MASS_BLOCKS, np.stack(
+            [coeff * (factor * np.eye(3)) for factor in (2.0, 2.0, 1.0, 1.0)]))
 
     # -- potential energy and derivatives --------------------------------------
 
     def potential_energy(self, q) -> float:
-        q_pad = self._pad(q)
-        els = np.arange(len(self.elements))
-        u1, u2 = self._gather_dense(q_pad, els)
-        _, strain = self._element_strain(els, u1, u2)
-        return float(np.sum(0.5 * self.el_eal * strain**2))
+        plan = self._plan()
+        return self._energy(plan, plan.dense_source(q))
 
     def potential_energy_sparse(self, dq_idx, dq_val) -> float:
         """Exact potential at equilibrium plus a sparse displacement.
@@ -234,120 +311,44 @@ class TrussModel:
         Elements not touching the displaced dofs stay at rest and carry
         zero energy, so only incident elements are evaluated.
         """
-        els = self.elements_for_dofs(np.asarray(dq_idx, dtype=int))
-        if els.size == 0:
-            return 0.0
-        u1, u2 = self._gather_sparse(els, dq_idx, dq_val)
-        _, strain = self._element_strain(els, u1, u2)
-        return float(np.sum(0.5 * self.el_eal[els] * strain**2))
+        plan = self._plan(dq_idx)
+        return self._energy(plan, plan.sparse_source(dq_idx, dq_val))
 
     def internal_force(self, q) -> np.ndarray:
         """Potential gradient at configuration ``q``."""
-        q_pad = self._pad(q)
-        els = np.arange(len(self.elements))
-        u1, u2 = self._gather_dense(q_pad, els)
-        f2 = self._element_forces(els, u1, u2)
-        out = np.zeros(self.dof_count + 1)
-        # One concatenated scatter keeps a single, reproducible per-dof
-        # accumulation order shared with the row evaluators.
-        np.add.at(out, np.concatenate([self.el_dof2[els].ravel(),
-                                       self.el_dof1[els].ravel()]),
-                  np.concatenate([f2.ravel(), -f2.ravel()]))
-        return out[:-1]
-
-    def _force_rows_from(self, rows, els, u1, u2) -> np.ndarray:
-        rows = np.asarray(rows, dtype=int)
-        f2 = self._element_forces(els, u1, u2)
-        pos = {int(d): i for i, d in enumerate(rows)}
-        out = np.zeros(rows.size)
-        for sign, dofs in ((1.0, self.el_dof2[els]), (-1.0, self.el_dof1[els])):
-            for k in range(els.size):
-                for axis in range(3):
-                    p = pos.get(int(dofs[k, axis]))
-                    if p is not None:
-                        out[p] += sign * f2[k, axis]
-        return out
+        plan = self._plan()
+        return self._force(plan, plan.dense_source(q))
 
     def internal_force_rows(self, rows, dq_idx, dq_val) -> np.ndarray:
         """Selected gradient entries at equilibrium plus a sparse displacement."""
-        els = self.elements_for_dofs(rows)
-        u1, u2 = self._gather_sparse(els, dq_idx, dq_val)
-        return self._force_rows_from(rows, els, u1, u2)
+        plan = self._plan(rows)
+        return self._force(plan, plan.sparse_source(dq_idx, dq_val))
 
     def internal_force_rows_dense(self, rows, q) -> np.ndarray:
         """Selected gradient entries at a dense configuration."""
-        els = self.elements_for_dofs(rows)
-        q_pad = self._pad(q)
-        u1, u2 = self._gather_dense(q_pad, els)
-        return self._force_rows_from(rows, els, u1, u2)
+        plan = self._plan(rows)
+        return self._force(plan, plan.dense_source(q))
 
     def tangent_stiffness(self, q) -> np.ndarray:
         """Potential Hessian at ``q`` (dense, exactly symmetric)."""
-        q_pad = self._pad(q)
-        els = np.arange(len(self.elements))
-        u1, u2 = self._gather_dense(q_pad, els)
-        k22 = self._element_stiffness(els, u1, u2)
-        n_pad = self.dof_count + 1
-        out = np.zeros((n_pad, n_pad))
-        d1, d2 = self.el_dof1[els], self.el_dof2[els]
-        for (da, db, sign) in ((d2, d2, 1.0), (d1, d1, 1.0),
-                               (d2, d1, -1.0), (d1, d2, -1.0)):
-            flat = (da[:, :, None] * n_pad + db[:, None, :]).ravel()
-            np.add.at(out.ravel(), flat, sign * k22.reshape(els.size, 9).ravel())
-        return out[:-1, :-1]
-
-    def _stiffness_entries_from(self, rows, cols, els, u1, u2) -> np.ndarray:
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        k22 = self._element_stiffness(els, u1, u2)
-        rpos = {int(d): i for i, d in enumerate(rows)}
-        cpos = {int(d): i for i, d in enumerate(cols)}
-        out = np.zeros((rows.size, cols.size))
-        d1, d2 = self.el_dof1[els], self.el_dof2[els]
-        for (da, db, sign) in ((d2, d2, 1.0), (d1, d1, 1.0),
-                               (d2, d1, -1.0), (d1, d2, -1.0)):
-            for k in range(els.size):
-                for ai in range(3):
-                    p = rpos.get(int(da[k, ai]))
-                    if p is None:
-                        continue
-                    for aj in range(3):
-                        qp = cpos.get(int(db[k, aj]))
-                        if qp is not None:
-                            out[p, qp] += sign * k22[k, ai, aj]
-        return out
+        plan = self._plan()
+        return self._stiffness(plan, plan.dense_source(q))
 
     def tangent_stiffness_block(self, rows, cols, dq_idx, dq_val) -> np.ndarray:
         """Selected Hessian block at equilibrium plus a sparse displacement."""
-        els = self.elements_for_dofs(np.concatenate([np.asarray(rows, dtype=int),
-                                                     np.asarray(cols, dtype=int)]))
-        u1, u2 = self._gather_sparse(els, dq_idx, dq_val)
-        return self._stiffness_entries_from(rows, cols, els, u1, u2)
+        plan = self._plan(rows, cols)
+        return self._stiffness(plan, plan.sparse_source(dq_idx, dq_val))
 
     def tangent_stiffness_rows_dense(self, rows, q) -> np.ndarray:
         """Selected Hessian rows (dense columns) at a dense configuration."""
-        els = self.elements_for_dofs(rows)
-        q_pad = self._pad(q)
-        u1, u2 = self._gather_dense(q_pad, els)
-        return self._stiffness_entries_from(rows, np.arange(self.dof_count),
-                                            els, u1, u2)
+        plan = self._plan(rows)
+        return self._stiffness(plan, plan.dense_source(q))
 
     # -- mass -----------------------------------------------------------------
 
     def mass_dense(self) -> np.ndarray:
         if self._mass_dense is None:
-            n_pad = self.dof_count + 1
-            out = np.zeros((n_pad, n_pad))
-            els = np.arange(len(self.elements))
-            coeff = self.el_mass_coeff
-            eye3 = np.eye(3)
-            d1, d2 = self.el_dof1, self.el_dof2
-            for (da, db, factor) in ((d1, d1, 2.0), (d2, d2, 2.0),
-                                     (d1, d2, 1.0), (d2, d1, 1.0)):
-                blocks = coeff[:, None, None] * (factor * eye3)
-                flat = (da[:, :, None] * n_pad + db[:, None, :]).ravel()
-                np.add.at(out.ravel(), flat, blocks.reshape(els.size, 9).ravel())
-            self._mass_dense = out[:-1, :-1]
+            self._mass_dense = self._mass(self._plan())
         return self._mass_dense
 
     def mass_matrix(self) -> scipy.sparse.csr_array:
@@ -356,23 +357,7 @@ class TrussModel:
 
     def mass_entries(self, rows, cols) -> np.ndarray:
         """Selected mass entries from element contributions only."""
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        els = self.elements_for_dofs(np.concatenate([rows, cols]))
-        rpos = {int(d): i for i, d in enumerate(rows)}
-        cpos = {int(d): i for i, d in enumerate(cols)}
-        out = np.zeros((rows.size, cols.size))
-        d1, d2 = self.el_dof1, self.el_dof2
-        for (da, db, factor) in ((d1, d1, 2.0), (d2, d2, 2.0),
-                                 (d1, d2, 1.0), (d2, d1, 1.0)):
-            for k in els:
-                coeff = self.el_mass_coeff[k] * factor
-                for axis in range(3):
-                    p = rpos.get(int(da[k, axis]))
-                    qp = cpos.get(int(db[k, axis]))
-                    if p is not None and qp is not None:
-                        out[p, qp] += coeff
-        return out
+        return self._mass(self._plan(rows, cols))
 
     # -- forcing and initial condition -----------------------------------------
 
@@ -387,16 +372,13 @@ class TrussModel:
 
     def _load_patterns(self, directions) -> np.ndarray:
         key = tuple(directions)
-        cache = getattr(self, "_pattern_cache", {})
-        if key not in cache:
+        if key not in self._pattern_cache:
             patterns = np.zeros((4, self.dof_count))
-            for group in range(4):
-                axis = directions[group]
-                for section in range(1, self.bays + 1):
-                    patterns[group, self._dof(4 * section + group, axis)] = 1.0
-            cache[key] = patterns
-            self._pattern_cache = cache
-        return cache[key]
+            sections = np.arange(1, self.bays + 1)
+            for group, axis in zip(range(4), key):
+                patterns[group, 3 * (4 * sections + group - 4) + axis] = 1.0
+            self._pattern_cache[key] = patterns
+        return self._pattern_cache[key]
 
     def _force_components(self, t: float, forcing: ForcingConfig):
         onset = forcing.final_time / 4.0
@@ -553,7 +535,7 @@ def rayleigh_matrix(model: TrussModel, zeta):
     """Damping data for one model: coefficients and the assembled matrix."""
     k0 = model.tangent_stiffness(np.zeros(model.dof_count))
     alpha, beta = rayleigh_coefficients(model.mass_dense(), k0, zeta)
-    return alpha, beta, alpha * model.mass_dense() + beta * k0
+    return alpha, beta, damping_matrix(model, alpha, beta)
 
 
 def damping_matrix(model: TrussModel, alpha: float, beta: float) -> np.ndarray:

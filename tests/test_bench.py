@@ -158,6 +158,11 @@ class TestOnlineAndComparison:
         traj_files = list((tmp_path / "trajectories").glob("*.csv"))
         assert len(traj_files) >= expected
 
+    def test_build_seconds_within_rom_seconds(self, tiny_offline):
+        result = run_online(tiny_offline, reduce_products(tiny_offline, 50.0),
+                            np.zeros(16), "sp_rbs")
+        assert 0.0 < result.build_seconds < result.rom_seconds
+
     def test_empty_variant_list(self, tiny_config, tiny_offline):
         cfg = ExperimentConfig(**{**tiny_config.to_dict(), "variants": ()})
         report = run_comparison(cfg, offline=tiny_offline)
@@ -211,6 +216,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="variants"):
             ExperimentConfig(bays=2, dt=0.1, variants=("nope",))
 
+    @pytest.mark.parametrize("field", ["dt", "final_time"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_times_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+
 
 class TestCli:
     def test_workflow(self, tmp_path, tiny_config):
@@ -231,6 +242,14 @@ class TestCli:
 
         assert cli_main(["verify-dt", "--config", str(config_path),
                          "--horizon", "1.0"]) == 0
+
+    def test_simulate_rejects_unknown_variant(self, tmp_path, capsys):
+        # Rejected while parsing, before any archive is read or model built.
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--out", str(tmp_path / "missing"),
+                      "--percent", "50", "--variant", "sp_rbz"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_compare_subcommand(self, tmp_path):
         cfg = ExperimentConfig(bays=2, dt=0.1, final_time=2.0,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from lagrom.truss import (ForcingConfig, build_truss, damping_matrix,
                           fundamental_frequency, rayleigh_coefficients,
@@ -50,6 +51,13 @@ class TestGeometry:
         force_off = np.zeros(16)
         force_off[8:] = -2.0  # documented force-off sentinel
         validate_parameters(force_off)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        mu = np.zeros(16)
+        mu[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            validate_parameters(mu)
 
     def test_kinematic_stability(self, model):
         k0 = model.tangent_stiffness(np.zeros(model.dof_count))
@@ -190,6 +198,41 @@ class TestSampledEvaluators:
                               model.tangent_stiffness(q_dense)[rows, :])
         assert np.array_equal(model.mass_entries(rows, cols),
                               model.mass_dense()[np.ix_(rows, cols)])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_sampled_evaluators_slice_full_ones(self, data):
+        bays = data.draw(st.integers(1, 5), label="bays")
+        n = 12 * bays
+        index_sets = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+        rows = np.array(data.draw(index_sets, label="rows"), dtype=int)
+        cols = np.array(data.draw(index_sets, label="cols"), dtype=int)
+        dq_idx = np.array(data.draw(index_sets, label="dq_idx"), dtype=int)
+        dq_val = np.array(data.draw(st.lists(
+            st.floats(-0.05, 0.05), min_size=dq_idx.size, max_size=dq_idx.size),
+            label="dq_val"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        model = build_truss(bays, rng.uniform(-1.0, 1.0, size=16))
+        q_sparse = np.zeros(n)
+        q_sparse[dq_idx] = dq_val
+        q_dense = 0.03 * rng.normal(size=n)
+        block = np.ix_(rows, cols)
+
+        assert np.array_equal(model.internal_force_rows(rows, dq_idx, dq_val),
+                              model.internal_force(q_sparse)[rows])
+        assert np.array_equal(model.internal_force_rows_dense(rows, q_dense),
+                              model.internal_force(q_dense)[rows])
+        assert np.array_equal(
+            model.tangent_stiffness_block(rows, cols, dq_idx, dq_val),
+            model.tangent_stiffness(q_sparse)[block])
+        assert np.array_equal(model.tangent_stiffness_rows_dense(rows, q_dense),
+                              model.tangent_stiffness(q_dense)[rows, :])
+        assert np.array_equal(model.mass_entries(rows, cols),
+                              model.mass_dense()[block])
+        full = model.potential_energy(q_sparse)
+        assert (abs(model.potential_energy_sparse(dq_idx, dq_val) - full)
+                <= 1e-12 * abs(full))
 
     def test_sparse_potential_exact(self, model):
         rng = np.random.default_rng(6)
