@@ -67,6 +67,11 @@ class ExperimentConfig:
         for name in ("dt", "final_time"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
+        if not 0 <= self.zeta < math.inf:
+            raise ValueError("zeta must be nonnegative and finite")
+        for name in ("bays", "n_train"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1" % name)
         if any(not 0 < p <= 100 for p in self.sampling_percentages):
             raise ValueError("sampling percentages must lie in (0, 100]")
         unknown = set(self.variants) - set(VARIANTS)

@@ -130,20 +130,40 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
 
     Convergence: ``||r|| <= rel_tol * reference_norm`` (reference defaults
     to the initial residual norm).  Non-convergence is reported through the
-    result, not raised.
+    result, not raised; a non-finite residual at an iterate ends the
+    iteration at once.
+
+    The residual and Jacobian at the last point evaluated are kept and
+    reused when the same point is asked for again: the linesearch asks for
+    both at a trial step, and an accepted step is the next iterate.
     """
     settings = settings or NewtonSettings()
+    last_point, last_r, last_jac = None, None, None
+
+    def at(point, with_jacobian=False):
+        """Residual (and Jacobian) at ``point``, reused if it is the last."""
+        nonlocal last_point, last_r, last_jac
+        key = point.tobytes()   # bitwise equality; -0.0 differs from 0.0
+        if key != last_point:
+            last_point, last_r, last_jac = key, np.atleast_1d(residual(point)), None
+        if with_jacobian and last_jac is None:
+            last_jac = np.atleast_2d(jacobian(point))
+        return last_r, last_jac
+
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    r = np.atleast_1d(residual(x))
+    r, _ = at(x)
     rnorm = float(np.linalg.norm(r))
     ref = rnorm if reference_norm is None else float(reference_norm)
     target = settings.rel_tol * ref
 
     for it in range(settings.max_iters):
+        if not np.isfinite(rnorm):
+            return NewtonResult(x=x, iterations=it, converged=False,
+                                residual_norm=rnorm)
         if rnorm <= target:
             return NewtonResult(x=x, iterations=it, converged=True,
                                 residual_norm=rnorm)
-        jac = np.atleast_2d(jacobian(x))
+        _, jac = at(x, with_jacobian=True)
         grad = jac.T @ r
         try:
             direction = np.linalg.solve(jac, -r)
@@ -159,13 +179,11 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
                                     residual_norm=rnorm)
 
         def phi(a):
-            ra = np.atleast_1d(residual(x + a * direction))
+            ra, _ = at(x + a * direction)
             return 0.5 * float(ra @ ra)
 
         def dphi(a):
-            xa = x + a * direction
-            ra = np.atleast_1d(residual(xa))
-            ja = np.atleast_2d(jacobian(xa))
+            ra, ja = at(x + a * direction, with_jacobian=True)
             return float((ja.T @ ra) @ direction)
 
         phi0 = 0.5 * rnorm * rnorm
@@ -176,7 +194,7 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
             return NewtonResult(x=x, iterations=it + 1, converged=False,
                                 residual_norm=rnorm)
         x = x + step * direction
-        r = np.atleast_1d(residual(x))
+        r, _ = at(x)
         rnorm = float(np.linalg.norm(r))
 
     return NewtonResult(x=x, iterations=settings.max_iters,
@@ -191,8 +209,8 @@ def midpoint_step(system: SecondOrderSystem, q0, v0, t0, dt,
                   settings: NewtonSettings | None = None):
     """Advance one step; returns ``(q1, v1, newton_result)``.
 
-    The Newton reference residual is re-evaluated each step at the
-    zero-acceleration predictor.
+    The Newton reference residual is the residual of the zero-acceleration
+    predictor, evaluated afresh each step.
     """
     settings = settings or NewtonSettings()
     q0 = np.asarray(q0, dtype=float)
@@ -208,13 +226,13 @@ def midpoint_step(system: SecondOrderSystem, q0, v0, t0, dt,
         return (system.mass @ a + system.damping @ v_mid
                 + system.grad(q_mid(a)) - f_mid)
 
-    def jacobian(a):
-        return (system.mass + 0.5 * dt * system.damping
-                + 0.25 * dt * dt * system.hess(q_mid(a)))
+    linear_part = system.mass + 0.5 * dt * system.damping
 
-    zero = np.zeros_like(q0)
-    ref = float(np.linalg.norm(residual(zero)))
-    result = newton(residual, jacobian, zero, settings, reference_norm=ref)
+    def jacobian(a):
+        return linear_part + 0.25 * dt * dt * system.hess(q_mid(a))
+
+    # The reference residual is the one at the first iterate, zero.
+    result = newton(residual, jacobian, np.zeros_like(q0), settings)
     a = result.x
     q1 = q0 + dt * v0 + 0.5 * dt * dt * a
     v1 = v0 + dt * a

@@ -146,8 +146,9 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500, grad_tol=1e-9) -> 
                  or np.max(np.abs(grad)) <= grad_tol * gscale
                  or residual <= 1e-24 * obj_scale)
     if not converged:
-        logger.warning("rbs_fit stagnated: residual %.3e after %d iterations",
-                       residual, result.nit)
+        logger.warning("rbs_fit stagnated: residual %.3e (relative %.3e) "
+                       "after %d iterations", residual,
+                       np.sqrt(residual / obj_scale), result.nit)
     return RBSMap(
         factor=z,
         sample_set=sample_set,

@@ -144,16 +144,35 @@ class AssemblyPlan:
         np.add.at(out, dst, values.ravel()[src])
         return out
 
-    def scatter_matrix(self, blocks, values) -> np.ndarray:
-        """Sum element blocks (len(blocks), elements, 3, 3) into rows x cols."""
-        if blocks not in self._matrix:
-            ends = np.array(blocks)
-            row = self._row_pos[self._local[ends[:, 0]]][..., :, None]
-            col = self._col_pos[self._local[ends[:, 1]]][..., None, :]
-            self._matrix[blocks] = _kept(np.where(
-                (row >= 0) & (col >= 0), row * self.shape[1] + col, -1))
-        src, dst = self._matrix[blocks]
-        out = np.zeros(self.shape)
+    def _matrix_scatter(self, blocks, half):
+        """``(src, dst)`` of the filtered scatter, dense or banded; cached."""
+        key = (blocks, half)
+        if key not in self._matrix:
+            if half is None:
+                ends = np.array(blocks)
+                row = self._row_pos[self._local[ends[:, 0]]][..., :, None]
+                col = self._col_pos[self._local[ends[:, 1]]][..., None, :]
+                self._matrix[key] = _kept(np.where(
+                    (row >= 0) & (col >= 0), row * self.shape[1] + col, -1))
+            else:
+                src, dst = self._matrix_scatter(blocks, None)
+                row, col = np.divmod(dst, self.shape[1])
+                if np.any(np.abs(row - col) > half):
+                    raise ValueError("entries outside half-bandwidth %d" % half)
+                self._matrix[key] = src, (half + row - col) * self.shape[1] + col
+        return self._matrix[key]
+
+    def scatter_matrix(self, blocks, values, half=None) -> np.ndarray:
+        """Sum element blocks (len(blocks), elements, 3, 3) into rows x cols.
+
+        With ``half`` given the output is LAPACK band storage of that upper
+        and lower half-bandwidth, entry ``(i, j)`` at ``[half + i - j, j]``.
+        The band scatter is the dense one with its destinations moved, so
+        every band entry sums the same terms in the same order.
+        """
+        src, dst = self._matrix_scatter(blocks, half)
+        out = np.zeros(self.shape if half is None
+                       else (2 * half + 1, self.shape[1]))
         np.add.at(out.ravel(), dst, values.ravel()[src])
         return out
 
@@ -235,6 +254,13 @@ class TrussModel:
         self.el_dofs = np.where(nodes < 4, self.dof_count,
                                 3 * (nodes - 4) + np.arange(3))
         self.el_dof1, self.el_dof2 = self.el_dofs
+        # Largest |i - j| over the free dofs i, j of one element: the
+        # half-bandwidth of every assembled matrix (23 for two or more bays).
+        free = np.concatenate(self.el_dofs, axis=1)
+        clamped = free == self.dof_count
+        self.half_bandwidth = int(np.max(
+            np.where(clamped, -1, free).max(axis=1)
+            - np.where(clamped, self.dof_count, free).min(axis=1)))
 
     def elements_for_dofs(self, dofs) -> np.ndarray:
         """Ascending indices of elements incident to any of the given dofs."""
@@ -285,14 +311,14 @@ class TrussModel:
         f2 = (self.ea_over_l[plan.elements] * strain)[:, None] * d
         return plan.scatter_vector(np.stack([f2, -f2]))
 
-    def _stiffness(self, plan, source) -> np.ndarray:
+    def _stiffness(self, plan, source, half=None) -> np.ndarray:
         els = plan.elements
         d, strain = self._element_strain(els, *source[plan.gather])
         outer = np.einsum("ik,il->ikl", d, d) / self.el_length_sq[els, None, None]
         k22 = self.ea_over_l[els, None, None] * (strain[:, None, None] * np.eye(3)
                                                  + outer)
         return plan.scatter_matrix(_STIFFNESS_BLOCKS,
-                                   np.stack([k22, k22, -k22, -k22]))
+                                   np.stack([k22, k22, -k22, -k22]), half)
 
     def _mass(self, plan) -> np.ndarray:
         coeff = self.el_mass_coeff[plan.elements, None, None]
@@ -333,6 +359,15 @@ class TrussModel:
         """Potential Hessian at ``q`` (dense, exactly symmetric)."""
         plan = self._plan()
         return self._stiffness(plan, plan.dense_source(q))
+
+    def tangent_stiffness_band(self, q) -> np.ndarray:
+        """Potential Hessian at ``q`` in LAPACK band storage.
+
+        Shape ``(2 * half_bandwidth + 1, dof_count)``, entry ``(i, j)`` at
+        ``[half_bandwidth + i - j, j]``, equal to ``tangent_stiffness(q)[i, j]``.
+        """
+        plan = self._plan()
+        return self._stiffness(plan, plan.dense_source(q), self.half_bandwidth)
 
     def tangent_stiffness_block(self, rows, cols, dq_idx, dq_val) -> np.ndarray:
         """Selected Hessian block at equilibrium plus a sparse displacement."""
@@ -448,14 +483,17 @@ class TrussModel:
         for _ in range(max_iters):
             if np.linalg.norm(residual) <= target:
                 return q, True
-            stiffness = self.tangent_stiffness(q)
-            scale = max(float(np.mean(np.abs(np.diagonal(stiffness)))), 1e-300)
+            band = self.tangent_stiffness_band(q)
+            half = self.half_bandwidth
+            scale = max(float(np.mean(np.abs(band[half]))), 1e-300)
             advanced = False
             for tau in (0.0, 1e-8, 1e-5, 1e-2, 1.0, 1e2):
+                shifted = band.copy()
+                shifted[half] += tau * scale
                 try:
-                    delta = np.linalg.solve(
-                        stiffness + tau * scale * np.eye(self.dof_count),
-                        -residual)
+                    delta = scipy.linalg.solve_banded(
+                        (half, half), shifted, -residual, overwrite_ab=True,
+                        check_finite=False)
                 except np.linalg.LinAlgError:
                     continue
                 slope = float(residual @ delta)

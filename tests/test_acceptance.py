@@ -8,6 +8,7 @@ fast.  Each test prints a single summary line for the criterion it covers.
 import time
 
 import numpy as np
+import pytest
 
 from lagrom.bench import (ExperimentConfig, energy_drift, error_metric,
                           online_points, reduce_products, run_offline,
@@ -30,6 +31,8 @@ from lagrom.spd_approx import (assembled_eigen_gradients,
 from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
 from conftest import random_orthonormal, random_spd, stiefel_feasibility_search
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(criterion, passed, detail):

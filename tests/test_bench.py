@@ -222,6 +222,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("zeta", np.nan), ("zeta", np.inf), ("zeta", -0.1),
+        ("bays", 0), ("bays", -1), ("n_train", 0)])
+    def test_bad_damping_and_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+
 
 class TestCli:
     def test_workflow(self, tmp_path, tiny_config):

@@ -49,6 +49,39 @@ class TestNewton:
         assert result.converged and result.iterations == 0
 
 
+class TestNewtonEvaluations:
+    @staticmethod
+    def counted(residual, jacobian):
+        calls = {"residual": 0, "jacobian": 0}
+
+        def counted_residual(x):
+            calls["residual"] += 1
+            return residual(x)
+
+        def counted_jacobian(x):
+            calls["jacobian"] += 1
+            return jacobian(x)
+        return counted_residual, counted_jacobian, calls
+
+    def test_full_steps_assemble_one_jacobian_per_iteration(self):
+        residual, jacobian, calls = self.counted(
+            lambda x: x**3 - 8.0, lambda x: np.atleast_2d(3 * x**2))
+        result = newton(residual, jacobian, np.array([3.0]),
+                        NewtonSettings(rel_tol=1e-14))
+        assert result.converged and result.iterations >= 3
+        # One trial point per linesearch: every full step was accepted.
+        assert calls["residual"] == result.iterations + 1
+        # The accepted point's Jacobian, taken by the linesearch, is reused.
+        assert calls["jacobian"] == result.iterations + 1
+
+    def test_non_finite_residual_fails_at_once(self):
+        residual, jacobian, calls = self.counted(
+            lambda x: np.full_like(x, np.nan), lambda x: np.eye(x.size))
+        result = newton(residual, jacobian, np.zeros(2))
+        assert not result.converged and result.iterations == 0
+        assert calls == {"residual": 1, "jacobian": 0}
+
+
 class TestMidpointStep:
     def test_linear_closed_form(self):
         sho = harmonic_oscillator()

@@ -62,6 +62,16 @@ class TestRbsFit:
         fit = rbs_fit(snaps, phi, s, max_iters=1)
         assert np.isfinite(fit.fit_residual)
 
+    def test_stagnation_warning_reports_relative_residual(self, rng, caplog):
+        big_n, n = 10, 2
+        phi = random_orthonormal(rng, big_n, n)
+        snaps = [random_spd(rng, big_n) for _ in range(4)]
+        s = SampleIndexSet(np.arange(3), big_n)
+        fit = rbs_fit(snaps, phi, s, max_iters=1)
+        assert not fit.converged
+        scale = sum(float(np.sum((phi.T @ a @ phi) ** 2)) for a in snaps)
+        assert "relative %.3e" % np.sqrt(fit.fit_residual / scale) in caplog.text
+
     def test_m_below_n_rejected(self, rng):
         phi = random_orthonormal(rng, 6, 3)
         s = SampleIndexSet(np.arange(2), 6)

@@ -8,6 +8,16 @@ from lagrom.truss import (ForcingConfig, build_truss, damping_matrix,
                           rayleigh_matrix, validate_parameters)
 
 
+def band_of(dense, half):
+    """LAPACK band storage of ``dense``: entry (i, j) at [half + i - j, j]."""
+    n = dense.shape[0]
+    band = np.zeros((2 * half + 1, n))
+    for k in range(-half, half + 1):
+        j = np.arange(max(0, -k), min(n, n - k))
+        band[half + k, j] = dense[j + k, j]
+    return band
+
+
 @pytest.fixture(scope="module")
 def model():
     return build_truss(4, np.zeros(16))
@@ -58,6 +68,11 @@ class TestGeometry:
         mu[5] = value
         with pytest.raises(ValueError, match="finite"):
             validate_parameters(mu)
+
+    def test_half_bandwidth_independent_of_bays(self):
+        assert build_truss(1, np.zeros(16)).half_bandwidth == 11
+        for bays in (2, 3, 7, 40):
+            assert build_truss(bays, np.zeros(16)).half_bandwidth == 23
 
     def test_kinematic_stability(self, model):
         k0 = model.tangent_stiffness(np.zeros(model.dof_count))
@@ -230,6 +245,12 @@ class TestSampledEvaluators:
                               model.tangent_stiffness(q_dense)[rows, :])
         assert np.array_equal(model.mass_entries(rows, cols),
                               model.mass_dense()[block])
+        dense = model.tangent_stiffness(q_dense)
+        half = model.half_bandwidth
+        assert not np.any(np.triu(dense, half + 1))
+        assert not np.any(np.tril(dense, -half - 1))
+        assert np.array_equal(model.tangent_stiffness_band(q_dense),
+                              band_of(dense, half))
         full = model.potential_energy(q_sparse)
         assert (abs(model.potential_energy_sparse(dq_idx, dq_val) - full)
                 <= 1e-12 * abs(full))
@@ -328,6 +349,24 @@ class TestInitialDisplacement:
         x = model.static_displacement(load)
         rel = np.linalg.norm(model.internal_force(x) - load) / np.linalg.norm(load)
         assert rel <= 1e-6
+
+    def test_singular_shift_skipped(self, model, forcing, monkeypatch):
+        # The unshifted tangent is reported singular at every iterate; the
+        # Levenberg-shifted ones still reach the static solution.
+        solve_banded = scipy.linalg.solve_banded
+        unshifted = []   # right-hand sides, one per iterate
+
+        def failing_unshifted(l_and_u, ab, b, **kwargs):
+            if not unshifted or not np.array_equal(unshifted[-1], b):
+                unshifted.append(b)
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve_banded(l_and_u, ab, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", failing_unshifted)
+        load = forcing.nominal_amplitudes[0] * model.load_patterns()[0]
+        x = model.static_displacement(load)
+        rel = np.linalg.norm(model.internal_force(x) - load) / np.linalg.norm(load)
+        assert unshifted and rel <= 1e-6
 
     def test_linear_elastic_limit(self, model):
         k0 = model.tangent_stiffness(np.zeros(model.dof_count))
