@@ -18,7 +18,7 @@ from .midpoint import (NewtonSettings, NewtonResult, SecondOrderSystem, State,
                        newton, richardson_estimate)
 from .roms import (ReducedSystem, build_collocation, build_galerkin,
                    build_gappy_rom, build_structure_preserving,
-                   integrate_full_model, integrate_rom, reconstruct,
+                   integrate_full_model, integrate_rom,
                    reduced_total_energy, total_energy)
 from .bench import (ComparisonReport, ExperimentConfig, OfflineProducts,
                     ReducedProducts, error_metric, lhs_points, run_comparison,

@@ -221,6 +221,10 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
             raise RuntimeError(
                 "training run %d unstable after %d failed steps at t=%.3f"
                 % (i, traj.failed_steps, traj.times[-1]))
+        if traj.failed_steps:
+            logger.warning("training run %d/%d keeps %d unconverged step(s) "
+                           "as snapshots", i + 1, len(mu_train),
+                           traj.failed_steps)
 
         mass = model.mass_dense()
         damping = damping_matrix(model, alpha, beta) if (alpha or beta) else None
@@ -317,8 +321,9 @@ def reduce_products(offline: OfflineProducts, percentage: float,
 
     rbs_map = rbs_fit(offline.mass_snapshots, phi, sample_set)
     gappy_basis = build_matrix_gappy_basis(offline.matrix_modes, phi, sample_set)
-    diagnostics = validate_sample_set(sample_set, k_matrix, phi,
-                                      matrix_basis=offline.matrix_modes)
+    diagnostics = validate_sample_set(
+        sample_set, k_matrix, phi,
+        vectorized_operator=gappy_basis.vectorized_sampled_operator)
     if not diagnostics.passed:
         logger.warning("sample-set diagnostics at %.3g%%: %s",
                        percentage, "; ".join(diagnostics.messages))
@@ -348,26 +353,20 @@ class OnlineResult:
 def build_variant(offline: OfflineProducts, reduced: ReducedProducts,
                   model, variant: str):
     """Assemble one reduced system for an already-built online model."""
-    forcing = offline.forcing
-    alpha, beta = offline.alpha, offline.beta
-    phi = offline.phi
+    phi, sample_set = offline.phi, reduced.sample_set
+    terms = dict(alpha=offline.alpha, beta=offline.beta, forcing=offline.forcing)
     if variant == "galerkin":
-        return build_galerkin(model, phi, alpha=alpha, beta=beta,
-                              forcing=forcing, mu=model.mu)
+        return build_galerkin(model, phi, **terms)
     if variant == "collocation":
-        return build_collocation(model, phi, reduced.sample_set, alpha=alpha,
-                                 beta=beta, forcing=forcing, mu=model.mu)
+        return build_collocation(model, phi, sample_set, **terms)
     if variant == "gappy_pod":
-        return build_gappy_rom(model, phi, reduced.reconstructors,
-                               reduced.sample_set, alpha=alpha, beta=beta,
-                               forcing=forcing, mu=model.mu)
+        return build_gappy_rom(model, phi, reduced.reconstructors, sample_set,
+                               **terms)
     if variant in ("sp_rbs", "sp_matrix_gappy"):
-        method = "rbs" if variant == "sp_rbs" else "matrix_gappy"
-        product = reduced.rbs_map if method == "rbs" else reduced.gappy_basis
+        product = reduced.rbs_map if variant == "sp_rbs" else reduced.gappy_basis
         return build_structure_preserving(
-            model, phi, reduced.sample_set, method, product, alpha=alpha,
-            beta=beta, force_reconstructor=reduced.reconstructors["force"],
-            forcing=forcing, mu=model.mu)
+            model, phi, sample_set, product,
+            force_reconstructor=reduced.reconstructors["force"], **terms)
     raise ValueError("unknown variant %r" % variant)
 
 
@@ -379,7 +378,7 @@ def run_online(offline: OfflineProducts, reduced: ReducedProducts, mu_star,
     model = build_truss(config.bays, mu_star)
     q0 = model.initial_displacement(offline.forcing)
     system = build_variant(offline, reduced, model, variant)
-    q_r0 = system.phi.T @ (q0 - system.q_ref)
+    q_r0 = system.phi.T @ q0
     build_seconds = time.perf_counter() - start
 
     traj = integrate_rom(system, config.dt, config.final_time,
@@ -554,9 +553,8 @@ def verify_timestep(config: ExperimentConfig, dt=None, horizon=None,
 # ---------------------------------------------------------------------------
 
 def sp_step_seconds(bays: int, n: int, m: int, steps: int = 200,
-                    dt: float = 0.05, method: str = "rbs",
-                    seed: int = 0, repeats: int = 3) -> float:
-    """Per-step online cost of a structure-preserving model at pinned (n, m).
+                    dt: float = 0.05, seed: int = 0, repeats: int = 3) -> float:
+    """Per-step online cost of the SP-RBS model at pinned (n, m).
 
     Uses a seeded random orthonormal basis so the reduced dimensions stay
     fixed while the truss size varies; returns the best of ``repeats``
@@ -571,7 +569,7 @@ def sp_step_seconds(bays: int, n: int, m: int, steps: int = 200,
     indices = rng.permutation(big_n)[:m]
     sample_set = SampleIndexSet(indices, big_n)
     rbs_map = rbs_fit([model.mass_dense()], phi, sample_set)
-    system = build_structure_preserving(model, phi, sample_set, method, rbs_map)
+    system = build_structure_preserving(model, phi, sample_set, rbs_map)
     q_r0 = 1e-3 * rng.normal(size=n)
 
     best = np.inf
@@ -690,6 +688,7 @@ def save_reduced(path, reduced: ReducedProducts) -> None:
         "rbs_factor": reduced.rbs_map.factor,
         "rbs_fit_residual": np.array(reduced.rbs_map.fit_residual),
         "rbs_converged": np.array(float(reduced.rbs_map.converged)),
+        "rbs_iterations": np.array(float(reduced.rbs_map.iterations)),
         "gappy_sampled": reduced.gappy_basis.sampled_basis,
         "gappy_reduced": reduced.gappy_basis.reduced_basis,
         "gappy_operator": reduced.gappy_basis.vectorized_sampled_operator,
@@ -710,7 +709,8 @@ def load_reduced(path) -> ReducedProducts:
                                 int(arrays["ambient_dim"]))
     rbs_map = RBSMap(factor=arrays["rbs_factor"], sample_set=sample_set,
                      fit_residual=float(arrays["rbs_fit_residual"]),
-                     converged=bool(arrays["rbs_converged"]), iterations=0)
+                     converged=bool(arrays["rbs_converged"]),
+                     iterations=int(arrays["rbs_iterations"]))
     gappy_basis = MatrixGappyBasis(
         sampled_basis=arrays["gappy_sampled"],
         reduced_basis=arrays["gappy_reduced"],

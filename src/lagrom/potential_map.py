@@ -26,7 +26,6 @@ class SparsePotentialMap:
 
     factor: np.ndarray          # (n, n), nonsingular
     sample_set: SampleIndexSet
-    parameter: object
 
     @property
     def n(self) -> int:
@@ -38,8 +37,8 @@ class SparsePotentialMap:
         return self.sample_set.first(self.n)
 
 
-def build_potential_map(reduced_hessian, sampled_hessian, sample_set,
-                        parameter=None) -> SparsePotentialMap:
+def build_potential_map(reduced_hessian, sampled_hessian,
+                        sample_set) -> SparsePotentialMap:
     """Match the reduced equilibrium Hessian through the sampled one.
 
     With lower Cholesky factors ``L_phi`` (reduced) and ``L_s`` (sampled),
@@ -60,7 +59,7 @@ def build_potential_map(reduced_hessian, sampled_hessian, sample_set,
         raise ValueError(
             "equilibrium Hessian not positive definite on sample/reduced space")
     factor = scipy.linalg.solve_triangular(l_s.T, l_phi.T, lower=False)
-    return SparsePotentialMap(factor=factor, sample_set=sample_set, parameter=parameter)
+    return SparsePotentialMap(factor=factor, sample_set=sample_set)
 
 
 def approx_reduced_gradient(pmap: SparsePotentialMap, sampled_gradient, q_r):

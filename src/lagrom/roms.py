@@ -10,7 +10,6 @@ reconstruction) and keep symmetric positive-definite operators by
 construction.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +37,8 @@ class ReducedSystem:
     hess: object                  # q_r -> (n, n) Newton Jacobian contribution
     force: object                 # t -> (n,) reduced external force
     phi: np.ndarray
-    q_ref: np.ndarray
-    mu: object = None
+    qoi_weights: np.ndarray       # tip displacement is q_r @ qoi_weights
     potential: object = None      # q_r -> scalar, for energy diagnostics
-    qoi_weights: np.ndarray | None = None
-    qoi_offset: float = 0.0
-    setup_seconds: float = 0.0
 
     @property
     def n(self) -> int:
@@ -54,34 +49,19 @@ class ReducedSystem:
                                  grad=self.grad, hess=self.hess, force=self.force)
 
 
-def reconstruct(phi, q_ref, q_r) -> np.ndarray:
-    """Map reduced coordinates back to the full configuration space."""
-    return np.asarray(q_ref, dtype=float) + np.asarray(phi, dtype=float) @ q_r
-
-
 def _zero_force(n):
     zero = np.zeros(n)
     return lambda t: zero
-
-
-def _qoi(model, phi, q_ref):
-    tip = getattr(model, "tip_dof", None)
-    if tip is None:
-        return None, 0.0
-    return phi[tip, :].copy(), float(np.asarray(q_ref)[tip])
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 
-def build_galerkin(model, phi, q_ref=None, alpha=0.0, beta=0.0,
-                   forcing=None, mu=None) -> ReducedSystem:
+def build_galerkin(model, phi, alpha=0.0, beta=0.0,
+                   forcing=None) -> ReducedSystem:
     """Dense Galerkin projection of every operator (no complexity reduction)."""
-    start = time.perf_counter()
     phi = np.asarray(phi, dtype=float)
-    n_full = model.dof_count
-    q_ref = np.zeros(n_full) if q_ref is None else np.asarray(q_ref, dtype=float)
 
     # A congruence is symmetric; kill the product round-off so the
     # structural dichotomy against sampled variants is exact.
@@ -89,10 +69,10 @@ def build_galerkin(model, phi, q_ref=None, alpha=0.0, beta=0.0,
     damping_r = symmetrize(phi.T @ (damping_matrix(model, alpha, beta) @ phi))
 
     def grad(q_r):
-        return phi.T @ model.internal_force(q_ref + phi @ q_r)
+        return phi.T @ model.internal_force(phi @ q_r)
 
     def hess(q_r):
-        return phi.T @ model.tangent_stiffness(q_ref + phi @ q_r) @ phi
+        return phi.T @ model.tangent_stiffness(phi @ q_r) @ phi
 
     if forcing is None:
         force = _zero_force(phi.shape[1])
@@ -101,131 +81,103 @@ def build_galerkin(model, phi, q_ref=None, alpha=0.0, beta=0.0,
             return phi.T @ model.external_force(t, forcing)
 
     def potential(q_r):
-        return model.potential_energy(q_ref + phi @ q_r)
+        return model.potential_energy(phi @ q_r)
 
-    weights, offset = _qoi(model, phi, q_ref)
     return ReducedSystem(variant="galerkin", mass_r=mass_r, damping_r=damping_r,
-                         grad=grad, hess=hess, force=force, phi=phi, q_ref=q_ref,
-                         mu=mu, potential=potential, qoi_weights=weights,
-                         qoi_offset=offset,
-                         setup_seconds=time.perf_counter() - start)
+                         grad=grad, hess=hess, force=force, phi=phi,
+                         qoi_weights=phi[model.tip_dof], potential=potential)
 
 
-def build_collocation(model, phi, sample_set, q_ref=None, alpha=0.0, beta=0.0,
-                      forcing=None, mu=None) -> ReducedSystem:
+def _sampled_projection(variant, model, phi, sample_set, ops, alpha, beta,
+                        forcing) -> ReducedSystem:
+    """Project the sampled rows of every equation term through its operator.
+
+    ``ops`` maps ``mass``, ``damping``, ``potential`` and ``force`` to an
+    (n, m) matrix applied to that term's sampled rows.
+    """
+    phi = np.asarray(phi, dtype=float)
+    s_idx = sample_set.indices
+
+    mass_r = ops["mass"] @ (model.mass_dense()[s_idx, :] @ phi)
+    damping_r = ops["damping"] @ (damping_matrix(model, alpha, beta)[s_idx, :] @ phi)
+
+    def grad(q_r):
+        return ops["potential"] @ model.internal_force_rows_dense(s_idx, phi @ q_r)
+
+    def hess(q_r):
+        rows = model.tangent_stiffness_rows_dense(s_idx, phi @ q_r)
+        return ops["potential"] @ (rows @ phi)
+
+    if forcing is None:
+        force = _zero_force(phi.shape[1])
+    else:
+        def force(t):
+            return ops["force"] @ model.external_force_rows(s_idx, t, forcing)
+
+    return ReducedSystem(variant=variant, mass_r=mass_r, damping_r=damping_r,
+                         grad=grad, hess=hess, force=force, phi=phi,
+                         qoi_weights=phi[model.tip_dof])
+
+
+def build_collocation(model, phi, sample_set, alpha=0.0, beta=0.0,
+                      forcing=None) -> ReducedSystem:
     """Galerkin projection of the sampled subset of the full equations.
 
     Every operator is left-multiplied by the sampled test basis, which
     breaks the symmetry of the reduced mass and damping matrices whenever
     the sampling is partial.
     """
-    start = time.perf_counter()
-    phi = np.asarray(phi, dtype=float)
-    n_full = model.dof_count
-    q_ref = np.zeros(n_full) if q_ref is None else np.asarray(q_ref, dtype=float)
-    s_idx = sample_set.indices
-    phi_s = phi[s_idx, :]
-
-    mass_r = phi_s.T @ (model.mass_dense()[s_idx, :] @ phi)
-    damping_r = phi_s.T @ (damping_matrix(model, alpha, beta)[s_idx, :] @ phi)
-
-    def grad(q_r):
-        return phi_s.T @ model.internal_force_rows_dense(s_idx, q_ref + phi @ q_r)
-
-    def hess(q_r):
-        rows = model.tangent_stiffness_rows_dense(s_idx, q_ref + phi @ q_r)
-        return phi_s.T @ (rows @ phi)
-
-    if forcing is None:
-        force = _zero_force(phi.shape[1])
-    else:
-        def force(t):
-            return phi_s.T @ model.external_force_rows(s_idx, t, forcing)
-
-    weights, offset = _qoi(model, phi, q_ref)
-    return ReducedSystem(variant="collocation", mass_r=mass_r, damping_r=damping_r,
-                         grad=grad, hess=hess, force=force, phi=phi, q_ref=q_ref,
-                         mu=mu, potential=None, qoi_weights=weights,
-                         qoi_offset=offset,
-                         setup_seconds=time.perf_counter() - start)
+    test_basis = np.asarray(phi, dtype=float)[sample_set.indices, :].T
+    ops = dict.fromkeys(("mass", "damping", "potential", "force"), test_basis)
+    return _sampled_projection("collocation", model, phi, sample_set, ops,
+                               alpha, beta, forcing)
 
 
-def build_gappy_rom(model, phi, reconstructors, sample_set, q_ref=None,
-                    alpha=0.0, beta=0.0, forcing=None, mu=None) -> ReducedSystem:
+def build_gappy_rom(model, phi, reconstructors, sample_set, alpha=0.0,
+                    beta=0.0, forcing=None) -> ReducedSystem:
     """Gappy POD baseline: a separate reconstruction for every term.
 
     ``reconstructors`` maps the keys ``mass``, ``damping``, ``potential``
     and ``force`` to :class:`ForceReconstructor` instances built on the
     shared sample set.
     """
-    start = time.perf_counter()
-    phi = np.asarray(phi, dtype=float)
-    n_full = model.dof_count
-    q_ref = np.zeros(n_full) if q_ref is None else np.asarray(q_ref, dtype=float)
-    s_idx = sample_set.indices
-
-    g_mass = reconstructors["mass"].operator
-    g_damp = reconstructors["damping"].operator
-    g_grad = reconstructors["potential"].operator
-    g_force = reconstructors["force"]
-
-    mass_r = g_mass @ (model.mass_dense()[s_idx, :] @ phi)
-    damping_r = g_damp @ (damping_matrix(model, alpha, beta)[s_idx, :] @ phi)
-
-    def grad(q_r):
-        return g_grad @ model.internal_force_rows_dense(s_idx, q_ref + phi @ q_r)
-
-    def hess(q_r):
-        rows = model.tangent_stiffness_rows_dense(s_idx, q_ref + phi @ q_r)
-        return g_grad @ (rows @ phi)
-
-    if forcing is None:
-        force = _zero_force(phi.shape[1])
-    else:
-        def force(t):
-            return apply_force_reconstructor(
-                g_force, model.external_force_rows(s_idx, t, forcing))
-
-    weights, offset = _qoi(model, phi, q_ref)
-    return ReducedSystem(variant="gappy_pod", mass_r=mass_r, damping_r=damping_r,
-                         grad=grad, hess=hess, force=force, phi=phi, q_ref=q_ref,
-                         mu=mu, potential=None, qoi_weights=weights,
-                         qoi_offset=offset,
-                         setup_seconds=time.perf_counter() - start)
+    ops = {term: rec.operator for term, rec in reconstructors.items()}
+    return _sampled_projection("gappy_pod", model, phi, sample_set, ops,
+                               alpha, beta, forcing)
 
 
-def build_structure_preserving(model, phi, sample_set, method, mass_product,
+def build_structure_preserving(model, phi, sample_set, mass_product,
                                alpha=0.0, beta=0.0,
                                force_reconstructor: ForceReconstructor | None = None,
-                               forcing=None, mu=None) -> ReducedSystem:
+                               forcing=None) -> ReducedSystem:
     """Assemble a structure-preserving reduced model from offline products.
 
-    ``method`` selects the mass approximation: ``"rbs"`` applies the fitted
-    sparse congruence to the sampled online mass block, ``"matrix_gappy"``
-    solves the constrained sampled least-squares problem and assembles the
-    reduced combination.  The potential is handled through the sparse
-    potential map built here for the online parameter; the damping matrix
-    combines the approximated mass with the reduced equilibrium Hessian,
-    which the map reproduces exactly.
+    The type of ``mass_product`` selects the mass approximation: an
+    :class:`RBSMap` (variant ``sp_rbs``) applies the fitted sparse
+    congruence to the sampled online mass block, a
+    :class:`MatrixGappyBasis` (variant ``sp_matrix_gappy``) solves the
+    constrained sampled least-squares problem and assembles the reduced
+    combination.  The potential is handled through the sparse potential map
+    built here for the model's parameter; the damping matrix combines the
+    approximated mass with the reduced equilibrium Hessian, which the map
+    reproduces exactly.
     """
-    start = time.perf_counter()
     phi = np.asarray(phi, dtype=float)
     n_full = model.dof_count
     n = phi.shape[1]
     s_idx = sample_set.indices
 
     sampled_mass = model.mass_entries(s_idx, s_idx)
-    if method == "rbs":
-        if not isinstance(mass_product, RBSMap):
-            raise TypeError("rbs method needs an RBSMap mass product")
+    if isinstance(mass_product, RBSMap):
+        variant = "sp_rbs"
         mass_r = rbs_apply(mass_product, sampled_mass)
-    elif method == "matrix_gappy":
-        if not isinstance(mass_product, MatrixGappyBasis):
-            raise TypeError("matrix_gappy method needs a MatrixGappyBasis")
+    elif isinstance(mass_product, MatrixGappyBasis):
+        variant = "sp_matrix_gappy"
         coeffs = gappy_matrix_coeffs(sampled_mass, mass_product)
         mass_r = gappy_matrix_assemble(coeffs, mass_product)
     else:
-        raise ValueError("unknown structure-preserving method %r" % method)
+        raise TypeError("mass product must be an RBSMap or a MatrixGappyBasis, "
+                        "got %s" % type(mass_product).__name__)
 
     # Equilibrium Hessian blocks: the reduced one is the documented
     # parameter-amortized large-dimension step, the sampled one is cheap.
@@ -233,7 +185,7 @@ def build_structure_preserving(model, phi, sample_set, method, mass_product,
     k0_reduced = phi.T @ model.tangent_stiffness(zeros) @ phi
     first = sample_set.first(n)
     k0_sampled = model.tangent_stiffness_block(first, first, [], [])
-    pmap = build_potential_map(k0_reduced, k0_sampled, sample_set, parameter=mu)
+    pmap = build_potential_map(k0_reduced, k0_sampled, sample_set)
 
     damping_r = alpha * mass_r + beta * k0_reduced
 
@@ -253,13 +205,9 @@ def build_structure_preserving(model, phi, sample_set, method, mass_product,
     def potential(q_r):
         return model.potential_energy_sparse(pmap.rows, pmap.factor @ q_r)
 
-    weights, offset = _qoi(model, phi, np.zeros(n_full))
-    variant = "sp_rbs" if method == "rbs" else "sp_matrix_gappy"
     return ReducedSystem(variant=variant, mass_r=mass_r, damping_r=damping_r,
                          grad=grad, hess=hess, force=force, phi=phi,
-                         q_ref=np.zeros(n_full), mu=mu, potential=potential,
-                         qoi_weights=weights, qoi_offset=offset,
-                         setup_seconds=time.perf_counter() - start)
+                         qoi_weights=phi[model.tip_dof], potential=potential)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +223,7 @@ def integrate_rom(system: ReducedSystem, dt, t_end,
         state0 = State(q=np.zeros(system.n), v=np.zeros(system.n))
     traj = implicit_midpoint_solve(system.second_order_system(), state0, dt,
                                    t_end, settings)
-    if system.qoi_weights is not None:
-        traj.quantity = system.qoi_offset + traj.q @ system.qoi_weights
+    traj.quantity = traj.q @ system.qoi_weights
     if record_energy and system.potential is not None:
         traj.energy = np.array([reduced_total_energy(system, q, v)
                                 for q, v in zip(traj.q, traj.v)])

@@ -128,27 +128,27 @@ class SampleSetDiagnostics:
     m: int
     ambient_dim: int
     size_rule_ok: bool
-    sampled_block_spd: bool
     first_block_nonsingular: bool
     vectorized_operator_full_rank: bool | None
     messages: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        checks = [self.size_rule_ok, self.sampled_block_spd, self.first_block_nonsingular]
+        checks = [self.size_rule_ok, self.first_block_nonsingular]
         if self.vectorized_operator_full_rank is not None:
             checks.append(self.vectorized_operator_full_rank)
         return all(checks)
 
 
 def validate_sample_set(sample_set, min_m_for_matrix_gappy, pod_basis,
-                        matrix_basis=None) -> SampleSetDiagnostics:
+                        vectorized_operator=None) -> SampleSetDiagnostics:
     """Check a sample set against the requirements of the matrix approximations.
 
     Reports whether (m^2 + m)/2 covers the matrix-basis size, whether the
-    first-n sampled block of a probe SPD matrix admits a Cholesky factor,
-    and (when the matrix basis is supplied) whether the upper-triangle
-    vectorized sampled operator has full column rank.
+    first-n sampled rows of the basis are nonsingular, and (when given the
+    upper-triangle vectorized sampled operator of the matrix basis, see
+    :class:`~lagrom.spd_approx.MatrixGappyBasis`) whether that operator has
+    full column rank.
     """
     phi = np.asarray(pod_basis, dtype=float)
     m = sample_set.m
@@ -160,18 +160,6 @@ def validate_sample_set(sample_set, min_m_for_matrix_gappy, pod_basis,
     if not size_ok:
         messages.append("(m^2+m)/2 = %d < %d basis matrices" % ((m * m + m) // 2, k))
 
-    # Probe SPD matrix built from the basis itself; its sampled principal
-    # block and the reduced block must both be safely positive definite.
-    probe = np.eye(phi.shape[0]) + phi @ phi.T
-    first = sample_set.first(min(n, m))
-    block = probe[np.ix_(first, first)]
-    try:
-        np.linalg.cholesky(block)
-        block_spd = True
-    except np.linalg.LinAlgError:
-        block_spd = False
-        messages.append("sampled probe block is not positive definite")
-
     sub = phi[sample_set.first(min(n, m)), :]
     sv = np.linalg.svd(sub, compute_uv=False)
     nonsingular = bool(sv.size == n and sv[-1] > 1e-12 * max(sv[0], 1.0))
@@ -179,24 +167,17 @@ def validate_sample_set(sample_set, min_m_for_matrix_gappy, pod_basis,
         messages.append("first-n rows of the basis are (numerically) singular")
 
     vec_ok = None
-    if matrix_basis is not None:
-        from .spd_approx import _upper_triangle_indices
-
-        rows, cols = _upper_triangle_indices(m)
-        s_idx = sample_set.indices
-        op = np.column_stack(
-            [np.asarray(a)[np.ix_(s_idx, s_idx)][rows, cols] for a in matrix_basis]
-        )
-        rank = np.linalg.matrix_rank(op)
-        vec_ok = bool(rank == op.shape[1])
+    if vectorized_operator is not None:
+        rank = np.linalg.matrix_rank(vectorized_operator)
+        k_ops = vectorized_operator.shape[1]
+        vec_ok = bool(rank == k_ops)
         if not vec_ok:
-            messages.append("vectorized sampled operator rank %d < %d" % (rank, op.shape[1]))
+            messages.append("vectorized sampled operator rank %d < %d" % (rank, k_ops))
 
     return SampleSetDiagnostics(
         m=m,
         ambient_dim=sample_set.ambient_dim,
         size_rule_ok=bool(size_ok),
-        sampled_block_spd=block_spd,
         first_block_nonsingular=nonsingular,
         vectorized_operator_full_rank=vec_ok,
         messages=messages,

@@ -550,8 +550,7 @@ def rayleigh_coefficients(mass, stiffness, zeta, distinct_rtol=1e-6):
         raise ValueError("damping ratio must be nonnegative")
     if zeta == 0.0:
         return 0.0, 0.0
-    mass = np.asarray(mass, dtype=float) if not scipy.sparse.issparse(mass) \
-        else mass.toarray()
+    mass = np.asarray(mass, dtype=float)
     stiffness = np.asarray(stiffness, dtype=float)
     n = stiffness.shape[0]
     count = min(10, n)

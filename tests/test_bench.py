@@ -1,14 +1,19 @@
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from lagrom.bench import (ExperimentConfig, error_metric, lhs_points,
-                          load_offline, load_reduced, online_points,
+import lagrom.bench
+from lagrom.bench import (ExperimentConfig, build_variant, error_metric,
+                          lhs_points, load_offline, load_reduced, online_points,
                           reduce_products, run_comparison, run_offline,
                           run_online, save_offline, save_reduced,
                           training_points, verify_timestep)
 from lagrom.cli import main as cli_main
+from lagrom.roms import VARIANTS
+from lagrom.truss import build_truss
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +138,37 @@ class TestOfflineProducts:
         assert np.array_equal(loaded.rbs_map.factor, red.rbs_map.factor)
         assert np.array_equal(loaded.gappy_basis.vectorized_sampled_operator,
                               red.gappy_basis.vectorized_sampled_operator)
+        for name in ("fit_residual", "converged", "iterations"):
+            assert getattr(loaded.rbs_map, name) == getattr(red.rbs_map, name)
+
+    def test_unconverged_training_step_is_reported(self, tiny_config,
+                                                   monkeypatch, caplog):
+        integrate = lagrom.bench.integrate_full_model
+
+        def one_failed_step(*args, **kwargs):
+            return dataclasses.replace(integrate(*args, **kwargs),
+                                       failed_steps=1)
+
+        monkeypatch.setattr(lagrom.bench, "integrate_full_model",
+                            one_failed_step)
+        with caplog.at_level(logging.WARNING, logger="lagrom.bench"):
+            run_offline(tiny_config)
+        warned = [r.getMessage() for r in caplog.records
+                  if "unconverged" in r.getMessage()]
+        n = tiny_config.n_train
+        assert warned == ["training run %d/%d keeps 1 unconverged step(s) as "
+                          "snapshots" % (i + 1, n) for i in range(n)]
 
 
 class TestOnlineAndComparison:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_build_variant_names_its_system(self, tiny_config, tiny_offline,
+                                            variant):
+        model = build_truss(tiny_config.bays, np.zeros(16))
+        system = build_variant(tiny_offline, reduce_products(tiny_offline, 50.0),
+                               model, variant)
+        assert system.variant == variant
+
     def test_galerkin_ignores_sampling(self, tiny_offline):
         mu = np.zeros(16)
         r50 = run_online(tiny_offline, reduce_products(tiny_offline, 50.0),

@@ -6,7 +6,7 @@ from lagrom.midpoint import NewtonSettings, State
 from lagrom.pod import compute_pod_basis
 from lagrom.roms import (build_collocation, build_galerkin, build_gappy_rom,
                          build_structure_preserving, integrate_full_model,
-                         integrate_rom, reconstruct, reduced_total_energy,
+                         integrate_rom, reduced_total_energy,
                          total_energy)
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
 from lagrom.spd_approx import build_matrix_gappy_basis, rbs_fit
@@ -165,15 +165,13 @@ class TestStructurePreserving:
             model = build_truss(2, mu)
             phi = random_orthonormal(rng, model.dof_count, 4)
             sample_set, product = sp_products(model, phi, 8)
-            system = build_structure_preserving(model, phi, sample_set, "rbs",
-                                                product)
+            system = build_structure_preserving(model, phi, sample_set, product)
             assert np.abs(system.mass_r - system.mass_r.T).max() <= 1e-12
             assert np.linalg.eigvalsh(system.mass_r)[0] > 0
 
     def test_conservative_case_drops_terms(self, truss, basis):
         sample_set, product = sp_products(truss, basis, 12)
-        system = build_structure_preserving(truss, basis, sample_set, "rbs",
-                                            product)
+        system = build_structure_preserving(truss, basis, sample_set, product)
         assert np.array_equal(system.damping_r, np.zeros_like(system.damping_r))
         assert np.array_equal(system.force(3.0), np.zeros(system.n))
 
@@ -182,18 +180,22 @@ class TestStructurePreserving:
         reproduce the same reduced mass."""
         sample_set, rbs_product = sp_products(truss, basis, 12, "rbs")
         _, gap_product = sp_products(truss, basis, 12, "matrix_gappy")
-        sys1 = build_structure_preserving(truss, basis, sample_set, "rbs",
-                                          rbs_product)
-        sys2 = build_structure_preserving(truss, basis, sample_set,
-                                          "matrix_gappy", gap_product)
+        sys1 = build_structure_preserving(truss, basis, sample_set, rbs_product)
+        sys2 = build_structure_preserving(truss, basis, sample_set, gap_product)
+        assert (sys1.variant, sys2.variant) == ("sp_rbs", "sp_matrix_gappy")
         ref = basis.T @ truss.mass_dense() @ basis
         assert np.linalg.norm(sys1.mass_r - ref) <= 1e-7 * np.linalg.norm(ref)
         assert np.linalg.norm(sys2.mass_r - ref) <= 1e-7 * np.linalg.norm(ref)
 
+    def test_unknown_mass_product_rejected(self, truss, basis):
+        sample_set, _ = sp_products(truss, basis, 12)
+        with pytest.raises(TypeError, match="RBSMap or a MatrixGappyBasis"):
+            build_structure_preserving(truss, basis, sample_set,
+                                       truss.mass_dense())
+
     def test_smoke_integration_stable(self, truss, forcing, basis):
         sample_set, product = sp_products(truss, basis, 12)
-        system = build_structure_preserving(truss, basis, sample_set, "rbs",
-                                            product)
+        system = build_structure_preserving(truss, basis, sample_set, product)
         q0 = truss.initial_displacement(forcing)
         traj = integrate_rom(system, 0.05, 2.0,
                              state0=State(q=basis.T @ q0,
@@ -215,7 +217,7 @@ class TestStructurePreserving:
         product = rbs_fit([mass], phi, sample_set)
         force_rec = build_force_reconstructor(
             phi, pattern[:, None] / np.linalg.norm(pattern), sample_set)
-        sp = build_structure_preserving(model, phi, sample_set, "rbs", product,
+        sp = build_structure_preserving(model, phi, sample_set, product,
                                         force_reconstructor=force_rec,
                                         forcing=object())
         gal = build_galerkin(model, phi, forcing=object())
@@ -227,15 +229,6 @@ class TestStructurePreserving:
 
 
 class TestEnergyAndReconstruction:
-    def test_reconstruct(self, rng):
-        phi = random_orthonormal(rng, 10, 3)
-        q_ref = rng.normal(size=10)
-        q_r = rng.normal(size=3)
-        out = reconstruct(phi, q_ref, q_r)
-        assert np.allclose(out, q_ref + phi @ q_r)
-        assert np.array_equal(reconstruct(phi, q_ref, np.zeros(3)), q_ref)
-        assert np.allclose(phi.T @ (out - q_ref), q_r)
-
     def test_total_energy_zero_at_rest(self, truss):
         zero = np.zeros(truss.dof_count)
         assert total_energy(truss, zero, zero) == 0.0
@@ -254,8 +247,7 @@ class TestEnergyAndReconstruction:
 
     def test_sp_reduced_energy_bounded_conservative(self, truss, forcing, basis):
         sample_set, product = sp_products(truss, basis, 12)
-        system = build_structure_preserving(truss, basis, sample_set, "rbs",
-                                            product)
+        system = build_structure_preserving(truss, basis, sample_set, product)
         q0 = truss.initial_displacement(forcing)
         traj = integrate_rom(system, 0.02, 4.0,
                              state0=State(q=basis.T @ q0,

@@ -3,6 +3,7 @@ import pytest
 
 from lagrom.sampling import (SampleIndexSet, greedy_sample_indices,
                              validate_sample_set)
+from lagrom.spd_approx import build_matrix_gappy_basis
 
 from conftest import random_orthonormal, random_spd
 
@@ -108,6 +109,7 @@ class TestValidateSampleSet:
         phi = random_orthonormal(rng, 10, 3)
         s = greedy_sample_indices(phi, 10)
         modes = [random_spd(rng, 10) for _ in range(3)]
-        diag = validate_sample_set(s, 3, phi, matrix_basis=modes)
+        op = build_matrix_gappy_basis(modes, phi, s).vectorized_sampled_operator
+        diag = validate_sample_set(s, 3, phi, vectorized_operator=op)
         assert diag.passed
         assert diag.vectorized_operator_full_rank
