@@ -1,4 +1,5 @@
-"""On-disk archive for named float64 arrays.
+"""On-disk archive for named float64 arrays, and the codec that maps
+dataclass products to entries named by field path (``rbs_map/factor``).
 
 Layout (all integers little-endian): a 4-byte magic, a u32 format version,
 a u32 entry count, then per entry a u16 name length, the UTF-8 name, a u8
@@ -6,12 +7,14 @@ rank, u64 dimensions, and the row-major little-endian float64 payload.
 Round-trips are bit-exact.
 """
 
+import dataclasses
 import struct
+import typing
 
 import numpy as np
 
 MAGIC = b"LGRM"
-VERSION = 1
+VERSION = 2
 
 
 def save_archive(path, arrays: dict) -> None:
@@ -49,3 +52,57 @@ def load_archive(path) -> dict:
                 raise ValueError("truncated archive entry %r" % name)
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return arrays
+
+
+def flatten(products, skip=()) -> dict:
+    """Leaves (arrays, ``bool``/``int``/``float``) of a dataclass product
+    below its fields, string-keyed dicts and lists, named by path
+    (``term_bases/force``, ``matrix_modes/0``); top-level ``skip`` fields
+    are left out."""
+    arrays = {}
+
+    def walk(path, value):
+        if dataclasses.is_dataclass(value):
+            value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        elif isinstance(value, list):
+            value = {str(i): item for i, item in enumerate(value)}
+        if isinstance(value, dict):
+            for key, item in value.items():
+                if "/" in key:
+                    raise ValueError("archive key %r contains '/'" % key)
+                walk(path + "/" + key if path else key, item)
+        elif isinstance(value, (np.ndarray, np.generic, bool, int, float)):
+            arrays[path] = value
+        else:
+            raise TypeError("cannot archive %s at %r" % (type(value).__name__, path))
+
+    walk("", {f.name: getattr(products, f.name)
+              for f in dataclasses.fields(products) if f.name not in skip})
+    return arrays
+
+
+def unflatten(cls, arrays: dict, **given):
+    """Rebuild a dataclass product written by :func:`flatten` from its
+    field annotations (``np.ndarray``, ``bool``, ``int``, ``float``,
+    ``list[X]``, ``dict[str, X]``, dataclasses); top-level fields in
+    ``given`` are taken as passed."""
+
+    def build(kind, path, given=None):
+        if dataclasses.is_dataclass(kind):
+            given = given or {}
+            hints = typing.get_type_hints(kind)
+            return kind(**{f.name: given[f.name] if f.name in given else
+                           build(hints[f.name], (path + "/" if path else "") + f.name)
+                           for f in dataclasses.fields(kind)})
+        if typing.get_origin(kind) in (dict, list):
+            prefix = path + "/"
+            keys = dict.fromkeys(name[len(prefix):].split("/")[0]
+                                 for name in arrays if name.startswith(prefix))
+            # flatten writes list items in index order.
+            items = {key: build(typing.get_args(kind)[-1], prefix + key) for key in keys}
+            return items if typing.get_origin(kind) is dict else list(items.values())
+        if path not in arrays:
+            raise ValueError("archive has no entry %r" % path)
+        return arrays[path] if kind is np.ndarray else kind(arrays[path])
+
+    return build(cls, "", given)

@@ -22,15 +22,17 @@ import numpy as np
 import scipy.linalg
 from scipy.stats import qmc
 
-from .archive import load_archive, save_archive
-from .gappy import build_force_reconstructor
+from .archive import flatten, load_archive, save_archive, unflatten
+from .gappy import ForceReconstructor, build_force_reconstructor
 from .midpoint import NewtonSettings, State, richardson_estimate
 from .pod import compute_pod_basis
 from .roms import (build_collocation, build_galerkin, build_gappy_rom,
                    build_structure_preserving, integrate_full_model,
                    integrate_rom, VARIANTS)
-from .sampling import greedy_sample_indices, validate_sample_set
-from .spd_approx import build_matrix_gappy_basis, matrix_pod_modes, rbs_fit
+from .sampling import (SampleIndexSet, SampleSetDiagnostics,
+                       greedy_sample_indices, validate_sample_set)
+from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
+                         matrix_pod_modes, rbs_fit)
 from .truss import (ForcingConfig, build_truss, damping_matrix,
                     fundamental_frequency, rayleigh_coefficients)
 
@@ -129,9 +131,9 @@ class OfflineProducts:
     beta: float
     phi: np.ndarray                        # (N, n)
     phi_singular_values: np.ndarray
-    term_bases: dict                       # name -> (N, n_f) arrays
-    matrix_modes: list                     # full principal mass matrices
-    mass_snapshots: list                   # training mass matrices
+    term_bases: dict[str, np.ndarray]      # name -> (N, n_f)
+    matrix_modes: list[np.ndarray]         # full principal mass matrices
+    mass_snapshots: list[np.ndarray]       # training mass matrices
 
     @property
     def forcing(self) -> ForcingConfig:
@@ -266,11 +268,11 @@ class ReducedProducts:
     """Per-sampling-percentage offline products."""
 
     percentage: float
-    sample_set: object
-    rbs_map: object
-    gappy_basis: object
-    reconstructors: dict
-    diagnostics: object
+    sample_set: SampleIndexSet
+    rbs_map: RBSMap
+    gappy_basis: MatrixGappyBasis
+    reconstructors: dict[str, ForceReconstructor]
+    diagnostics: SampleSetDiagnostics | None    # not archived
 
 
 def sample_count(config: ExperimentConfig, percentage: float, n: int,
@@ -306,15 +308,15 @@ def _fit_reconstructor(phi, term_basis, sample_set, name):
     return build_force_reconstructor(phi, term_basis[:, :0], sample_set)
 
 
-def reduce_products(offline: OfflineProducts, percentage: float,
-                    sampling_basis: str = "potential") -> ReducedProducts:
-    """Greedy sample selection plus all sampling-dependent fits."""
+def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProducts:
+    """Greedy sample selection on the potential term basis (the state basis
+    if that is missing or empty) plus all sampling-dependent fits."""
     config = offline.config
     phi = offline.phi
     k_matrix = len(offline.matrix_modes)
     m = sample_count(config, percentage, offline.n, k_matrix)
 
-    basis_for_sampling = offline.term_bases.get(sampling_basis)
+    basis_for_sampling = offline.term_bases.get("potential")
     if basis_for_sampling is None or basis_for_sampling.shape[1] == 0:
         basis_for_sampling = phi
     sample_set = greedy_sample_indices(basis_for_sampling, m)
@@ -560,8 +562,6 @@ def sp_step_seconds(bays: int, n: int, m: int, steps: int = 200,
     fixed while the truss size varies; returns the best of ``repeats``
     timing runs.
     """
-    from .sampling import SampleIndexSet
-
     rng = np.random.default_rng(seed)
     model = build_truss(bays, np.zeros(16))
     big_n = model.dof_count
@@ -646,83 +646,24 @@ def write_report_artifacts(outdir: Path, config, report, hfm_runs,
 # ---------------------------------------------------------------------------
 
 def save_offline(path, offline: OfflineProducts) -> None:
-    """Persist training products (plus the config next to the archive)."""
-    arrays = {
-        "mu_train": offline.mu_train,
-        "phi": offline.phi,
-        "phi_singular_values": offline.phi_singular_values,
-        "omega0": np.array(offline.omega0),
-        "alpha": np.array(offline.alpha),
-        "beta": np.array(offline.beta),
-        "matrix_modes": np.array(offline.matrix_modes),
-        "mass_snapshots": np.array(offline.mass_snapshots),
-    }
-    for name, term_basis in offline.term_bases.items():
-        arrays["term_basis_%s" % name] = term_basis
-    save_archive(path, arrays)
+    """Persist training products; the config goes to a JSON file next to
+    the archive."""
+    save_archive(path, flatten(offline, skip=("config",)))
     Path(path).with_suffix(".config.json").write_text(
         json.dumps(offline.config.to_dict(), indent=2))
 
 
 def load_offline(path) -> OfflineProducts:
-    arrays = load_archive(path)
     config = ExperimentConfig.from_dict(
         json.loads(Path(path).with_suffix(".config.json").read_text()))
-    term_bases = {name: arrays["term_basis_%s" % name] for name in TERM_NAMES}
-    return OfflineProducts(
-        config=config, mu_train=arrays["mu_train"],
-        omega0=float(arrays["omega0"]), alpha=float(arrays["alpha"]),
-        beta=float(arrays["beta"]), phi=arrays["phi"],
-        phi_singular_values=arrays["phi_singular_values"],
-        term_bases=term_bases,
-        matrix_modes=list(arrays["matrix_modes"]),
-        mass_snapshots=list(arrays["mass_snapshots"]))
+    return unflatten(OfflineProducts, load_archive(path), config=config)
 
 
 def save_reduced(path, reduced: ReducedProducts) -> None:
-    """Persist per-percentage products (full matrices already discarded)."""
-    arrays = {
-        "percentage": np.array(reduced.percentage),
-        "sample_indices": reduced.sample_set.indices.astype(float),
-        "ambient_dim": np.array(float(reduced.sample_set.ambient_dim)),
-        "rbs_factor": reduced.rbs_map.factor,
-        "rbs_fit_residual": np.array(reduced.rbs_map.fit_residual),
-        "rbs_converged": np.array(float(reduced.rbs_map.converged)),
-        "rbs_iterations": np.array(float(reduced.rbs_map.iterations)),
-        "gappy_sampled": reduced.gappy_basis.sampled_basis,
-        "gappy_reduced": reduced.gappy_basis.reduced_basis,
-        "gappy_operator": reduced.gappy_basis.vectorized_sampled_operator,
-    }
-    for name, rec in reduced.reconstructors.items():
-        arrays["reconstructor_%s" % name] = rec.operator
-        arrays["reconstructor_dim_%s" % name] = np.array(float(rec.basis_dim))
-    save_archive(path, arrays)
+    """Persist per-percentage products (full matrices already discarded);
+    the sample-set diagnostics are not stored."""
+    save_archive(path, flatten(reduced, skip=("diagnostics",)))
 
 
 def load_reduced(path) -> ReducedProducts:
-    from .gappy import ForceReconstructor
-    from .sampling import SampleIndexSet
-    from .spd_approx import MatrixGappyBasis, RBSMap
-
-    arrays = load_archive(path)
-    sample_set = SampleIndexSet(arrays["sample_indices"].astype(int),
-                                int(arrays["ambient_dim"]))
-    rbs_map = RBSMap(factor=arrays["rbs_factor"], sample_set=sample_set,
-                     fit_residual=float(arrays["rbs_fit_residual"]),
-                     converged=bool(arrays["rbs_converged"]),
-                     iterations=int(arrays["rbs_iterations"]))
-    gappy_basis = MatrixGappyBasis(
-        sampled_basis=arrays["gappy_sampled"],
-        reduced_basis=arrays["gappy_reduced"],
-        vectorized_sampled_operator=arrays["gappy_operator"],
-        sample_set=sample_set)
-    reconstructors = {}
-    for name in TERM_NAMES:
-        reconstructors[name] = ForceReconstructor(
-            operator=arrays["reconstructor_%s" % name],
-            basis_dim=int(arrays["reconstructor_dim_%s" % name]),
-            sample_set=sample_set)
-    return ReducedProducts(percentage=float(arrays["percentage"]),
-                           sample_set=sample_set, rbs_map=rbs_map,
-                           gappy_basis=gappy_basis,
-                           reconstructors=reconstructors, diagnostics=None)
+    return unflatten(ReducedProducts, load_archive(path), diagnostics=None)

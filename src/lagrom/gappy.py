@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .sampling import SampleIndexSet
-
 # Relative tolerance on the R factor used for rank decisions.
 RANK_RTOL = 1e-12
 
@@ -24,7 +22,6 @@ class ForceReconstructor:
 
     operator: np.ndarray        # (n, m)
     basis_dim: int
-    sample_set: SampleIndexSet
 
     @property
     def n(self) -> int:
@@ -64,14 +61,13 @@ def build_force_reconstructor(phi, phi_f, sample_set) -> ForceReconstructor:
     n = phi.shape[1]
     m = sample_set.m
     if phi_f.shape[1] == 0:
-        return ForceReconstructor(operator=np.zeros((n, m)), basis_dim=0,
-                                  sample_set=sample_set)
+        return ForceReconstructor(operator=np.zeros((n, m)), basis_dim=0)
     if phi_f.shape[1] > m:
         raise ValueError("term basis dimension %d exceeds sample count %d"
                          % (phi_f.shape[1], m))
     pinv, n_f = _sampled_pinv(phi_f[sample_set.indices, :])
     operator = (phi.T @ phi_f) @ pinv
-    return ForceReconstructor(operator=operator, basis_dim=n_f, sample_set=sample_set)
+    return ForceReconstructor(operator=operator, basis_dim=n_f)
 
 
 def apply_force_reconstructor(reconstructor: ForceReconstructor, sampled_values):

@@ -13,14 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Strong-Wolfe constants (sufficient decrease, curvature) and the bracketing
+# and zoom budgets of one linesearch.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+MAX_LINESEARCH = 30
+# Unconverged steps after which an integration stops and is flagged unstable.
+MAX_FAILED_STEPS = 3
+
 
 @dataclass(frozen=True)
 class NewtonSettings:
     rel_tol: float = 1e-6
     max_iters: int = 500
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_linesearch: int = 30
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -82,7 +87,7 @@ class SecondOrderSystem:
 # Globalized Newton
 # ---------------------------------------------------------------------------
 
-def _strong_wolfe(phi, dphi, phi0, dphi0, c1, c2, max_iters):
+def _strong_wolfe(phi, dphi, phi0, dphi0):
     """Step length meeting sufficient decrease and the curvature condition.
 
     Bracketing/zoom on the scalar merit phi; returns None when no
@@ -90,33 +95,31 @@ def _strong_wolfe(phi, dphi, phi0, dphi0, c1, c2, max_iters):
     """
     a_prev, phi_prev = 0.0, phi0
     a = 1.0
-    for i in range(max_iters):
+    for i in range(MAX_LINESEARCH):
         phi_a = phi(a)
-        if phi_a > phi0 + c1 * a * dphi0 or (i > 0 and phi_a >= phi_prev):
-            return _zoom(a_prev, a, phi_prev, phi, dphi, phi0, dphi0, c1, c2,
-                         max_iters)
+        if phi_a > phi0 + WOLFE_C1 * a * dphi0 or (i > 0 and phi_a >= phi_prev):
+            return _zoom(a_prev, a, phi_prev, phi, dphi, phi0, dphi0)
         dphi_a = dphi(a)
-        if abs(dphi_a) <= -c2 * dphi0:
+        if abs(dphi_a) <= -WOLFE_C2 * dphi0:
             return a
         if dphi_a >= 0.0:
-            return _zoom(a, a_prev, phi_a, phi, dphi, phi0, dphi0, c1, c2,
-                         max_iters)
+            return _zoom(a, a_prev, phi_a, phi, dphi, phi0, dphi0)
         a_prev, phi_prev = a, phi_a
         a *= 2.0
     return None
 
 
-def _zoom(lo, hi, phi_lo, phi, dphi, phi0, dphi0, c1, c2, max_iters):
+def _zoom(lo, hi, phi_lo, phi, dphi, phi0, dphi0):
     best = None
-    for _ in range(max_iters):
+    for _ in range(MAX_LINESEARCH):
         a = 0.5 * (lo + hi)
         phi_a = phi(a)
-        if phi_a > phi0 + c1 * a * dphi0 or phi_a >= phi_lo:
+        if phi_a > phi0 + WOLFE_C1 * a * dphi0 or phi_a >= phi_lo:
             hi = a
         else:
             best = a
             dphi_a = dphi(a)
-            if abs(dphi_a) <= -c2 * dphi0:
+            if abs(dphi_a) <= -WOLFE_C2 * dphi0:
                 return a
             if dphi_a * (hi - lo) >= 0.0:
                 hi = lo
@@ -187,9 +190,7 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
             return float((ja.T @ ra) @ direction)
 
         phi0 = 0.5 * rnorm * rnorm
-        step = _strong_wolfe(phi, dphi, phi0, slope,
-                             settings.wolfe_c1, settings.wolfe_c2,
-                             settings.max_linesearch)
+        step = _strong_wolfe(phi, dphi, phi0, slope)
         if step is None:
             return NewtonResult(x=x, iterations=it + 1, converged=False,
                                 residual_norm=rnorm)
@@ -240,12 +241,11 @@ def midpoint_step(system: SecondOrderSystem, q0, v0, t0, dt,
 
 
 def implicit_midpoint_solve(system: SecondOrderSystem, state0: State, dt, t_end,
-                            settings: NewtonSettings | None = None,
-                            max_failed_steps: int = 3) -> Trajectory:
+                            settings: NewtonSettings | None = None) -> Trajectory:
     """Integrate from ``state0.t`` to ``t_end`` with fixed step ``dt``.
 
     A step whose Newton iteration exhausts its budget is marked failed but
-    its best iterate is kept; after ``max_failed_steps`` failures the run
+    its best iterate is kept; after ``MAX_FAILED_STEPS`` failures the run
     stops early and the trajectory is flagged unstable instead of raising.
     """
     settings = settings or NewtonSettings()
@@ -272,12 +272,12 @@ def implicit_midpoint_solve(system: SecondOrderSystem, state0: State, dt, t_end,
         iters[k] = result.iterations
         if not result.converged:
             failed += 1
-            if failed >= max_failed_steps:
+            if failed >= MAX_FAILED_STEPS:
                 stopped_at = k + 1
                 break
     wall = time.perf_counter() - start
 
-    stable = failed < max_failed_steps
+    stable = failed < MAX_FAILED_STEPS
     end = stopped_at + 1
     return Trajectory(
         times=times[:end], q=q[:end], v=v[:end],

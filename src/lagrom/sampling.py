@@ -41,7 +41,7 @@ class SampleIndexSet:
         return self.indices[:n]
 
 
-def greedy_sample_indices(residual_basis, m, protected_dofs=None) -> SampleIndexSet:
+def greedy_sample_indices(residual_basis, m) -> SampleIndexSet:
     """Select ``m`` row indices by a cyclic gappy-residual greedy rule.
 
     Basis columns are visited cyclically.  At each step the candidate row
@@ -62,16 +62,6 @@ def greedy_sample_indices(residual_basis, m, protected_dofs=None) -> SampleIndex
         raise ValueError("need 1 <= m <= N, got m=%d, N=%d" % (m, big_n))
 
     selected: list[int] = []
-    if protected_dofs is not None:
-        for i in protected_dofs:
-            i = int(i)
-            if not 0 <= i < big_n:
-                raise ValueError("protected index %d out of range" % i)
-            if i not in selected:
-                selected.append(i)
-        if len(selected) > m:
-            raise ValueError("more protected indices than samples requested")
-
     visited: list[int] = []  # distinct column indices already cycled through
     step = 0
     while len(selected) < m:

@@ -23,16 +23,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .sampling import SampleIndexSet
-
 logger = logging.getLogger(__name__)
 
 RANK_PROJECT_RTOL = 1e-10
-
-
-def _upper_triangle_indices(m):
-    """Row/col indices of the (m^2 + m)/2 entries with i <= j."""
-    return np.triu_indices(m)
 
 
 def symmetrize(a):
@@ -53,7 +46,6 @@ class RBSMap:
     """
 
     factor: np.ndarray
-    sample_set: SampleIndexSet
     fit_residual: float
     converged: bool
     iterations: int
@@ -117,8 +109,8 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500, grad_tol=1e-9) -> 
     if f0 <= 1e-24 * obj_scale:
         # The prescribed initialization is already (numerically) exact,
         # e.g. under full sampling.
-        return RBSMap(factor=z0, sample_set=sample_set, fit_residual=float(f0),
-                      converged=True, iterations=0)
+        return RBSMap(factor=z0, fit_residual=float(f0), converged=True,
+                      iterations=0)
     result = scipy.optimize.minimize(
         fun,
         z0.ravel(),
@@ -142,16 +134,15 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500, grad_tol=1e-9) -> 
         z = u @ np.diag(np.maximum(sv, floor)) @ vt
 
     residual, grad = _congruence_objective(z, sampled, reduced)
-    converged = (bool(result.success)
-                 or np.max(np.abs(grad)) <= grad_tol * gscale
-                 or residual <= 1e-24 * obj_scale)
+    converged = bool(result.success
+                     or np.max(np.abs(grad)) <= grad_tol * gscale
+                     or residual <= 1e-24 * obj_scale)
     if not converged:
         logger.warning("rbs_fit stagnated: residual %.3e (relative %.3e) "
                        "after %d iterations", residual,
                        np.sqrt(residual / obj_scale), result.nit)
     return RBSMap(
         factor=z,
-        sample_set=sample_set,
         fit_residual=float(residual),
         converged=converged,
         iterations=int(result.nit),
@@ -179,16 +170,12 @@ def rbs_apply(rbs_map: RBSMap, sampled_matrix) -> np.ndarray:
 class MatrixGappyBasis:
     """Sampled and reduced forms of the principal-matrix basis.
 
-    Only the entries needed online are kept: the m x m sampled blocks,
-    the n x n reduced blocks, and the upper-triangle-vectorized sampled
-    operator used by the least-squares solve.
+    Only the entries needed online are kept: the m x m sampled blocks and
+    the n x n reduced blocks.
     """
 
     sampled_basis: np.ndarray            # (k, m, m)
     reduced_basis: np.ndarray            # (k, n, n)
-    vectorized_sampled_operator: np.ndarray  # ((m^2+m)/2, k)
-    sample_set: SampleIndexSet
-    pd_threshold: float | None = None
 
     @property
     def k(self) -> int:
@@ -201,6 +188,13 @@ class MatrixGappyBasis:
     @property
     def n(self) -> int:
         return self.reduced_basis.shape[1]
+
+    @property
+    def vectorized_sampled_operator(self) -> np.ndarray:
+        """Upper triangles of the sampled blocks as columns, ((m^2+m)/2, k);
+        the operator of the sampled least-squares solve."""
+        rows, cols = np.triu_indices(self.m)
+        return np.column_stack([a_s[rows, cols] for a_s in self.sampled_basis])
 
 
 def matrix_pod_modes(matrix_snapshots, energy):
@@ -225,33 +219,23 @@ def matrix_pod_modes(matrix_snapshots, energy):
             for i in range(basis.n)]
 
 
-def build_matrix_gappy_basis(modes, phi, sample_set, pd_threshold=None) -> MatrixGappyBasis:
+def build_matrix_gappy_basis(modes, phi, sample_set) -> MatrixGappyBasis:
     """Sample and reduce full-size principal matrices, then discard them."""
     phi = np.asarray(phi, dtype=float)
     s_idx = sample_set.indices
-    m = sample_set.m
-    rows, cols = _upper_triangle_indices(m)
-    sampled, reduced, op_cols = [], [], []
+    sampled, reduced = [], []
     for a in modes:
         a = np.asarray(a, dtype=float)
-        a_s = a[np.ix_(s_idx, s_idx)]
-        sampled.append(a_s)
+        sampled.append(a[np.ix_(s_idx, s_idx)])
         reduced.append(symmetrize(phi.T @ a @ phi))
-        op_cols.append(a_s[rows, cols])
-    return MatrixGappyBasis(
-        sampled_basis=np.array(sampled),
-        reduced_basis=np.array(reduced),
-        vectorized_sampled_operator=np.column_stack(op_cols),
-        sample_set=sample_set,
-        pd_threshold=pd_threshold,
-    )
+    return MatrixGappyBasis(sampled_basis=np.array(sampled),
+                            reduced_basis=np.array(reduced))
 
 
-def matrix_pod_basis(matrix_snapshots, energy, phi, sample_set,
-                     pd_threshold=None) -> MatrixGappyBasis:
+def matrix_pod_basis(matrix_snapshots, energy, phi, sample_set) -> MatrixGappyBasis:
     """Principal-matrix basis of SPD snapshots in sampled/reduced form."""
     modes = matrix_pod_modes(matrix_snapshots, energy)
-    return build_matrix_gappy_basis(modes, phi, sample_set, pd_threshold=pd_threshold)
+    return build_matrix_gappy_basis(modes, phi, sample_set)
 
 
 def _assemble(basis: MatrixGappyBasis, x):
@@ -259,10 +243,8 @@ def _assemble(basis: MatrixGappyBasis, x):
 
 
 def _pd_threshold(basis: MatrixGappyBasis, x):
-    """Definiteness threshold: explicit override, else a tiny fraction of
-    the unconstrained assembly's mean diagonal."""
-    if basis.pd_threshold is not None:
-        return float(basis.pd_threshold)
+    """Definiteness threshold: a tiny fraction of the unconstrained
+    assembly's mean diagonal."""
     scale = abs(float(np.mean(np.diagonal(_assemble(basis, x)))))
     return 1e-10 * (scale if scale > 0 else 1.0)
 
@@ -291,7 +273,7 @@ def gappy_matrix_coeffs(sampled_online, basis: MatrixGappyBasis):
     if (m * m + m) // 2 < basis.k or np.linalg.matrix_rank(op) < basis.k:
         raise ValueError("invalid sampling for matrix gappy POD")
 
-    rows, cols = _upper_triangle_indices(m)
+    rows, cols = np.triu_indices(m)
     rhs = a[rows, cols]
     x, *_ = np.linalg.lstsq(op, rhs, rcond=None)
 
@@ -330,7 +312,7 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
         return x0
 
     a = np.asarray(sampled_online, dtype=float)
-    rows, cols = _upper_triangle_indices(basis.m)
+    rows, cols = np.triu_indices(basis.m)
     op = basis.vectorized_sampled_operator
     rhs = a[rows, cols]
 

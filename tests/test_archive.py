@@ -1,7 +1,10 @@
+import struct
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from lagrom.archive import load_archive, save_archive
+from lagrom.archive import MAGIC, flatten, load_archive, save_archive, unflatten
 
 
 def test_round_trip_bit_exact(tmp_path, rng):
@@ -51,3 +54,65 @@ def test_empty_archive(tmp_path):
     path = tmp_path / "empty.lgrm"
     save_archive(path, {})
     assert load_archive(path) == {}
+
+
+def test_version_one_archive_rejected(tmp_path):
+    # Version 1 named entries by hand-picked keys; its layout is not read.
+    path = tmp_path / "old.lgrm"
+    path.write_bytes(MAGIC + struct.pack("<II", 1, 0))
+    with pytest.raises(ValueError, match="unsupported archive version 1"):
+        load_archive(path)
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    values: np.ndarray
+    count: int
+    flag: bool
+
+
+@dataclass
+class _Tree:
+    scale: float
+    leaf: _Leaf
+    by_name: dict[str, _Leaf]
+    stack: list[np.ndarray]
+    note: str
+
+
+def test_flatten_names_leaves_by_field_path(tmp_path, rng):
+    tree = _Tree(scale=0.5, leaf=_Leaf(rng.normal(size=3), 4, True),
+                 by_name={"b": _Leaf(np.zeros((2, 0)), 0, False),
+                          "a": _Leaf(rng.normal(size=(2, 2)), 7, True)},
+                 stack=[rng.normal(size=2), rng.normal(size=(1, 2))],
+                 note="not archived")
+    arrays = flatten(tree, skip=("note",))
+    assert list(arrays) == [
+        "scale", "leaf/values", "leaf/count", "leaf/flag",
+        "by_name/b/values", "by_name/b/count", "by_name/b/flag",
+        "by_name/a/values", "by_name/a/count", "by_name/a/flag",
+        "stack/0", "stack/1"]
+    path = tmp_path / "tree.lgrm"
+    save_archive(path, arrays)
+    loaded = unflatten(_Tree, load_archive(path), note="given")
+    assert loaded.note == "given"
+    assert type(loaded.scale) is float and loaded.scale == 0.5
+    assert list(loaded.by_name) == ["b", "a"]
+    for got, want in [(loaded.leaf, tree.leaf), *zip(loaded.by_name.values(),
+                                                     tree.by_name.values())]:
+        assert np.array_equal(got.values, want.values)
+        assert got.values.shape == want.values.shape
+        assert type(got.count) is int and got.count == want.count
+        assert type(got.flag) is bool and got.flag == want.flag
+    assert len(loaded.stack) == 2
+    for got, want in zip(loaded.stack, tree.stack):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_unarchivable_leaf_rejected():
+    with pytest.raises(TypeError, match="str"):
+        flatten(_Tree(0.0, _Leaf(np.zeros(1), 0, False), {}, [], "x"))
+    with pytest.raises(ValueError, match="contains"):
+        flatten(_Tree(0.0, _Leaf(np.zeros(1), 0, False),
+                      {"a/b": _Leaf(np.zeros(1), 0, False)}, [], "x"),
+                skip=("note",))

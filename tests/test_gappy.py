@@ -82,8 +82,7 @@ class TestApplyForceReconstructor:
 
     def test_scalar_case(self):
         from lagrom.gappy import ForceReconstructor
-        rec = ForceReconstructor(operator=np.array([[2.0]]), basis_dim=1,
-                                 sample_set=SampleIndexSet(np.array([0]), 1))
+        rec = ForceReconstructor(operator=np.array([[2.0]]), basis_dim=1)
         assert np.allclose(apply_force_reconstructor(rec, np.array([3.0])), [6.0])
 
     def test_reconstruct_then_project_identity(self, rng):

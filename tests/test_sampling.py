@@ -75,12 +75,6 @@ class TestGreedySampleIndices:
         s = greedy_sample_indices(basis, 2)
         assert list(s.indices)[0] == 1
 
-    def test_protected_dofs_come_first(self, rng):
-        basis = rng.normal(size=(8, 3))
-        s = greedy_sample_indices(basis, 4, protected_dofs=[5, 2])
-        assert list(s.indices[:2]) == [5, 2]
-        assert len(set(s.indices)) == 4
-
     def test_first_n_block_nonsingular(self, rng):
         """The leading indices must support the square sparse-basis block."""
         for trial in range(25):

@@ -89,8 +89,8 @@ class TestRbsApply:
     def test_direct_multiplication(self):
         from lagrom.spd_approx import RBSMap
         factor = np.array([[1.0], [1.0]])
-        rmap = RBSMap(factor=factor, sample_set=SampleIndexSet(np.arange(2), 4),
-                      fit_residual=0.0, converged=True, iterations=0)
+        rmap = RBSMap(factor=factor, fit_residual=0.0, converged=True,
+                      iterations=0)
         assert np.allclose(rbs_apply(rmap, np.eye(2)), [[2.0]])
 
     def test_definiteness_preserved(self, rng):
@@ -235,18 +235,19 @@ class TestGappyAssemble:
 class TestEigenConstrainedSolve:
     def test_feasible_returned_unchanged(self, rng):
         s = SampleIndexSet(np.arange(3), 3)
-        basis = build_matrix_gappy_basis([np.eye(3)], np.eye(3), s,
-                                         pd_threshold=1e-8)
+        basis = build_matrix_gappy_basis([np.eye(3)], np.eye(3), s)
         x0 = np.array([2.0])
-        assert np.array_equal(eigen_constrained_solve(basis, 2 * np.eye(3), x0),
-                              x0)
+        assert np.array_equal(
+            eigen_constrained_solve(basis, 2 * np.eye(3), x0, pd_threshold=1e-8),
+            x0)
 
     def test_one_dimensional_clip(self, rng):
         a1 = random_spd(rng, 3)
         s = SampleIndexSet(np.arange(3), 3)
-        basis = build_matrix_gappy_basis([a1], np.eye(3), s, pd_threshold=0.5)
+        basis = build_matrix_gappy_basis([a1], np.eye(3), s)
         lam_min = np.linalg.eigvalsh(a1)[0]
-        x = eigen_constrained_solve(basis, -a1, np.array([-1.0]))
+        x = eigen_constrained_solve(basis, -a1, np.array([-1.0]),
+                                    pd_threshold=0.5)
         assert np.allclose(x, [0.5 / lam_min])
 
     def test_eigen_gradient_matches_finite_differences(self, rng):
@@ -279,21 +280,22 @@ class TestEigenConstrainedSolve:
         modes = [base / np.linalg.norm(base), random_spd(rng, big_n)]
         modes[1] /= np.linalg.norm(modes[1])
         s = SampleIndexSet(np.arange(4), big_n)
-        basis = build_matrix_gappy_basis(modes, phi, s, pd_threshold=1e-3)
+        basis = build_matrix_gappy_basis(modes, phi, s)
         target = -3.0 * base[np.ix_(s.indices, s.indices)]
         x = eigen_constrained_solve(
             basis, target,
             np.linalg.lstsq(basis.vectorized_sampled_operator,
-                            target[np.triu_indices(4)], rcond=None)[0])
+                            target[np.triu_indices(4)], rcond=None)[0],
+            pd_threshold=1e-3)
         assembled = np.einsum("i,ijk->jk", x, basis.reduced_basis)
         assert np.linalg.eigvalsh(assembled)[0] >= 1e-3 - 1e-12
 
     def test_infeasible_raises(self):
         s = SampleIndexSet(np.arange(2), 2)
-        basis = build_matrix_gappy_basis([np.diag([1.0, -1.0])], np.eye(2), s,
-                                         pd_threshold=1e-6)
+        basis = build_matrix_gappy_basis([np.diag([1.0, -1.0])], np.eye(2), s)
         with pytest.raises(ValueError, match="cannot preserve definiteness"):
-            eigen_constrained_solve(basis, np.eye(2), np.array([0.0]))
+            eigen_constrained_solve(basis, np.eye(2), np.array([0.0]),
+                                    pd_threshold=1e-6)
 
 
 class TestInterlacing:
