@@ -33,7 +33,7 @@ from .sampling import (SampleIndexSet, SampleSetDiagnostics,
                        greedy_sample_indices, validate_sample_set)
 from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
                          matrix_pod_modes, rbs_fit)
-from .truss import (ForcingConfig, build_truss, damping_matrix,
+from .truss import (ForcingConfig, build_truss, damping_band,
                     fundamental_frequency, rayleigh_coefficients)
 
 logger = logging.getLogger(__name__)
@@ -225,23 +225,23 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
                 % (i, traj.failed_steps, traj.times[-1]))
         if traj.failed_steps:
             logger.warning("training run %d/%d keeps %d unconverged step(s) "
-                           "as snapshots", i + 1, len(mu_train),
-                           traj.failed_steps)
+                           "as snapshots (%s)", i + 1, len(mu_train),
+                           traj.failed_steps, ", ".join(traj.failure_reasons))
 
-        mass = model.mass_dense()
-        damping = damping_matrix(model, alpha, beta) if (alpha or beta) else None
-        cho = scipy.linalg.cho_factor(mass)
+        mass = model.mass_band()
+        damping = damping_band(model, alpha, beta)
+        cho = mass.cho_factor()
         for t, q, v in zip(traj.times, traj.q, traj.v):
             grad = model.internal_force(q)
             force = model.external_force(t, forcing)
-            damp = damping @ v if damping is not None else np.zeros_like(v)
-            accel = scipy.linalg.cho_solve(cho, force - damp - grad)
+            damp = damping @ v
+            accel = scipy.linalg.cho_solve_banded(cho, force - damp - grad)
             state_snaps.append(q)
             term_snaps["mass"].append(mass @ accel)
             term_snaps["damping"].append(damp)
             term_snaps["potential"].append(grad)
             term_snaps["force"].append(force)
-        mass_snapshots.append(mass)
+        mass_snapshots.append(model.mass_dense())
         logger.info("training run %d/%d done (%d steps, avg %.2f Newton iters)",
                     i + 1, len(mu_train), traj.n_steps,
                     float(np.mean(traj.newton_iterations)))

@@ -5,13 +5,17 @@ collocation form: all terms of ``M a + C v + grad V(q) = f(t)`` are
 evaluated at the midpoint state, which makes the scheme second order and
 symplectic for conservative systems.  Newton iterations are globalized by
 a strong-Wolfe linesearch on the squared residual norm, and convergence is
-declared relative to the residual of the zero-acceleration predictor.
+declared relative to the residual of the zero-acceleration predictor.  A
+Jacobian given as a :class:`~lagrom.band.SymmetricBand` (the full-order
+model) is solved by banded LU, a dense one (the reduced models) by dense LU.
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from .band import SymmetricBand
 
 # Strong-Wolfe constants (sufficient decrease, curvature) and the bracketing
 # and zoom budgets of one linesearch.
@@ -34,10 +38,19 @@ class NewtonSettings:
 
 @dataclass(frozen=True)
 class NewtonResult:
+    """Outcome of :func:`newton`.
+
+    ``reason`` is why the iteration ended: ``converged``, ``budget`` (the
+    iteration limit), ``linesearch`` (no acceptable step along the
+    direction), ``stationary`` (a stationary point of the merit away from a
+    root) or ``nonfinite`` (a non-finite residual).
+    """
+
     x: np.ndarray
     iterations: int
     converged: bool
     residual_norm: float
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -57,7 +70,7 @@ class Trajectory:
     v: np.ndarray
     newton_iterations: np.ndarray   # (n_times - 1,)
     stable: bool
-    failed_steps: int
+    failure_reasons: tuple          # NewtonResult.reason of each failed step
     wall_time: float = 0.0
     quantity: np.ndarray | None = None
     energy: np.ndarray | None = None
@@ -66,16 +79,24 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
+    @property
+    def failed_steps(self) -> int:
+        return len(self.failure_reasons)
+
 
 @dataclass(frozen=True)
 class SecondOrderSystem:
     """Operators of ``M a + C v + grad(q) = force(t)`` plus the potential
-    Hessian used in the Newton Jacobian."""
+    Hessian used in the Newton Jacobian.
 
-    mass: np.ndarray
-    damping: np.ndarray
+    ``mass``, ``damping`` and the values of ``hess`` are all dense arrays
+    or all :class:`~lagrom.band.SymmetricBand`.
+    """
+
+    mass: np.ndarray | SymmetricBand
+    damping: np.ndarray | SymmetricBand
     grad: object          # q -> vector
-    hess: object          # q -> matrix
+    hess: object          # q -> matrix of the type of ``mass``
     force: object         # t -> vector
 
     @property
@@ -150,7 +171,9 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
         if key != last_point:
             last_point, last_r, last_jac = key, np.atleast_1d(residual(point)), None
         if with_jacobian and last_jac is None:
-            last_jac = np.atleast_2d(jacobian(point))
+            last_jac = jacobian(point)
+            if not isinstance(last_jac, SymmetricBand):
+                last_jac = np.atleast_2d(last_jac)
         return last_r, last_jac
 
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -162,14 +185,15 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
     for it in range(settings.max_iters):
         if not np.isfinite(rnorm):
             return NewtonResult(x=x, iterations=it, converged=False,
-                                residual_norm=rnorm)
+                                residual_norm=rnorm, reason="nonfinite")
         if rnorm <= target:
             return NewtonResult(x=x, iterations=it, converged=True,
-                                residual_norm=rnorm)
+                                residual_norm=rnorm, reason="converged")
         _, jac = at(x, with_jacobian=True)
         grad = jac.T @ r
         try:
-            direction = np.linalg.solve(jac, -r)
+            direction = (jac.solve(-r) if isinstance(jac, SymmetricBand)
+                         else np.linalg.solve(jac, -r))
         except np.linalg.LinAlgError:
             direction = -grad
         slope = float(grad @ direction)
@@ -177,9 +201,8 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
             direction = -grad
             slope = -float(grad @ grad)
             if slope == 0.0:
-                # Stationary point of the merit away from a root.
                 return NewtonResult(x=x, iterations=it, converged=False,
-                                    residual_norm=rnorm)
+                                    residual_norm=rnorm, reason="stationary")
 
         def phi(a):
             ra, _ = at(x + a * direction)
@@ -193,13 +216,15 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
         step = _strong_wolfe(phi, dphi, phi0, slope)
         if step is None:
             return NewtonResult(x=x, iterations=it + 1, converged=False,
-                                residual_norm=rnorm)
+                                residual_norm=rnorm, reason="linesearch")
         x = x + step * direction
         r, _ = at(x)
         rnorm = float(np.linalg.norm(r))
 
+    converged = rnorm <= target
     return NewtonResult(x=x, iterations=settings.max_iters,
-                        converged=rnorm <= target, residual_norm=rnorm)
+                        converged=converged, residual_norm=rnorm,
+                        reason="converged" if converged else "budget")
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +269,10 @@ def implicit_midpoint_solve(system: SecondOrderSystem, state0: State, dt, t_end,
                             settings: NewtonSettings | None = None) -> Trajectory:
     """Integrate from ``state0.t`` to ``t_end`` with fixed step ``dt``.
 
-    A step whose Newton iteration exhausts its budget is marked failed but
-    its best iterate is kept; after ``MAX_FAILED_STEPS`` failures the run
-    stops early and the trajectory is flagged unstable instead of raising.
+    A step whose Newton iteration does not converge is marked failed, with
+    its ``NewtonResult.reason``, but its best iterate is kept; after
+    ``MAX_FAILED_STEPS`` failures the run stops early and the trajectory is
+    flagged unstable instead of raising.
     """
     settings = settings or NewtonSettings()
     if dt <= 0:
@@ -264,25 +290,25 @@ def implicit_midpoint_solve(system: SecondOrderSystem, state0: State, dt, t_end,
     iters = np.zeros(n_steps, dtype=int)
 
     start = time.perf_counter()
-    failed = 0
+    failures = []
     stopped_at = n_steps
     for k in range(n_steps):
         q[k + 1], v[k + 1], result = midpoint_step(
             system, q[k], v[k], times[k], dt, settings)
         iters[k] = result.iterations
         if not result.converged:
-            failed += 1
-            if failed >= MAX_FAILED_STEPS:
+            failures.append(result.reason)
+            if len(failures) >= MAX_FAILED_STEPS:
                 stopped_at = k + 1
                 break
     wall = time.perf_counter() - start
 
-    stable = failed < MAX_FAILED_STEPS
     end = stopped_at + 1
     return Trajectory(
         times=times[:end], q=q[:end], v=v[:end],
         newton_iterations=iters[:stopped_at],
-        stable=stable, failed_steps=failed, wall_time=wall)
+        stable=len(failures) < MAX_FAILED_STEPS,
+        failure_reasons=tuple(failures), wall_time=wall)
 
 
 def richardson_estimate(coarse, medium, fine):

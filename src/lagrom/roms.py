@@ -21,7 +21,7 @@ from .potential_map import (build_potential_map, approx_reduced_gradient,
                             approx_reduced_hessian)
 from .spd_approx import (MatrixGappyBasis, RBSMap, gappy_matrix_assemble,
                          gappy_matrix_coeffs, rbs_apply, symmetrize)
-from .truss import damping_matrix
+from .truss import damping_band, damping_matrix
 
 VARIANTS = ("galerkin", "collocation", "gappy_pod", "sp_rbs", "sp_matrix_gappy")
 
@@ -98,8 +98,13 @@ def _sampled_projection(variant, model, phi, sample_set, ops, alpha, beta,
     phi = np.asarray(phi, dtype=float)
     s_idx = sample_set.indices
 
-    mass_r = ops["mass"] @ (model.mass_dense()[s_idx, :] @ phi)
-    damping_r = ops["damping"] @ (damping_matrix(model, alpha, beta)[s_idx, :] @ phi)
+    # The sampled rows of M and of the Rayleigh damping alpha M + beta K(0).
+    zeros = np.zeros(model.dof_count)
+    mass_rows = model.mass_entries(s_idx, np.arange(model.dof_count))
+    damping_rows = (alpha * mass_rows
+                    + beta * model.tangent_stiffness_rows_dense(s_idx, zeros))
+    mass_r = ops["mass"] @ (mass_rows @ phi)
+    damping_r = ops["damping"] @ (damping_rows @ phi)
 
     def grad(q_r):
         return ops["potential"] @ model.internal_force_rows_dense(s_idx, phi @ q_r)
@@ -163,7 +168,6 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
     reproduces exactly.
     """
     phi = np.asarray(phi, dtype=float)
-    n_full = model.dof_count
     n = phi.shape[1]
     s_idx = sample_set.indices
 
@@ -180,9 +184,10 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
                         "got %s" % type(mass_product).__name__)
 
     # Equilibrium Hessian blocks: the reduced one is the documented
-    # parameter-amortized large-dimension step, the sampled one is cheap.
-    zeros = np.zeros(n_full)
-    k0_reduced = phi.T @ model.tangent_stiffness(zeros) @ phi
+    # parameter-amortized large-dimension step (O(N n) through the band),
+    # the sampled one is cheap.
+    k0 = model.tangent_stiffness_band(np.zeros(model.dof_count))
+    k0_reduced = phi.T @ (k0 @ phi)
     first = sample_set.first(n)
     k0_sampled = model.tangent_stiffness_block(first, first, [], [])
     pmap = build_potential_map(k0_reduced, k0_sampled, sample_set)
@@ -231,16 +236,17 @@ def integrate_rom(system: ReducedSystem, dt, t_end,
 
 
 def full_order_system(model, alpha=0.0, beta=0.0, forcing=None) -> SecondOrderSystem:
-    """The unreduced equations of motion in integrator form."""
+    """The unreduced equations of motion in integrator form, with banded
+    mass, damping and tangent stiffness."""
     if forcing is None:
         force = _zero_force(model.dof_count)
     else:
         def force(t):
             return model.external_force(t, forcing)
-    return SecondOrderSystem(mass=model.mass_dense(),
-                             damping=damping_matrix(model, alpha, beta),
+    return SecondOrderSystem(mass=model.mass_band(),
+                             damping=damping_band(model, alpha, beta),
                              grad=model.internal_force,
-                             hess=model.tangent_stiffness,
+                             hess=model.tangent_stiffness_band,
                              force=force)
 
 
@@ -264,7 +270,7 @@ def integrate_full_model(model, dt, t_end, alpha=0.0, beta=0.0, forcing=None,
 def total_energy(model, q, v) -> float:
     """Hamiltonian of the full model: kinetic plus potential energy."""
     v = np.asarray(v, dtype=float)
-    return 0.5 * float(v @ (model.mass_dense() @ v)) + model.potential_energy(q)
+    return 0.5 * float(v @ (model.mass_band() @ v)) + model.potential_energy(q)
 
 
 def reduced_total_energy(system: ReducedSystem, q_r, v_r) -> float:

@@ -25,6 +25,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from .band import SymmetricBand
+
 DENSITY = 2700.0          # kg/m^3 (aluminum)
 ELASTIC_MODULUS = 62.0e9  # Pa
 
@@ -202,7 +204,7 @@ class TrussModel:
         self._build_elements()
         self._plans = {}
         self._pattern_cache = {}
-        self._mass_dense = None
+        self._mass_band = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -320,10 +322,11 @@ class TrussModel:
         return plan.scatter_matrix(_STIFFNESS_BLOCKS,
                                    np.stack([k22, k22, -k22, -k22]), half)
 
-    def _mass(self, plan) -> np.ndarray:
+    def _mass(self, plan, half=None) -> np.ndarray:
         coeff = self.el_mass_coeff[plan.elements, None, None]
         return plan.scatter_matrix(_MASS_BLOCKS, np.stack(
-            [coeff * (factor * np.eye(3)) for factor in (2.0, 2.0, 1.0, 1.0)]))
+            [coeff * (factor * np.eye(3)) for factor in (2.0, 2.0, 1.0, 1.0)]),
+            half)
 
     # -- potential energy and derivatives --------------------------------------
 
@@ -360,14 +363,12 @@ class TrussModel:
         plan = self._plan()
         return self._stiffness(plan, plan.dense_source(q))
 
-    def tangent_stiffness_band(self, q) -> np.ndarray:
-        """Potential Hessian at ``q`` in LAPACK band storage.
-
-        Shape ``(2 * half_bandwidth + 1, dof_count)``, entry ``(i, j)`` at
-        ``[half_bandwidth + i - j, j]``, equal to ``tangent_stiffness(q)[i, j]``.
-        """
+    def tangent_stiffness_band(self, q) -> SymmetricBand:
+        """Potential Hessian at ``q`` with half-bandwidth ``half_bandwidth``;
+        every entry equals the one of ``tangent_stiffness(q)``."""
         plan = self._plan()
-        return self._stiffness(plan, plan.dense_source(q), self.half_bandwidth)
+        return SymmetricBand(self._stiffness(plan, plan.dense_source(q),
+                                             self.half_bandwidth))
 
     def tangent_stiffness_block(self, rows, cols, dq_idx, dq_val) -> np.ndarray:
         """Selected Hessian block at equilibrium plus a sparse displacement."""
@@ -381,14 +382,21 @@ class TrussModel:
 
     # -- mass -----------------------------------------------------------------
 
+    def mass_band(self) -> SymmetricBand:
+        """Consistent mass on the free dofs (SPD), kept for the model's
+        lifetime; every entry equals the one of ``mass_dense()``."""
+        if self._mass_band is None:
+            self._mass_band = SymmetricBand(
+                self._mass(self._plan(), self.half_bandwidth))
+        return self._mass_band
+
     def mass_dense(self) -> np.ndarray:
-        if self._mass_dense is None:
-            self._mass_dense = self._mass(self._plan())
-        return self._mass_dense
+        """The consistent mass as a dense N x N array (assembled per call)."""
+        return self._mass(self._plan())
 
     def mass_matrix(self) -> scipy.sparse.csr_array:
         """Consistent mass on the free dofs (SPD)."""
-        return scipy.sparse.csr_array(self.mass_dense())
+        return self.mass_band().sparse.tocsr()
 
     def mass_entries(self, rows, cols) -> np.ndarray:
         """Selected mass entries from element contributions only."""
@@ -484,16 +492,11 @@ class TrussModel:
             if np.linalg.norm(residual) <= target:
                 return q, True
             band = self.tangent_stiffness_band(q)
-            half = self.half_bandwidth
-            scale = max(float(np.mean(np.abs(band[half]))), 1e-300)
+            scale = max(float(np.mean(np.abs(band.ab[band.half]))), 1e-300)
             advanced = False
             for tau in (0.0, 1e-8, 1e-5, 1e-2, 1.0, 1e2):
-                shifted = band.copy()
-                shifted[half] += tau * scale
                 try:
-                    delta = scipy.linalg.solve_banded(
-                        (half, half), shifted, -residual, overwrite_ab=True,
-                        check_finite=False)
+                    delta = band.shifted(tau * scale).solve(-residual)
                 except np.linalg.LinAlgError:
                     continue
                 slope = float(residual @ delta)
@@ -581,3 +584,12 @@ def damping_matrix(model: TrussModel, alpha: float, beta: float) -> np.ndarray:
         return np.zeros((model.dof_count, model.dof_count))
     k0 = model.tangent_stiffness(np.zeros(model.dof_count))
     return alpha * model.mass_dense() + beta * k0
+
+
+def damping_band(model: TrussModel, alpha: float, beta: float) -> SymmetricBand:
+    """``damping_matrix`` in band storage, equal entry for entry."""
+    mass = model.mass_band()
+    if alpha == 0.0 and beta == 0.0:
+        return SymmetricBand(np.zeros_like(mass.ab))
+    k0 = model.tangent_stiffness_band(np.zeros(model.dof_count))
+    return alpha * mass + beta * k0

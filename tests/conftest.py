@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from lagrom.band import SymmetricBand
+
 
 def random_spd(rng, n, shift=None):
     """Random symmetric positive-definite matrix with a safe spectral floor."""
@@ -12,6 +14,16 @@ def random_spd(rng, n, shift=None):
 
 def random_orthonormal(rng, n, k):
     return np.linalg.qr(rng.normal(size=(n, k)))[0]
+
+
+def band_of(dense, half):
+    """LAPACK band storage of ``dense``: entry (i, j) at [half + i - j, j]."""
+    n = dense.shape[0]
+    band = np.zeros((2 * half + 1, n))
+    for k in range(-half, half + 1):
+        j = np.arange(max(0, -k), min(n, n - k))
+        band[half + k, j] = dense[j + k, j]
+    return band
 
 
 @pytest.fixture
@@ -74,6 +86,9 @@ class QuadraticModel:
 
     def tangent_stiffness(self, q):
         return self.stiffness
+
+    def tangent_stiffness_band(self, q):
+        return SymmetricBand(band_of(self.stiffness, self.dof_count - 1))
 
     def tangent_stiffness_block(self, rows, cols, dq_idx, dq_val):
         return self.stiffness[np.ix_(np.asarray(rows, int), np.asarray(cols, int))]

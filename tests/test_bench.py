@@ -181,7 +181,7 @@ class TestOfflineProducts:
 
         def one_failed_step(*args, **kwargs):
             return dataclasses.replace(integrate(*args, **kwargs),
-                                       failed_steps=1)
+                                       failure_reasons=("budget",))
 
         monkeypatch.setattr(lagrom.bench, "integrate_full_model",
                             one_failed_step)
@@ -191,7 +191,7 @@ class TestOfflineProducts:
                   if "unconverged" in r.getMessage()]
         n = tiny_config.n_train
         assert warned == ["training run %d/%d keeps 1 unconverged step(s) as "
-                          "snapshots" % (i + 1, n) for i in range(n)]
+                          "snapshots (budget)" % (i + 1, n) for i in range(n)]
 
 
 class TestOnlineAndComparison:

@@ -25,13 +25,28 @@ class TestNewton:
         result = newton(lambda x: x**3 - 8.0, lambda x: np.atleast_2d(3 * x**2),
                         np.array([3.0]), NewtonSettings(rel_tol=1e-14))
         assert result.converged and result.iterations <= 10
+        assert result.reason == "converged"
         assert abs(result.x[0] - 2.0) <= 1e-10
+
+    def test_iteration_budget_reason(self):
+        result = newton(lambda x: x**3 - 8.0, lambda x: np.atleast_2d(3 * x**2),
+                        np.array([3.0]), NewtonSettings(rel_tol=1e-14,
+                                                        max_iters=2))
+        assert not result.converged and result.iterations == 2
+        assert result.reason == "budget"
+
+    def test_linesearch_failure_reason(self):
+        # A Jacobian of the wrong sign makes the model's descent direction
+        # climb the merit: no step length is acceptable.
+        result = newton(lambda x: x, lambda x: -np.eye(1), np.array([1.0]))
+        assert not result.converged and result.iterations == 1
+        assert result.reason == "linesearch"
 
     def test_zero_jacobian_saddle_no_nan(self):
         # Merit stationary point away from a root: signal, never NaN.
         result = newton(lambda x: x**2 + 1.0, lambda x: np.atleast_2d(2 * x),
                         np.array([0.0]))
-        assert not result.converged
+        assert not result.converged and result.reason == "stationary"
         assert np.isfinite(result.x).all()
 
     def test_globalization_from_far_start(self):
@@ -79,6 +94,7 @@ class TestNewtonEvaluations:
             lambda x: np.full_like(x, np.nan), lambda x: np.eye(x.size))
         result = newton(residual, jacobian, np.zeros(2))
         assert not result.converged and result.iterations == 0
+        assert result.reason == "nonfinite"
         assert calls == {"residual": 1, "jacobian": 0}
 
 
@@ -126,7 +142,9 @@ class TestImplicitMidpointSolve:
                                        0.5, 40.0,
                                        NewtonSettings(rel_tol=1e-10, max_iters=8))
         assert not traj.stable
-        assert traj.failed_steps >= 3
+        assert traj.failed_steps == len(traj.failure_reasons) == 3
+        assert set(traj.failure_reasons) <= {"budget", "linesearch",
+                                             "stationary", "nonfinite"}
         assert len(traj.times) < 81
 
     def test_non_integral_span_rejected(self):

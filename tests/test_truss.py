@@ -3,19 +3,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from lagrom.truss import (ForcingConfig, build_truss, damping_matrix,
-                          fundamental_frequency, rayleigh_coefficients,
-                          rayleigh_matrix, validate_parameters)
+from lagrom.truss import (ForcingConfig, build_truss, damping_band,
+                          damping_matrix, fundamental_frequency,
+                          rayleigh_coefficients, rayleigh_matrix,
+                          validate_parameters)
 
-
-def band_of(dense, half):
-    """LAPACK band storage of ``dense``: entry (i, j) at [half + i - j, j]."""
-    n = dense.shape[0]
-    band = np.zeros((2 * half + 1, n))
-    for k in range(-half, half + 1):
-        j = np.arange(max(0, -k), min(n, n - k))
-        band[half + k, j] = dense[j + k, j]
-    return band
+from conftest import band_of
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +242,30 @@ class TestSampledEvaluators:
         half = model.half_bandwidth
         assert not np.any(np.triu(dense, half + 1))
         assert not np.any(np.tril(dense, -half - 1))
-        assert np.array_equal(model.tangent_stiffness_band(q_dense),
-                              band_of(dense, half))
+        stiffness = model.tangent_stiffness_band(q_dense)
+        assert np.array_equal(stiffness.ab, band_of(dense, half))
+        # Every band operator: exact dense form, and products and solves
+        # that agree with dense ones to round-off.  One or two bays have
+        # half >= N - 1, so the storage has entries outside the matrix.
+        alpha, beta = rng.uniform(0.01, 0.1), rng.uniform(1e-4, 1e-3)
+        mass = model.mass_band()
+        pairs = ((stiffness, dense), (mass, model.mass_dense()),
+                 (damping_band(model, alpha, beta),
+                  damping_matrix(model, alpha, beta)))
+        x, xs = rng.normal(size=n), rng.normal(size=(n, 3))
+        eps = np.finfo(float).eps
+        for band, reference in pairs:
+            assert np.array_equal(band.toarray(), reference)
+            for rhs in (x, xs):
+                bound = 4 * half * eps * (np.abs(reference) @ np.abs(rhs))
+                assert np.all(np.abs(band @ rhs - reference @ rhs) <= bound)
+            y = band.solve(x)
+            assert (np.abs(reference @ y - x).max()
+                    <= 1e-12 * np.abs(reference).sum(axis=1).max()
+                    * np.abs(y).max())
+        y = scipy.linalg.cho_solve_banded(mass.cho_factor(), x)
+        y_dense = np.linalg.solve(model.mass_dense(), x)
+        assert np.abs(y - y_dense).max() <= 1e-10 * np.abs(y_dense).max()
         full = model.potential_energy(q_sparse)
         assert (abs(model.potential_energy_sparse(dq_idx, dq_val) - full)
                 <= 1e-12 * abs(full))
@@ -393,3 +408,14 @@ class TestTipDisplacement:
         node = 4 * model.bays + 0
         expected = q[3 * (node - 4) + 1]
         assert model.tip_displacement(q) == expected
+
+
+def test_band_operators_do_not_mix_with_dense(model):
+    """A band and a dense matrix never combine silently: the sum, an
+    elementwise product or a band-by-band product would be wrong."""
+    band = model.mass_band()
+    dense = model.mass_dense()
+    for combine in (lambda: band + dense, lambda: dense + band,
+                    lambda: dense * band, lambda: band * band):
+        with pytest.raises(TypeError):
+            combine()
