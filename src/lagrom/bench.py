@@ -430,6 +430,7 @@ class ComparisonRow:
     energy_drift: float | None
     newton_avg: float
     rom_seconds: float
+    failure_reasons: tuple         # NewtonResult.reason of each failed step
 
 
 @dataclass
@@ -492,7 +493,8 @@ def run_comparison(config: ExperimentConfig, outdir=None,
                     variant=variant, percentage=pct, online_index=j,
                     stable=stable, error=err, speedup=speed,
                     energy_drift=drift, newton_avg=newton_avg,
-                    rom_seconds=result.rom_seconds))
+                    rom_seconds=result.rom_seconds,
+                    failure_reasons=traj.failure_reasons))
                 trajectories[(variant, pct, j)] = traj
                 logger.info("%s @ %.3g%% point %d: stable=%s error=%s",
                             variant, pct, j, stable,
@@ -607,7 +609,8 @@ def write_report_artifacts(outdir: Path, config, report, hfm_runs,
         writer = csv.writer(fh)
         writer.writerow(["variant", "sampling_percent", "online_point",
                          "stable", "error", "speedup", "energy_drift",
-                         "newton_avg", "rom_seconds"])
+                         "newton_avg", "rom_seconds", "failed_steps",
+                         "failure_reasons"])
         for r in report.rows:
             writer.writerow([
                 r.variant, "%g" % r.percentage, r.online_index,
@@ -615,7 +618,8 @@ def write_report_artifacts(outdir: Path, config, report, hfm_runs,
                 "" if r.error is None else "%.6e" % r.error,
                 "" if r.speedup is None else "%.4g" % r.speedup,
                 "" if r.energy_drift is None else "%.4e" % r.energy_drift,
-                "%.3f" % r.newton_avg, "%.4g" % r.rom_seconds])
+                "%.3f" % r.newton_avg, "%.4g" % r.rom_seconds,
+                len(r.failure_reasons), ";".join(r.failure_reasons)])
 
     with open(outdir / "samples.json", "w") as fh:
         json.dump({"%g" % pct: idx for pct, idx in report.sample_indices.items()},
@@ -634,10 +638,12 @@ def write_report_artifacts(outdir: Path, config, report, hfm_runs,
     lines = ["experiment summary", "=" * 60]
     for r in report.rows:
         lines.append(
-            "%-16s %6g%%  point %d  stable=%d  error=%s  speedup=%s"
+            "%-16s %6g%%  point %d  stable=%d  error=%s  speedup=%s  "
+            "failed_steps=%d  failure_reasons=%s"
             % (r.variant, r.percentage, r.online_index, int(r.stable),
                "-" if r.error is None else "%.3e" % r.error,
-               "-" if r.speedup is None else "%.3g" % r.speedup))
+               "-" if r.speedup is None else "%.3g" % r.speedup,
+               len(r.failure_reasons), ";".join(r.failure_reasons) or "-"))
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
 
 

@@ -3,11 +3,15 @@
 The step unknown is the stage acceleration of the one-stage Gauss
 collocation form: all terms of ``M a + C v + grad V(q) = f(t)`` are
 evaluated at the midpoint state, which makes the scheme second order and
-symplectic for conservative systems.  Newton iterations are globalized by
-a strong-Wolfe linesearch on the squared residual norm, and convergence is
-declared relative to the residual of the zero-acceleration predictor.  A
-Jacobian given as a :class:`~lagrom.band.SymmetricBand` (the full-order
-model) is solved by banded LU, a dense one (the reduced models) by dense LU.
+symplectic for conservative systems.  A system with a potential makes the
+step the minimizer of an incremental potential (an incremental variational
+update), and the same Newton routine serves the static equilibrium solves:
+Levenberg-shifted Newton directions and Armijo backtracking on the
+potential, or on the squared residual norm for a system without one.
+Convergence is declared relative to the residual of the zero-acceleration
+predictor.  A Jacobian given as a :class:`~lagrom.band.SymmetricBand` (the
+full-order model) is solved by banded LU, a dense one (the reduced models)
+by dense LU.
 """
 
 import time
@@ -17,11 +21,12 @@ import numpy as np
 
 from .band import SymmetricBand
 
-# Strong-Wolfe constants (sufficient decrease, curvature) and the bracketing
-# and zoom budgets of one linesearch.
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
-MAX_LINESEARCH = 30
+# Armijo sufficient-decrease constant and the number of step lengths
+# 1, 1/2, 1/4, ... one linesearch tries.
+ARMIJO_C1 = 1e-4
+MAX_BACKTRACKS = 40
+# Levenberg shifts of the Newton matrix, in units of its mean |diagonal|.
+SHIFTS = (0.0, 1e-8, 1e-5, 1e-2, 1.0, 1e2)
 # Unconverged steps after which an integration stops and is flagged unstable.
 MAX_FAILED_STEPS = 3
 
@@ -90,7 +95,9 @@ class SecondOrderSystem:
     Hessian used in the Newton Jacobian.
 
     ``mass``, ``damping`` and the values of ``hess`` are all dense arrays
-    or all :class:`~lagrom.band.SymmetricBand`.
+    or all :class:`~lagrom.band.SymmetricBand`.  ``potential``, when given,
+    is the function whose gradient is ``grad``; ``mass`` and ``damping``
+    are then symmetric.
     """
 
     mass: np.ndarray | SymmetricBand
@@ -98,6 +105,7 @@ class SecondOrderSystem:
     grad: object          # q -> vector
     hess: object          # q -> matrix of the type of ``mass``
     force: object         # t -> vector
+    potential: object = None   # q -> scalar
 
     @property
     def dim(self) -> int:
@@ -108,76 +116,77 @@ class SecondOrderSystem:
 # Globalized Newton
 # ---------------------------------------------------------------------------
 
-def _strong_wolfe(phi, dphi, phi0, dphi0):
-    """Step length meeting sufficient decrease and the curvature condition.
+def _descent_direction(jac, r, merit_grad):
+    """First Levenberg direction ``-(J + tau I)^{-1} r`` along which the
+    merit descends, or steepest descent; ``(None, 0.0)`` if the merit
+    gradient vanishes.  Returns ``(direction, slope)``."""
+    band = isinstance(jac, SymmetricBand)
+    diag = jac.ab[jac.half] if band else np.diagonal(jac)
+    scale = max(float(np.mean(np.abs(diag))), 1e-300)
+    for tau in SHIFTS:
+        try:
+            if band:
+                direction = (jac.shifted(tau * scale) if tau else jac).solve(-r)
+            else:
+                shifted = jac + tau * scale * np.eye(len(r)) if tau else jac
+                direction = np.linalg.solve(shifted, -r)
+        except np.linalg.LinAlgError:
+            continue
+        slope = float(merit_grad @ direction)
+        if slope < 0.0:   # false for NaN
+            return direction, slope
+    slope = -float(merit_grad @ merit_grad)
+    return (-merit_grad, slope) if slope < 0.0 else (None, 0.0)
 
-    Bracketing/zoom on the scalar merit phi; returns None when no
-    acceptable step exists within the iteration budget.
+
+def _linesearch(residual, merit, x, r, direction, slope):
+    """Accepted ``(x, r)`` along ``direction``, or None.
+
+    The full step is taken when it cuts ``||r||^2`` by the factor
+    ``1 - 2 c1`` (for an exact Newton direction, Armijo on ``0.5 ||r||^2``);
+    otherwise steps 1, 1/2, 1/4, ... are tried under Armijo on the merit.
+    A ``FloatingPointError`` at a trial point rejects that step.
     """
-    a_prev, phi_prev = 0.0, phi0
-    a = 1.0
-    for i in range(MAX_LINESEARCH):
-        phi_a = phi(a)
-        if phi_a > phi0 + WOLFE_C1 * a * dphi0 or (i > 0 and phi_a >= phi_prev):
-            return _zoom(a_prev, a, phi_prev, phi, dphi, phi0, dphi0)
-        dphi_a = dphi(a)
-        if abs(dphi_a) <= -WOLFE_C2 * dphi0:
-            return a
-        if dphi_a >= 0.0:
-            return _zoom(a, a_prev, phi_a, phi, dphi, phi0, dphi0)
-        a_prev, phi_prev = a, phi_a
-        a *= 2.0
+    rr = float(r @ r)
+    merit0 = None
+    for k in range(MAX_BACKTRACKS):
+        step = 0.5**k
+        trial = x + step * direction
+        try:
+            r_trial = (np.atleast_1d(residual(trial))
+                       if k == 0 or merit is None else None)
+            if k == 0 and float(r_trial @ r_trial) <= (1.0 - 2.0 * ARMIJO_C1) * rr:
+                return trial, r_trial
+            if merit is None:
+                value, merit0 = 0.5 * float(r_trial @ r_trial), 0.5 * rr
+            else:
+                value = float(merit(trial))
+                if merit0 is None:
+                    merit0 = float(merit(x))
+        except FloatingPointError:
+            continue
+        if value <= merit0 + ARMIJO_C1 * step * slope:
+            if r_trial is None:
+                r_trial = np.atleast_1d(residual(trial))
+            return trial, r_trial
     return None
 
 
-def _zoom(lo, hi, phi_lo, phi, dphi, phi0, dphi0):
-    best = None
-    for _ in range(MAX_LINESEARCH):
-        a = 0.5 * (lo + hi)
-        phi_a = phi(a)
-        if phi_a > phi0 + WOLFE_C1 * a * dphi0 or phi_a >= phi_lo:
-            hi = a
-        else:
-            best = a
-            dphi_a = dphi(a)
-            if abs(dphi_a) <= -WOLFE_C2 * dphi0:
-                return a
-            if dphi_a * (hi - lo) >= 0.0:
-                hi = lo
-            lo, phi_lo = a, phi_a
-    return best if best is not None else (lo if phi_lo < phi0 else None)
-
-
 def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
-           reference_norm=None) -> NewtonResult:
-    """Newton's method with a strong-Wolfe linesearch on ``0.5 ||r||^2``.
+           reference_norm=None, merit=None) -> NewtonResult:
+    """Newton's method with Levenberg shifts and a backtracking linesearch.
 
-    Convergence: ``||r|| <= rel_tol * reference_norm`` (reference defaults
-    to the initial residual norm).  Non-convergence is reported through the
-    result, not raised; a non-finite residual at an iterate ends the
-    iteration at once.
-
-    The residual and Jacobian at the last point evaluated are kept and
-    reused when the same point is asked for again: the linesearch asks for
-    both at a trial step, and an accepted step is the next iterate.
+    ``merit`` is a potential whose gradient is ``residual``; the iteration
+    then minimizes it (the residual's Jacobian is its Hessian).  Without
+    one the merit is ``0.5 ||r||^2``.  Convergence: ``||r|| <= rel_tol *
+    reference_norm`` (reference defaults to the initial residual norm).
+    Non-convergence is reported through the result, not raised; a
+    non-finite residual at an iterate ends the iteration at once.  One
+    Jacobian is assembled per iteration, none at trial points.
     """
     settings = settings or NewtonSettings()
-    last_point, last_r, last_jac = None, None, None
-
-    def at(point, with_jacobian=False):
-        """Residual (and Jacobian) at ``point``, reused if it is the last."""
-        nonlocal last_point, last_r, last_jac
-        key = point.tobytes()   # bitwise equality; -0.0 differs from 0.0
-        if key != last_point:
-            last_point, last_r, last_jac = key, np.atleast_1d(residual(point)), None
-        if with_jacobian and last_jac is None:
-            last_jac = jacobian(point)
-            if not isinstance(last_jac, SymmetricBand):
-                last_jac = np.atleast_2d(last_jac)
-        return last_r, last_jac
-
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    r, _ = at(x)
+    r = np.atleast_1d(residual(x))
     rnorm = float(np.linalg.norm(r))
     ref = rnorm if reference_norm is None else float(reference_norm)
     target = settings.rel_tol * ref
@@ -189,36 +198,19 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
         if rnorm <= target:
             return NewtonResult(x=x, iterations=it, converged=True,
                                 residual_norm=rnorm, reason="converged")
-        _, jac = at(x, with_jacobian=True)
-        grad = jac.T @ r
-        try:
-            direction = (jac.solve(-r) if isinstance(jac, SymmetricBand)
-                         else np.linalg.solve(jac, -r))
-        except np.linalg.LinAlgError:
-            direction = -grad
-        slope = float(grad @ direction)
-        if not np.isfinite(slope) or slope >= 0.0:
-            direction = -grad
-            slope = -float(grad @ grad)
-            if slope == 0.0:
-                return NewtonResult(x=x, iterations=it, converged=False,
-                                    residual_norm=rnorm, reason="stationary")
-
-        def phi(a):
-            ra, _ = at(x + a * direction)
-            return 0.5 * float(ra @ ra)
-
-        def dphi(a):
-            ra, ja = at(x + a * direction, with_jacobian=True)
-            return float((ja.T @ ra) @ direction)
-
-        phi0 = 0.5 * rnorm * rnorm
-        step = _strong_wolfe(phi, dphi, phi0, slope)
-        if step is None:
+        jac = jacobian(x)
+        if not isinstance(jac, SymmetricBand):
+            jac = np.atleast_2d(jac)
+        direction, slope = _descent_direction(
+            jac, r, r if merit is not None else jac.T @ r)
+        if direction is None:
+            return NewtonResult(x=x, iterations=it, converged=False,
+                                residual_norm=rnorm, reason="stationary")
+        accepted = _linesearch(residual, merit, x, r, direction, slope)
+        if accepted is None:
             return NewtonResult(x=x, iterations=it + 1, converged=False,
                                 residual_norm=rnorm, reason="linesearch")
-        x = x + step * direction
-        r, _ = at(x)
+        x, r = accepted
         rnorm = float(np.linalg.norm(r))
 
     converged = rnorm <= target
@@ -236,7 +228,10 @@ def midpoint_step(system: SecondOrderSystem, q0, v0, t0, dt,
     """Advance one step; returns ``(q1, v1, newton_result)``.
 
     The Newton reference residual is the residual of the zero-acceleration
-    predictor, evaluated afresh each step.
+    predictor, evaluated afresh each step.  With a potential, M and C
+    symmetric, the residual is the gradient of the incremental potential
+    ``0.5 a.(M + 0.5 dt C) a + a.C v0 + (4/dt^2) V(q_mid(a)) - f.a``, which
+    Newton then minimizes.
     """
     settings = settings or NewtonSettings()
     q0 = np.asarray(q0, dtype=float)
@@ -257,8 +252,18 @@ def midpoint_step(system: SecondOrderSystem, q0, v0, t0, dt,
     def jacobian(a):
         return linear_part + 0.25 * dt * dt * system.hess(q_mid(a))
 
+    merit = None
+    if system.potential is not None:
+        def merit(a):
+            # 0.5 a.(M + 0.5 dt C) a + a.C v0 + (4/dt^2) V(q_mid(a)) - f.a
+            return (float(a @ (0.5 * (system.mass @ a)
+                               + system.damping @ (0.25 * dt * a + v0)))
+                    + 4.0 / (dt * dt) * system.potential(q_mid(a))
+                    - float(f_mid @ a))
+
     # The reference residual is the one at the first iterate, zero.
-    result = newton(residual, jacobian, np.zeros_like(q0), settings)
+    result = newton(residual, jacobian, np.zeros_like(q0), settings,
+                    merit=merit)
     a = result.x
     q1 = q0 + dt * v0 + 0.5 * dt * dt * a
     v1 = v0 + dt * a

@@ -38,7 +38,7 @@ class ReducedSystem:
     force: object                 # t -> (n,) reduced external force
     phi: np.ndarray
     qoi_weights: np.ndarray       # tip displacement is q_r @ qoi_weights
-    potential: object = None      # q_r -> scalar, for energy diagnostics
+    potential: object = None      # q_r -> scalar whose gradient is grad
 
     @property
     def n(self) -> int:
@@ -46,7 +46,8 @@ class ReducedSystem:
 
     def second_order_system(self) -> SecondOrderSystem:
         return SecondOrderSystem(mass=self.mass_r, damping=self.damping_r,
-                                 grad=self.grad, hess=self.hess, force=self.force)
+                                 grad=self.grad, hess=self.hess, force=self.force,
+                                 potential=self.potential)
 
 
 def _zero_force(n):
@@ -247,7 +248,7 @@ def full_order_system(model, alpha=0.0, beta=0.0, forcing=None) -> SecondOrderSy
                              damping=damping_band(model, alpha, beta),
                              grad=model.internal_force,
                              hess=model.tangent_stiffness_band,
-                             force=force)
+                             force=force, potential=model.potential_energy)
 
 
 def integrate_full_model(model, dt, t_end, alpha=0.0, beta=0.0, forcing=None,

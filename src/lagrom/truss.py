@@ -26,6 +26,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .band import SymmetricBand
+from .midpoint import NewtonSettings, newton
 
 DENSITY = 2700.0          # kg/m^3 (aluminum)
 ELASTIC_MODULUS = 62.0e9  # Pa
@@ -150,18 +151,17 @@ class AssemblyPlan:
         """``(src, dst)`` of the filtered scatter, dense or banded; cached."""
         key = (blocks, half)
         if key not in self._matrix:
-            if half is None:
-                ends = np.array(blocks)
-                row = self._row_pos[self._local[ends[:, 0]]][..., :, None]
-                col = self._col_pos[self._local[ends[:, 1]]][..., None, :]
-                self._matrix[key] = _kept(np.where(
-                    (row >= 0) & (col >= 0), row * self.shape[1] + col, -1))
-            else:
-                src, dst = self._matrix_scatter(blocks, None)
+            ends = np.array(blocks)
+            row = self._row_pos[self._local[ends[:, 0]]][..., :, None]
+            col = self._col_pos[self._local[ends[:, 1]]][..., None, :]
+            src, dst = _kept(np.where((row >= 0) & (col >= 0),
+                                      row * self.shape[1] + col, -1))
+            if half is not None:
                 row, col = np.divmod(dst, self.shape[1])
                 if np.any(np.abs(row - col) > half):
                     raise ValueError("entries outside half-bandwidth %d" % half)
-                self._matrix[key] = src, (half + row - col) * self.shape[1] + col
+                dst = (half + row - col) * self.shape[1] + col
+            self._matrix[key] = src, dst
         return self._matrix[key]
 
     def scatter_matrix(self, blocks, values, half=None) -> np.ndarray:
@@ -457,70 +457,35 @@ class TrussModel:
     def static_displacement(self, load, rel_tol=1e-6, max_iters=30) -> np.ndarray:
         """Solve the nonlinear static problem grad V(q) = load.
 
-        Damped Newton with adaptive load continuation: slender parameter
-        draws put the zero configuration far outside the full-load basin,
-        so the load is ramped in as large increments as Newton tolerates.
+        Newton minimization of the total potential V(q) - load.q, which the
+        quartic bar energy makes coercive, so a minimizer (a stable
+        equilibrium) always exists.  Adaptive load continuation: slender
+        parameter draws put the zero configuration far outside the
+        full-load basin, so the load is ramped in as large increments as
+        Newton tolerates.
         """
         load = np.asarray(load, dtype=float)
+        settings = NewtonSettings(rel_tol=rel_tol, max_iters=max_iters)
         q = np.zeros(self.dof_count)
         applied, increment = 0.0, 1.0
         while applied < 1.0:
             level = min(1.0, applied + increment)
-            q_try, ok = self._damped_newton(q.copy(), level * load, rel_tol,
-                                            max_iters)
-            if ok:
-                q, applied = q_try, level
+            target = level * load
+            result = newton(
+                lambda x: self.internal_force(x) - target,
+                self.tangent_stiffness_band, q, settings,
+                reference_norm=np.linalg.norm(target),
+                merit=lambda x: self.potential_energy(x) - float(target @ x))
+            if result.converged:
+                q, applied = result.x, level
                 increment = min(2.0 * increment, 1.0)
             else:
                 increment *= 0.5
                 if increment < 1.0 / 4096.0:
-                    raise RuntimeError("static Newton solve diverged")
+                    raise RuntimeError(
+                        "static Newton solve diverged at load fraction %.6g: "
+                        "last increment ended with %r" % (applied, result.reason))
         return q
-
-    def _damped_newton(self, q, load, rel_tol, max_iters):
-        """Newton descent on the total potential V(q) - load.q.
-
-        The quartic bar energy makes the total potential coercive, so a
-        minimizer (a stable equilibrium) always exists; Levenberg shifts
-        keep the direction descending through indefinite tangent states
-        that slender parameter draws pass through.
-        """
-        target = rel_tol * np.linalg.norm(load)
-        residual = self.internal_force(q) - load     # gradient of the potential
-        energy = self.potential_energy(q) - float(load @ q)
-        for _ in range(max_iters):
-            if np.linalg.norm(residual) <= target:
-                return q, True
-            band = self.tangent_stiffness_band(q)
-            scale = max(float(np.mean(np.abs(band.ab[band.half]))), 1e-300)
-            advanced = False
-            for tau in (0.0, 1e-8, 1e-5, 1e-2, 1.0, 1e2):
-                try:
-                    delta = band.shifted(tau * scale).solve(-residual)
-                except np.linalg.LinAlgError:
-                    continue
-                slope = float(residual @ delta)
-                if slope >= 0.0:
-                    continue
-                step = 1.0
-                for _ in range(40):  # Armijo backtracking on the potential
-                    q_try = q + step * delta
-                    try:
-                        e_try = self.potential_energy(q_try) - float(load @ q_try)
-                    except FloatingPointError:
-                        step *= 0.5
-                        continue
-                    if e_try <= energy + 1e-4 * step * slope:
-                        q, energy = q_try, e_try
-                        residual = self.internal_force(q) - load
-                        advanced = True
-                        break
-                    step *= 0.5
-                if advanced:
-                    break
-            if not advanced:
-                return q, False
-        return q, bool(np.linalg.norm(residual) <= target)
 
     def tip_displacement(self, q) -> float:
         """Reported quantity of interest: end-face corner-0 y-displacement."""

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import logging
@@ -7,12 +8,13 @@ import pytest
 
 import lagrom.bench
 from lagrom.bench import (ExperimentConfig, build_variant, error_metric,
-                          lhs_points, load_offline, load_reduced, online_points,
-                          reduce_products, run_comparison, run_offline,
-                          run_online, save_offline, save_reduced,
+                          lhs_points, load_offline, load_reduced, nominal_setup,
+                          online_points, reduce_products, run_comparison,
+                          run_offline, run_online, save_offline, save_reduced,
                           training_points, verify_timestep)
 from lagrom.cli import main as cli_main
-from lagrom.roms import VARIANTS
+from lagrom.midpoint import State
+from lagrom.roms import VARIANTS, integrate_full_model
 from lagrom.truss import build_truss
 
 
@@ -193,6 +195,22 @@ class TestOfflineProducts:
         assert warned == ["training run %d/%d keeps 1 unconverged step(s) as "
                           "snapshots (budget)" % (i + 1, n) for i in range(n)]
 
+    def test_study20_training_run_steps_all_converge(self):
+        # Training run 5 of 6 of the 20-bay criterion-10 set (seed_train=1)
+        # over the study-20 benchmark's training horizon.
+        config = ExperimentConfig(bays=20, dt=0.05, final_time=1.0,
+                                  zeta=float(np.sin(np.deg2rad(5))),
+                                  seed_train=1)
+        _, forcing, alpha, beta = nominal_setup(config)
+        model = build_truss(config.bays, training_points(config)[4])
+        q0 = model.initial_displacement(forcing)
+        traj = integrate_full_model(
+            model, config.dt, 0.5, alpha=alpha, beta=beta, forcing=forcing,
+            state0=State(q=q0, v=np.zeros_like(q0)),
+            settings=config.newton_settings)
+        assert traj.n_steps == 10
+        assert traj.failure_reasons == ()
+
 
 class TestOnlineAndComparison:
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -224,6 +242,30 @@ class TestOnlineAndComparison:
         assert all(isinstance(i, int) for i in samples["50"])
         traj_files = list((tmp_path / "trajectories").glob("*.csv"))
         assert len(traj_files) >= expected
+
+    def test_failed_steps_reported_in_artifacts(self, tiny_config,
+                                                tiny_offline, tmp_path,
+                                                monkeypatch):
+        integrate = lagrom.bench.integrate_rom
+
+        def one_failed_step(*args, **kwargs):
+            return dataclasses.replace(integrate(*args, **kwargs),
+                                       failure_reasons=("budget",))
+
+        monkeypatch.setattr(lagrom.bench, "integrate_rom", one_failed_step)
+        cfg = ExperimentConfig(**{**tiny_config.to_dict(),
+                                  "sampling_percentages": (50.0,),
+                                  "variants": ("galerkin",)})
+        run_comparison(cfg, outdir=tmp_path, offline=tiny_offline)
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["variant", "sampling_percent", "online_point",
+                           "stable", "error", "speedup", "energy_drift",
+                           "newton_avg", "rom_seconds", "failed_steps",
+                           "failure_reasons"]
+        assert [row[-2:] for row in rows[1:]] == [["1", "budget"]]
+        report = (tmp_path / "report.txt").read_text()
+        assert "failed_steps=1  failure_reasons=budget" in report
 
     def test_build_seconds_within_rom_seconds(self, tiny_offline):
         result = run_online(tiny_offline, reduce_products(tiny_offline, 50.0),

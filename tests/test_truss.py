@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import lagrom.truss
 from lagrom.truss import (ForcingConfig, build_truss, damping_band,
                           damping_matrix, fundamental_frequency,
                           rayleigh_coefficients, rayleigh_matrix,
@@ -383,6 +386,27 @@ class TestInitialDisplacement:
         rel = np.linalg.norm(model.internal_force(x) - load) / np.linalg.norm(load)
         assert unshifted and rel <= 1e-6
 
+    def test_divergence_names_reason_and_load_fraction(self, model, forcing,
+                                                       monkeypatch):
+        # Increments up to half the load converge, larger ones fail: the
+        # continuation halves the increment below 1/4096 and gives up.
+        load = forcing.nominal_amplitudes[0] * model.load_patterns()[0]
+        solve = lagrom.truss.newton
+
+        def fails_past_half(residual, jacobian, x0, settings, reference_norm,
+                            merit):
+            result = solve(residual, jacobian, x0, settings, reference_norm,
+                           merit)
+            if reference_norm > 0.5 * np.linalg.norm(load):
+                return dataclasses.replace(result, converged=False,
+                                           reason="linesearch")
+            return result
+
+        monkeypatch.setattr(lagrom.truss, "newton", fails_past_half)
+        with pytest.raises(RuntimeError,
+                           match=r"load fraction 0\.5:.*'linesearch'"):
+            model.static_displacement(load)
+
     def test_linear_elastic_limit(self, model):
         k0 = model.tangent_stiffness(np.zeros(model.dof_count))
         load = 1e-3 * model.load_patterns()[1]  # small load: linear regime
@@ -419,3 +443,14 @@ def test_band_operators_do_not_mix_with_dense(model):
                     lambda: dense * band, lambda: band * band):
         with pytest.raises(TypeError):
             combine()
+
+
+def test_band_assembly_caches_band_scatters_only():
+    """The band scatters are derived from the dense ones, which are not
+    kept: a fresh model's full plan holds band keys only."""
+    model = build_truss(4, np.zeros(16))
+    model.mass_band()
+    model.tangent_stiffness_band(np.zeros(model.dof_count))
+    keys = list(model._plan()._matrix)
+    assert len(keys) == 2
+    assert all(half == model.half_bandwidth for _, half in keys)
