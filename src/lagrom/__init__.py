@@ -10,9 +10,9 @@ from .potential_map import (SparsePotentialMap, approx_reduced_gradient,
                             approx_reduced_hessian, build_potential_map)
 from .gappy import (ForceReconstructor, apply_force_reconstructor,
                     build_force_reconstructor, gappy_error_bound)
-from .truss import (ForcingConfig, TrussModel, build_truss, damping_matrix,
+from .truss import (ForcingConfig, TrussModel, build_truss, damping_band,
                     fundamental_frequency, rayleigh_coefficients,
-                    rayleigh_matrix, validate_parameters)
+                    validate_parameters)
 from .midpoint import (NewtonSettings, NewtonResult, SecondOrderSystem, State,
                        Trajectory, implicit_midpoint_solve, midpoint_step,
                        newton, richardson_estimate)

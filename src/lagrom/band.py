@@ -77,10 +77,3 @@ class SymmetricBand:
         """
         return scipy.linalg.solve_banded((self.half, self.half), self.ab, b,
                                          check_finite=False)
-
-    def cho_factor(self):
-        """Upper banded Cholesky factor, for ``scipy.linalg.cho_solve_banded``.
-
-        Raises ``numpy.linalg.LinAlgError`` unless ``A`` is positive definite.
-        """
-        return scipy.linalg.cholesky_banded(self.ab[:self.half + 1]), False

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 from scipy.stats import qmc
 
 from .archive import flatten, load_archive, save_archive, unflatten
@@ -27,19 +26,27 @@ from .gappy import ForceReconstructor, build_force_reconstructor
 from .midpoint import NewtonSettings, State, richardson_estimate
 from .pod import compute_pod_basis
 from .roms import (build_collocation, build_galerkin, build_gappy_rom,
-                   build_structure_preserving, integrate_full_model,
-                   integrate_rom, VARIANTS)
+                   build_structure_preserving, full_order_system,
+                   integrate_full_model, integrate_rom, VARIANTS)
 from .sampling import (SampleIndexSet, SampleSetDiagnostics,
                        greedy_sample_indices, validate_sample_set)
 from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
                          matrix_pod_modes, rbs_fit)
-from .truss import (ForcingConfig, build_truss, damping_band,
-                    fundamental_frequency, rayleigh_coefficients)
+from .truss import (ForcingConfig, build_truss, fundamental_frequency,
+                    rayleigh_coefficients)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_NOMINAL_FORCES = (2.0 * 9.81, 2.0 * 9.81, 0.4 * 9.81, 0.4 * 9.81)
 TERM_NAMES = ("mass", "damping", "potential", "force")
+# Newton tolerance of verify_timestep, tight enough to keep solver noise
+# below the Richardson differences (the config's is used if tighter).
+VERIFY_REL_TOL = 1e-10
+
+
+def _check_percentage(p):
+    if not 0 < p <= 100:   # false for NaN
+        raise ValueError("sampling percentages must lie in (0, 100]: %r" % p)
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,11 @@ class ExperimentConfig:
         for name in ("bays", "n_train"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1" % name)
-        if any(not 0 < p <= 100 for p in self.sampling_percentages):
-            raise ValueError("sampling percentages must lie in (0, 100]")
+        for name in ("energy_state", "energy_terms", "energy_matrix"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError("%s must lie in [0, 1]" % name)
+        for p in self.sampling_percentages:
+            _check_percentage(p)
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError("unknown variants: %s" % sorted(unknown))
@@ -228,16 +238,14 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
                            "as snapshots (%s)", i + 1, len(mu_train),
                            traj.failed_steps, ", ".join(traj.failure_reasons))
 
-        mass = model.mass_band()
-        damping = damping_band(model, alpha, beta)
-        cho = mass.cho_factor()
+        # The mass term M a is read off the equation of motion at the state.
+        system = full_order_system(model, alpha, beta, forcing)
         for t, q, v in zip(traj.times, traj.q, traj.v):
-            grad = model.internal_force(q)
-            force = model.external_force(t, forcing)
-            damp = damping @ v
-            accel = scipy.linalg.cho_solve_banded(cho, force - damp - grad)
+            grad = system.grad(q)
+            force = system.force(t)
+            damp = system.damping @ v
             state_snaps.append(q)
-            term_snaps["mass"].append(mass @ accel)
+            term_snaps["mass"].append(force - damp - grad)
             term_snaps["damping"].append(damp)
             term_snaps["potential"].append(grad)
             term_snaps["force"].append(force)
@@ -311,6 +319,7 @@ def _fit_reconstructor(phi, term_basis, sample_set, name):
 def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProducts:
     """Greedy sample selection on the potential term basis (the state basis
     if that is missing or empty) plus all sampling-dependent fits."""
+    _check_percentage(percentage)
     config = offline.config
     phi = offline.phi
     k_matrix = len(offline.matrix_modes)
@@ -437,16 +446,7 @@ class ComparisonRow:
 class ComparisonReport:
     config: ExperimentConfig
     rows: list = field(default_factory=list)
-    hfm_seconds: list = field(default_factory=list)
     sample_indices: dict = field(default_factory=dict)
-
-    def select(self, variant=None, percentage=None):
-        out = self.rows
-        if variant is not None:
-            out = [r for r in out if r.variant == variant]
-        if percentage is not None:
-            out = [r for r in out if abs(r.percentage - percentage) < 1e-12]
-        return out
 
 
 def run_comparison(config: ExperimentConfig, outdir=None,
@@ -468,7 +468,6 @@ def run_comparison(config: ExperimentConfig, outdir=None,
             state0=State(q=q0, v=np.zeros_like(q0)),
             settings=config.newton_settings, record_energy=record_energy)
         hfm_runs.append(traj)
-        report.hfm_seconds.append(traj.wall_time)
 
     trajectories = {}
     for pct in config.sampling_percentages:
@@ -516,8 +515,7 @@ def time_averaged_quantity(traj) -> float:
     return float(np.trapezoid(traj.quantity, traj.times) / span)
 
 
-def verify_timestep(config: ExperimentConfig, dt=None, horizon=None,
-                    newton_rel_tol=None) -> dict:
+def verify_timestep(config: ExperimentConfig, dt=None, horizon=None) -> dict:
     """Richardson study of the full model at the nominal point.
 
     The observable is the trapezoidal time average of the response over the
@@ -531,9 +529,7 @@ def verify_timestep(config: ExperimentConfig, dt=None, horizon=None,
     horizon = config.final_time / 5.0 if horizon is None else float(horizon)
     # Keep the horizon an integral multiple of the coarsest step.
     horizon = max(1, int(round(horizon / dt))) * dt
-    rel_tol = (min(config.newton_rel_tol, 1e-10) if newton_rel_tol is None
-               else float(newton_rel_tol))
-    settings = NewtonSettings(rel_tol=rel_tol,
+    settings = NewtonSettings(rel_tol=min(config.newton_rel_tol, VERIFY_REL_TOL),
                               max_iters=config.newton_max_iters)
 
     model, forcing, alpha, beta = nominal_setup(config)

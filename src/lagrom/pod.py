@@ -18,7 +18,7 @@ ZERO_SINGULAR_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PODBasis:
-    """Orthonormal basis with the spectrum and criterion that produced it.
+    """Orthonormal basis with the spectrum that produced it.
 
     Attributes
     ----------
@@ -26,13 +26,10 @@ class PODBasis:
         Leading left singular vectors of the normalized snapshot matrix.
     singular_values : (k,) ndarray
         All computed singular values, nonincreasing.
-    energy_criterion : float
-        Fraction of squared singular-value mass retained by the truncation.
     """
 
     columns: np.ndarray
     singular_values: np.ndarray
-    energy_criterion: float
 
     @property
     def n(self) -> int:
@@ -111,4 +108,4 @@ def compute_pod_basis(snapshots, energy) -> PODBasis:
         keep = s > ZERO_SINGULAR_RTOL * s[0]
         s_rule = s[keep] if np.any(keep) else s[:1]
     n = pod_dimension(s_rule, energy)
-    return PODBasis(columns=u[:, :n].copy(), singular_values=s, energy_criterion=energy)
+    return PODBasis(columns=u[:, :n].copy(), singular_values=s)

@@ -26,6 +26,11 @@ import scipy.optimize
 logger = logging.getLogger(__name__)
 
 RANK_PROJECT_RTOL = 1e-10
+# rbs_fit stops when its largest gradient entry falls below this fraction
+# of the one at the start.
+RBS_GRAD_TOL = 1e-9
+# Penalty escalations of eigen_constrained_solve, each ten times the last.
+CONSTRAINED_ROUNDS = 10
 
 
 def symmetrize(a):
@@ -71,7 +76,7 @@ def _congruence_objective(z, sampled, reduced):
     return value, grad
 
 
-def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500, grad_tol=1e-9) -> RBSMap:
+def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500) -> RBSMap:
     """Fit the dense factor of the sparse reduced basis over matrix snapshots.
 
     Minimizes the summed squared Frobenius error between the sparse
@@ -118,7 +123,7 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500, grad_tol=1e-9) -> 
         method="L-BFGS-B",
         options={
             "maxiter": max_iters,
-            "gtol": grad_tol * gscale,
+            "gtol": RBS_GRAD_TOL * gscale,
             "ftol": 1e-16,
             "maxcor": 20,
         },
@@ -135,7 +140,7 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500, grad_tol=1e-9) -> 
 
     residual, grad = _congruence_objective(z, sampled, reduced)
     converged = bool(result.success
-                     or np.max(np.abs(grad)) <= grad_tol * gscale
+                     or np.max(np.abs(grad)) <= RBS_GRAD_TOL * gscale
                      or residual <= 1e-24 * obj_scale)
     if not converged:
         logger.warning("rbs_fit stagnated: residual %.3e (relative %.3e) "
@@ -296,7 +301,7 @@ def gappy_matrix_assemble(x, basis: MatrixGappyBasis) -> np.ndarray:
 
 
 def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
-                            pd_threshold=None, max_rounds=10):
+                            pd_threshold=None):
     """Eigenvalue-constrained sampled least squares.
 
     Keeps the coefficients feasible (all eigenvalues of the assembled
@@ -336,7 +341,7 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
     target = 2.0 * eps
     scale = max(float(rhs @ rhs), 1.0)
     x = x0.copy()
-    for round_ in range(max_rounds):
+    for round_ in range(CONSTRAINED_ROUNDS):
         rho = scale / max(target**2, 1e-300) * 10.0**round_
 
         def fun(xv):

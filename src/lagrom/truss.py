@@ -33,6 +33,10 @@ ELASTIC_MODULUS = 62.0e9  # Pa
 
 # Deformed bar shorter than this fraction of its rest length is an error.
 COLLAPSE_RTOL = 1e-9
+# Newton iteration budget of each initial-condition load case.
+IC_MAX_ITERS = 50
+# Pencil frequencies closer than this relative gap count as one.
+DISTINCT_RTOL = 1e-6
 
 # Corner order within a cross-section: counterclockwise from bottom-left
 # in the (width, height) plane.  Corner 0 is the "bottom-left" chord whose
@@ -440,8 +444,7 @@ class TrussModel:
         comps = self._force_components(t, forcing)
         return comps @ self._load_patterns(forcing.directions)[:, np.asarray(rows, dtype=int)]
 
-    def initial_displacement(self, forcing: ForcingConfig, rel_tol=1e-6,
-                             max_iters=50) -> np.ndarray:
+    def initial_displacement(self, forcing: ForcingConfig) -> np.ndarray:
         """Superposed scaled static deflections under the nominal loads."""
         q = np.zeros(self.dof_count)
         for group in range(4):
@@ -450,11 +453,10 @@ class TrussModel:
             if scale == 0.0 or amplitude == 0.0:
                 continue
             load = amplitude * self._load_patterns(forcing.directions)[group]
-            q += scale * self.static_displacement(load, rel_tol=rel_tol,
-                                                  max_iters=max_iters)
+            q += scale * self.static_displacement(load, max_iters=IC_MAX_ITERS)
         return q
 
-    def static_displacement(self, load, rel_tol=1e-6, max_iters=30) -> np.ndarray:
+    def static_displacement(self, load, max_iters=30) -> np.ndarray:
         """Solve the nonlinear static problem grad V(q) = load.
 
         Newton minimization of the total potential V(q) - load.q, which the
@@ -465,7 +467,7 @@ class TrussModel:
         Newton tolerates.
         """
         load = np.asarray(load, dtype=float)
-        settings = NewtonSettings(rel_tol=rel_tol, max_iters=max_iters)
+        settings = NewtonSettings(max_iters=max_iters)
         q = np.zeros(self.dof_count)
         applied, increment = 0.0, 1.0
         while applied < 1.0:
@@ -505,7 +507,7 @@ def fundamental_frequency(model: TrussModel) -> float:
     return float(np.sqrt(max(lam[0], 0.0)))
 
 
-def rayleigh_coefficients(mass, stiffness, zeta, distinct_rtol=1e-6):
+def rayleigh_coefficients(mass, stiffness, zeta):
     """Mass/stiffness damping weights hitting the target modal ratio.
 
     Fits the damping ratio at the two smallest distinct pencil frequencies.
@@ -518,15 +520,12 @@ def rayleigh_coefficients(mass, stiffness, zeta, distinct_rtol=1e-6):
         raise ValueError("damping ratio must be nonnegative")
     if zeta == 0.0:
         return 0.0, 0.0
-    mass = np.asarray(mass, dtype=float)
-    stiffness = np.asarray(stiffness, dtype=float)
-    n = stiffness.shape[0]
-    count = min(10, n)
+    count = min(10, np.shape(stiffness)[0])
     lam = scipy.linalg.eigh(stiffness, mass, eigvals_only=True,
                             subset_by_index=[0, count - 1])
     freqs = np.sqrt(np.clip(lam, 0.0, None))
     w1 = freqs[0]
-    w2 = next((w for w in freqs[1:] if w > w1 * (1.0 + distinct_rtol)), None)
+    w2 = next((w for w in freqs[1:] if w > w1 * (1.0 + DISTINCT_RTOL)), None)
     if w1 <= 0.0 or w2 is None:
         raise ValueError("degenerate smallest pencil frequencies; "
                          "cannot fit Rayleigh coefficients")
@@ -536,23 +535,8 @@ def rayleigh_coefficients(mass, stiffness, zeta, distinct_rtol=1e-6):
     return float(alpha), float(beta)
 
 
-def rayleigh_matrix(model: TrussModel, zeta):
-    """Damping data for one model: coefficients and the assembled matrix."""
-    k0 = model.tangent_stiffness(np.zeros(model.dof_count))
-    alpha, beta = rayleigh_coefficients(model.mass_dense(), k0, zeta)
-    return alpha, beta, damping_matrix(model, alpha, beta)
-
-
-def damping_matrix(model: TrussModel, alpha: float, beta: float) -> np.ndarray:
-    """Rayleigh damping with externally fixed coefficients."""
-    if alpha == 0.0 and beta == 0.0:
-        return np.zeros((model.dof_count, model.dof_count))
-    k0 = model.tangent_stiffness(np.zeros(model.dof_count))
-    return alpha * model.mass_dense() + beta * k0
-
-
 def damping_band(model: TrussModel, alpha: float, beta: float) -> SymmetricBand:
-    """``damping_matrix`` in band storage, equal entry for entry."""
+    """Rayleigh damping ``alpha M + beta K(0)`` with fixed coefficients."""
     mass = model.mass_band()
     if alpha == 0.0 and beta == 0.0:
         return SymmetricBand(np.zeros_like(mass.ab))

@@ -54,6 +54,9 @@ class QuadraticModel:
     def mass_dense(self):
         return self._mass
 
+    def mass_band(self):
+        return SymmetricBand(band_of(self._mass, self.dof_count - 1))
+
     def mass_entries(self, rows, cols):
         return self._mass[np.ix_(np.asarray(rows, int), np.asarray(cols, int))]
 

@@ -177,6 +177,30 @@ class TestOfflineProducts:
         assert loaded.diagnostics is None
         assert_same_products(loaded, red)
 
+    def test_mass_term_basis_holds_mass_times_acceleration(self):
+        """The mass snapshots are M a with a from the equation of motion:
+        recompute the last training state and solve for a densely."""
+        config = ExperimentConfig(bays=2, dt=0.05, final_time=0.4,
+                                  zeta=float(np.sin(np.deg2rad(5))),
+                                  n_train=1, seed_train=1)
+        basis = run_offline(config).term_bases["mass"]
+        _, forcing, alpha, beta = nominal_setup(config)
+        model = build_truss(config.bays, training_points(config)[0])
+        q0 = model.initial_displacement(forcing)
+        traj = integrate_full_model(
+            model, config.dt, config.final_time / 2, alpha=alpha, beta=beta,
+            forcing=forcing, state0=State(q=q0, v=np.zeros_like(q0)),
+            settings=config.newton_settings)
+        t, q, v = traj.times[-1], traj.q[-1], traj.v[-1]
+        mass = model.mass_dense()
+        damping = alpha * mass + beta * model.tangent_stiffness(np.zeros_like(q))
+        accel = np.linalg.solve(mass, model.external_force(t, forcing)
+                                - damping @ v - model.internal_force(q))
+        target = mass @ accel
+        assert basis.shape[1] < model.dof_count   # the span is a subspace
+        residual = target - basis @ (basis.T @ target)
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(target)
+
     def test_unconverged_training_step_is_reported(self, tiny_config,
                                                    monkeypatch, caplog):
         integrate = lagrom.bench.integrate_full_model
@@ -267,6 +291,11 @@ class TestOnlineAndComparison:
         report = (tmp_path / "report.txt").read_text()
         assert "failed_steps=1  failure_reasons=budget" in report
 
+    @pytest.mark.parametrize("percentage", [150.0, 0.0, -5.0, np.nan, np.inf])
+    def test_reduce_rejects_bad_percentage(self, tiny_offline, percentage):
+        with pytest.raises(ValueError, match="percentages"):
+            reduce_products(tiny_offline, percentage)
+
     def test_build_seconds_within_rom_seconds(self, tiny_offline):
         result = run_online(tiny_offline, reduce_products(tiny_offline, 50.0),
                             np.zeros(16), "sp_rbs")
@@ -335,6 +364,13 @@ class TestConfig:
         ("zeta", np.nan), ("zeta", np.inf), ("zeta", -0.1),
         ("bays", 0), ("bays", -1), ("n_train", 0)])
     def test_bad_damping_and_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+
+    @pytest.mark.parametrize("field", ["energy_state", "energy_terms",
+                                       "energy_matrix"])
+    @pytest.mark.parametrize("value", [np.nan, -0.1, 1.5])
+    def test_energy_criteria_must_lie_in_unit_interval(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
 

@@ -3,8 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import lagrom.roms
-import lagrom.truss
 from lagrom.gappy import build_force_reconstructor
 from lagrom.midpoint import NewtonSettings, State
 from lagrom.pod import compute_pod_basis
@@ -14,8 +12,7 @@ from lagrom.roms import (build_collocation, build_galerkin, build_gappy_rom,
                          reduced_total_energy, total_energy)
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
 from lagrom.spd_approx import build_matrix_gappy_basis, rbs_fit
-from lagrom.truss import (ForcingConfig, build_truss, damping_matrix,
-                          fundamental_frequency)
+from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
 from conftest import QuadraticModel, random_orthonormal, random_spd
 
@@ -179,7 +176,8 @@ class TestGappyRom:
 def test_sampled_projections_build_no_full_matrices(truss, forcing, basis,
                                                     rng, monkeypatch):
     """Collocation and gappy POD take their sampled mass and damping rows
-    from the row plans, not from N x N matrices."""
+    from the row plans, and Galerkin its mass and damping from the band
+    operators of the full-order system, not from N x N matrices."""
     def refuse(*args, **kwargs):
         raise AssertionError("N x N matrix assembled")
 
@@ -187,16 +185,24 @@ def test_sampled_projections_build_no_full_matrices(truss, forcing, basis,
     recs = {name: build_force_reconstructor(
         basis, random_orthonormal(rng, truss.dof_count, 3), sample_set)
         for name in ("mass", "damping", "potential", "force")}
-    terms = dict(alpha=0.05, beta=2e-4, forcing=forcing)
+    alpha, beta = 0.05, 2e-4
+    terms = dict(alpha=alpha, beta=beta, forcing=forcing)
     monkeypatch.setattr(type(truss), "mass_dense", refuse)
-    monkeypatch.setattr(lagrom.truss, "damping_matrix", refuse)
-    monkeypatch.setattr(lagrom.roms, "damping_matrix", refuse)
     coll = build_collocation(truss, basis, sample_set, **terms)
     gappy = build_gappy_rom(truss, basis, recs, sample_set, **terms)
+    gal = build_galerkin(truss, basis, **terms)
     monkeypatch.undo()
+    full_mass = truss.mass_dense()
+    full_damping = (alpha * full_mass
+                    + beta * truss.tangent_stiffness(np.zeros(truss.dof_count)))
+    for reduced, full in ((gal.mass_r, full_mass),
+                          (gal.damping_r, full_damping)):
+        reference = basis.T @ full @ basis
+        assert (np.abs(reduced - reference).max()
+                <= 1e-12 * np.abs(reference).max())
     # The rows are the dense matrices' rows exactly.
-    mass = truss.mass_dense()[sample_set.indices]
-    damping = damping_matrix(truss, 0.05, 2e-4)[sample_set.indices]
+    mass = full_mass[sample_set.indices]
+    damping = full_damping[sample_set.indices]
     test_basis = basis[sample_set.indices].T
     assert np.array_equal(coll.mass_r, test_basis @ (mass @ basis))
     assert np.array_equal(coll.damping_r, test_basis @ (damping @ basis))
