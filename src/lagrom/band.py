@@ -10,6 +10,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+_GBSV, = scipy.linalg.get_lapack_funcs(("gbsv",), (np.zeros(1),))
+
 
 class SymmetricBand:
     """A symmetric ``N x N`` matrix in LAPACK band storage.
@@ -75,5 +77,13 @@ class SymmetricBand:
 
         Raises ``numpy.linalg.LinAlgError`` when ``A`` is exactly singular.
         """
-        return scipy.linalg.solve_banded((self.half, self.half), self.ab, b,
-                                         check_finite=False)
+        # gbsv keeps the LU factor in place: the band plus ``half`` rows for
+        # the fill-in of row interchanges.
+        work = np.zeros((3 * self.half + 1, self.shape[0]))
+        work[self.half:] = self.ab
+        _, _, x, info = _GBSV(self.half, self.half, work, b, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError("illegal value in argument %d of gbsv" % -info)
+        return x

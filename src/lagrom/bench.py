@@ -13,13 +13,13 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .archive import flatten, load_archive, save_archive, unflatten
 from .gappy import ForceReconstructor, build_force_reconstructor
@@ -78,9 +78,15 @@ class ExperimentConfig:
                 raise ValueError("%s must be positive and finite" % name)
         if not 0 <= self.zeta < math.inf:
             raise ValueError("zeta must be nonnegative and finite")
-        for name in ("bays", "n_train"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be at least 1" % name)
+        for name in ("bays", "n_train", "n_online"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError("%s must be an integer of at least 1: %r"
+                                 % (name, value))
+        try:   # NewtonSettings names the field without the prefix
+            self.newton_settings
+        except ValueError as exc:
+            raise ValueError("newton_%s" % exc) from None
         for name in ("energy_state", "energy_terms", "energy_matrix"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError("%s must lie in [0, 1]" % name)
@@ -115,6 +121,8 @@ def lhs_points(n: int, dim: int = 16, seed: int = 0) -> np.ndarray:
     """Latin hypercube training points on the unit parameter box."""
     if n < 1:
         raise ValueError("need at least one point")
+    from scipy.stats import qmc   # imported here: scipy.stats is slow to load
+
     sampler = qmc.LatinHypercube(d=dim, seed=seed)
     return qmc.scale(sampler.random(n), -1.0, 1.0)
 

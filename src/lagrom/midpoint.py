@@ -14,6 +14,8 @@ full-order model) is solved by banded LU, a dense one (the reduced models)
 by dense LU.
 """
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -37,8 +39,13 @@ class NewtonSettings:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("relative tolerance must be positive")
+        if not 0 < self.rel_tol < math.inf:   # false for NaN
+            raise ValueError("rel_tol must be positive and finite: %r"
+                             % self.rel_tol)
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer of at least 1: %r"
+                             % self.max_iters)
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,8 @@ def build_galerkin(model, phi, alpha=0.0, beta=0.0,
     def grad(q_r):
         return phi.T @ full.grad(phi @ q_r)
 
-    # Dense on purpose: at 20 bays, n=9, the band Phi^T (K Phi) took 219 vs 167 us.
     def hess(q_r):
-        return phi.T @ model.tangent_stiffness(phi @ q_r) @ phi
+        return phi.T @ (full.hess(phi @ q_r) @ phi)
 
     def force(t):
         return phi.T @ full.force(t)

@@ -65,15 +65,16 @@ class RBSMap:
 
 
 def _congruence_objective(z, sampled, reduced):
-    """Sum of squared Frobenius mismatches and its gradient w.r.t. z."""
-    value = 0.0
-    grad = np.zeros_like(z)
-    for a_s, r in zip(sampled, reduced):
-        az = a_s @ z
-        err = z.T @ az - r
-        value += float(np.sum(err * err))
-        grad += 4.0 * (az @ err)
-    return value, grad
+    """Sum of squared Frobenius mismatches and its gradient w.r.t. z.
+
+    ``sampled`` (K, m, m) and ``reduced`` (K, n, n) stack the snapshots.
+    Both sums run over the snapshots in order, as running totals from zero.
+    """
+    az = sampled @ z
+    err = z.T @ az - reduced
+    value = np.cumsum(np.sum((err * err).reshape(len(err), -1), axis=1))[-1]
+    grad = np.add.accumulate(4.0 * (az @ err), axis=0)[-1]
+    return float(value), grad
 
 
 def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500) -> RBSMap:
@@ -99,6 +100,7 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500) -> RBSMap:
         reduced.append(phi.T @ a @ phi)
     if not sampled:
         raise ValueError("no matrix snapshots")
+    sampled, reduced = np.array(sampled), np.array(reduced)
 
     z0 = phi[s_idx, :].copy()
 

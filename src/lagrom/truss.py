@@ -11,7 +11,7 @@ Bay topology: each bay carries 4 longitudinal chords, 4 perimeter bars in
 its end cross-section, and 8 side-face diagonals (16 bars, 12 free degrees
 of freedom per bay).  The clamped end face carries no degrees of freedom.
 
-Every operator is one gather -> element kernel -> ``np.add.at`` scatter
+Every operator is one gather -> element kernel -> sparse-product scatter
 through an :class:`AssemblyPlan`.  The full assembly is the plan over all
 dofs; the sampled evaluators (selected rows/entries, sparse displacement
 arguments) use plans over their index sets, whose scatters are the full
@@ -19,6 +19,7 @@ scatter filtered in its own order, so both agree bit for bit by
 construction.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,19 @@ _CORNERS = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
 # Side faces of a bay as corner pairs; each carries two crossing diagonals.
 _SIDE_FACES = ((0, 1), (1, 2), (2, 3), (3, 0))
 
-# Element-matrix node blocks (row end, column end) in the order each full
-# matrix scatter visits them; 0 is an element's first node, 1 its second.
-# Reordering either changes the summation order, and with it the last bits
-# of the assembled matrix.
-_STIFFNESS_BLOCKS = ((1, 1), (0, 0), (1, 0), (0, 1))
-_MASS_BLOCKS = ((0, 0), (1, 1), (0, 1), (1, 0))
+# Plan topologies kept across models (see _plan_topology).
+PLAN_CACHE_SIZE = 256
+
+# Element-matrix node blocks ((row end, column end), weight) in the order
+# each full matrix scatter visits them; 0 is an element's first node, 1 its
+# second.  The stiffness scatter reads the second-node block k22, the mass
+# scatter the element's mass coefficient times the identity.  Reordering
+# either changes the summation order, and with it the last bits of the
+# assembled matrix.
+_STIFFNESS_BLOCKS = (((1, 1), 1.0), ((0, 0), 1.0), ((1, 0), -1.0),
+                     ((0, 1), -1.0))
+_MASS_BLOCKS = (((0, 0), 2.0), ((1, 1), 2.0), ((0, 1), 1.0), ((1, 0), 1.0))
+_EYE = np.eye(3)
 
 
 def validate_parameters(mu) -> np.ndarray:
@@ -83,6 +91,28 @@ class ForcingConfig:
     directions: tuple = (1, 1, 2, 2)  # dof axis loaded per corner group
 
 
+def _element_nodes(bays) -> np.ndarray:
+    """Node pairs of the bars, shape (elements, 2), bay by bay."""
+    pairs = []
+    for bay in range(1, bays + 1):
+        lo, hi = 4 * (bay - 1), 4 * bay
+        for c in range(4):                       # longitudinal chords
+            pairs.append((lo + c, hi + c))
+        for c1, c2 in _SIDE_FACES:               # end-face perimeter
+            pairs.append((hi + c1, hi + c2))
+        for c1, c2 in _SIDE_FACES:               # crossing diagonals
+            pairs.append((lo + c1, hi + c2))
+            pairs.append((lo + c2, hi + c1))
+    return np.array(pairs, dtype=int)
+
+
+def _element_dofs(elements, dof_count) -> np.ndarray:
+    """Nodal dofs of both element ends, shape (2, elements, 3); clamped
+    (section-0) nodes map to the pad index ``dof_count``."""
+    nodes = elements.T[:, :, None]
+    return np.where(nodes < 4, dof_count, 3 * (nodes - 4) + np.arange(3))
+
+
 def _incident_elements(el_dofs, dofs, dof_count) -> np.ndarray:
     """Ascending indices of the elements with a nodal dof among ``dofs``."""
     marked = np.zeros(dof_count + 1, dtype=bool)
@@ -97,22 +127,47 @@ def _positions(index, size) -> np.ndarray:
     return pos
 
 
-def _kept(dst):
-    """Entries of a scatter, in order, whose destination is in the output."""
-    keep = dst.ravel() >= 0
-    return np.flatnonzero(keep), dst.ravel()[keep]
+class _Scatter:
+    """A weighted sum of element values into an output, as one sparse product.
+
+    ``dst`` has one leading axis per weight and then the shape of the
+    values; the term at ``(b, *i)`` adds ``weights[b] * values[i]`` to the
+    flat output entry ``dst[b, *i]``, or nowhere where that is negative.
+    The operator has one row per output entry that receives a term, and
+    each row lists its terms in the order a sequential scatter visits them
+    (a stable sort by destination), so every entry sums the same terms in
+    the same order; products with weights of +-1 are exact.
+    """
+
+    def __init__(self, dst, weights, shape):
+        dst = dst.reshape(len(weights), -1)
+        n_values = dst.shape[1]
+        src = np.flatnonzero(dst.ravel() >= 0)
+        src = src[np.argsort(dst.ravel()[src], kind="stable")]
+        self.dest, starts = np.unique(dst.ravel()[src], return_index=True)
+        self.operator = scipy.sparse.csr_array(
+            (np.asarray(weights)[src // n_values], src % n_values,
+             np.append(starts, src.size)),
+            shape=(self.dest.size, n_values))
+        self.shape = shape
+
+    def __call__(self, values) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.dest] = self.operator @ values.reshape(-1)
+        return out
 
 
-class AssemblyPlan:
-    """The full assembly restricted to ``rows`` (vectors) or ``rows x cols``.
+class PlanTopology:
+    """What an :class:`AssemblyPlan` over ``rows`` (vectors) or
+    ``rows x cols`` (matrices) knows independently of the parameters.
 
     ``elements`` are the bars incident to the rows, ascending.  Their nodal
-    displacements are gathered (``gather``, shape (2, elements, 3)) from a
-    compact source vector: the displacement at ``dofs`` followed by a zero
-    slot for clamped dofs.  A scatter is the full assembly's scatter
-    filtered, in its order, to the entries that land in the output, so each
-    output entry sums the same terms in the same order as in the full
-    assembly.
+    displacements are gathered (``gather1``/``gather2``, the first and
+    second node, each of shape (elements, 3)) from a compact source vector:
+    the displacement at ``dofs`` followed by a zero slot for clamped dofs.
+    A scatter is the full assembly's scatter filtered, in its order, to the
+    entries that land in the output, so each output entry sums the same
+    terms in the same order as in the full assembly.
     """
 
     def __init__(self, el_dofs, dof_count, rows, cols):
@@ -120,67 +175,124 @@ class AssemblyPlan:
         self.elements = _incident_elements(el_dofs, rows, dof_count)
         self._local = el_dofs[:, self.elements]
         self.dofs = np.unique(self._local[self._local < dof_count])
-        self._source_pos = np.full(dof_count + 1, self.dofs.size)
-        self._source_pos[self.dofs] = np.arange(self.dofs.size)
-        self.gather = self._source_pos[self._local]
+        self.source_pos = np.full(dof_count + 1, self.dofs.size)
+        self.source_pos[self.dofs] = np.arange(self.dofs.size)
+        self.gather1, self.gather2 = np.ascontiguousarray(
+            self.source_pos[self._local])
         self.shape = (rows.size, cols.size)
         self._row_pos = _positions(rows, dof_count + 1)
         self._col_pos = _positions(cols, dof_count + 1)
-        # The force scatter adds every element's second-node entries, then
-        # its first-node entries.
-        self._vector = _kept(self._row_pos[self._local[::-1]])
+        # Nodal forces (elements, 3): plus at the second node, then minus at
+        # the first.
+        self.vector = _Scatter(self._row_pos[self._local[::-1]], (1.0, -1.0),
+                               self.shape[:1])
         self._matrix = {}
+
+    def matrix(self, blocks, half=None) -> _Scatter:
+        """Scatter of element blocks (elements, 3, 3) into rows x cols; cached.
+
+        ``blocks`` lists ``((row end, column end), weight)`` pairs.  With
+        ``half`` given the output is LAPACK band storage of that upper and
+        lower half-bandwidth, entry ``(i, j)`` at ``[half + i - j, j]``: the
+        dense scatter with its destinations moved, so every band entry sums
+        the same terms in the same order.
+        """
+        key = (blocks, half)
+        if key not in self._matrix:
+            ends = np.array([end for end, _ in blocks])
+            row = self._row_pos[self._local[ends[:, 0]]][..., :, None]
+            col = self._col_pos[self._local[ends[:, 1]]][..., None, :]
+            kept = (row >= 0) & (col >= 0)
+            if half is None:
+                dst, shape = row * self.shape[1] + col, self.shape
+            else:
+                if np.any(kept & (np.abs(row - col) > half)):
+                    raise ValueError("entries outside half-bandwidth %d" % half)
+                dst = (half + row - col) * self.shape[1] + col
+                shape = (2 * half + 1, self.shape[1])
+            self._matrix[key] = _Scatter(np.where(kept, dst, -1),
+                                         [weight for _, weight in blocks], shape)
+        return self._matrix[key]
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan_topology(bays, rows_key, cols_key) -> PlanTopology:
+    """The topology of the plan over the dofs in ``rows_key`` x ``cols_key``
+    (``tobytes`` of integer arrays; ``None`` means all dofs).
+
+    Kept across models: it depends on the bay count and the index sets
+    only, and every query builds a fresh model.
+    """
+    dof_count = 12 * bays
+    rows, cols = (np.arange(dof_count) if key is None
+                  else np.frombuffer(key, dtype=int) for key in (rows_key, cols_key))
+    return PlanTopology(_element_dofs(_element_nodes(bays), dof_count),
+                        dof_count, rows, cols)
+
+
+class AssemblyPlan:
+    """The full assembly restricted to a :class:`PlanTopology`'s output,
+    with the element constants of one model: gather -> element kernel ->
+    one sparse product."""
+
+    def __init__(self, topology, model):
+        self.topology = topology
+        els = topology.elements
+        self.vec = model.el_vec[els]
+        self.length_sq = model.el_length_sq[els]
+        self.two_length_sq = 2.0 * self.length_sq
+        self.collapse_sq = (COLLAPSE_RTOL**2) * self.length_sq
+        self.ea_over_l = model.ea_over_l[els]
+        self.eal = model.el_eal[els]
+        self.mass_coeff = model.el_mass_coeff[els]
 
     def dense_source(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if q.shape != (self.dof_count,):
-            raise ValueError("configuration must have %d entries" % self.dof_count)
-        return np.append(q[self.dofs], 0.0)
+        topology = self.topology
+        if q.shape != (topology.dof_count,):
+            raise ValueError("configuration must have %d entries"
+                             % topology.dof_count)
+        return np.append(q[topology.dofs], 0.0)
 
     def sparse_source(self, dq_idx, dq_val) -> np.ndarray:
         """Source for a displacement that is zero off the dofs ``dq_idx``."""
-        source = np.zeros(self.dofs.size + 1)
-        source[self._source_pos[np.asarray(dq_idx, dtype=int)]] = dq_val
+        source = np.zeros(self.topology.dofs.size + 1)
+        source[self.topology.source_pos[np.asarray(dq_idx, dtype=int)]] = dq_val
         source[-1] = 0.0   # dofs outside the plan landed in the zero slot
         return source
 
-    def scatter_vector(self, values) -> np.ndarray:
-        """Sum nodal values (2, elements, 3), second node first, into rows."""
-        src, dst = self._vector
-        out = np.zeros(self.shape[0])
-        np.add.at(out, dst, values.ravel()[src])
-        return out
+    def strain(self, source):
+        """Deformed edge vectors and Green--Lagrange strains."""
+        # The squared-length difference is expanded analytically
+        # (2 x.du + du.du); the naive |x+du|^2 - L^2 form loses ~8 digits to
+        # cancellation at working strain levels.
+        du = (source.take(self.topology.gather2)
+              - source.take(self.topology.gather1))
+        d = self.vec + du
+        stretch = (2.0 * np.einsum("ij,ij->i", self.vec, du)
+                   + np.einsum("ij,ij->i", du, du))
+        if np.any(self.length_sq + stretch < self.collapse_sq):
+            raise FloatingPointError("bar element length collapse")
+        return d, stretch / self.two_length_sq
 
-    def _matrix_scatter(self, blocks, half):
-        """``(src, dst)`` of the filtered scatter, dense or banded; cached."""
-        key = (blocks, half)
-        if key not in self._matrix:
-            ends = np.array(blocks)
-            row = self._row_pos[self._local[ends[:, 0]]][..., :, None]
-            col = self._col_pos[self._local[ends[:, 1]]][..., None, :]
-            src, dst = _kept(np.where((row >= 0) & (col >= 0),
-                                      row * self.shape[1] + col, -1))
-            if half is not None:
-                row, col = np.divmod(dst, self.shape[1])
-                if np.any(np.abs(row - col) > half):
-                    raise ValueError("entries outside half-bandwidth %d" % half)
-                dst = (half + row - col) * self.shape[1] + col
-            self._matrix[key] = src, dst
-        return self._matrix[key]
+    def energy(self, source) -> float:
+        _, strain = self.strain(source)
+        return float(np.sum(0.5 * self.eal * strain**2))
 
-    def scatter_matrix(self, blocks, values, half=None) -> np.ndarray:
-        """Sum element blocks (len(blocks), elements, 3, 3) into rows x cols.
+    def force(self, source) -> np.ndarray:
+        d, strain = self.strain(source)
+        return self.topology.vector((self.ea_over_l * strain)[:, None] * d)
 
-        With ``half`` given the output is LAPACK band storage of that upper
-        and lower half-bandwidth, entry ``(i, j)`` at ``[half + i - j, j]``.
-        The band scatter is the dense one with its destinations moved, so
-        every band entry sums the same terms in the same order.
-        """
-        src, dst = self._matrix_scatter(blocks, half)
-        out = np.zeros(self.shape if half is None
-                       else (2 * half + 1, self.shape[1]))
-        np.add.at(out.ravel(), dst, values.ravel()[src])
-        return out
+    def stiffness(self, source, half=None) -> np.ndarray:
+        d, strain = self.strain(source)
+        outer = np.einsum("ik,il->ikl", d, d) / self.length_sq[:, None, None]
+        k22 = self.ea_over_l[:, None, None] * (strain[:, None, None] * _EYE
+                                               + outer)
+        return self.topology.matrix(_STIFFNESS_BLOCKS, half)(k22)
+
+    def mass(self, half=None) -> np.ndarray:
+        return self.topology.matrix(_MASS_BLOCKS, half)(
+            self.mass_coeff[:, None, None] * _EYE)
 
 
 class TrussModel:
@@ -188,7 +300,9 @@ class TrussModel:
 
     Construction is O(N).  Evaluators are pure in their arguments; each
     builds its :class:`AssemblyPlan` on first use and the model caches it
-    by index set, so repeated queries on one sample set reuse it.
+    by index set, so repeated queries on one sample set reuse it.  The
+    plan's topology comes from a cache shared by all models of the bay
+    count.
     """
 
     def __init__(self, bays: int, mu):
@@ -233,18 +347,7 @@ class TrussModel:
         return 3 * (node - 4) + axis
 
     def _build_elements(self):
-        pairs = []
-        for bay in range(1, self.bays + 1):
-            lo, hi = 4 * (bay - 1), 4 * bay
-            for c in range(4):                       # longitudinal chords
-                pairs.append((lo + c, hi + c))
-            for c1, c2 in _SIDE_FACES:               # end-face perimeter
-                pairs.append((hi + c1, hi + c2))
-            for c1, c2 in _SIDE_FACES:               # crossing diagonals
-                pairs.append((lo + c1, hi + c2))
-                pairs.append((lo + c2, hi + c1))
-        self.elements = np.array(pairs, dtype=int)
-
+        self.elements = _element_nodes(self.bays)
         self.el_vec = (self.node_coords[self.elements[:, 1]]
                        - self.node_coords[self.elements[:, 0]])
         # Squared lengths use the same contraction as the strain kernel so
@@ -255,10 +358,7 @@ class TrussModel:
         self.el_eal = self.modulus * self.area * self.el_length
         self.el_mass_coeff = self.density * self.area * self.el_length / 6.0
 
-        # Nodal dofs of both element ends, shape (2, elements, 3), as in _dof.
-        nodes = self.elements.T[:, :, None]
-        self.el_dofs = np.where(nodes < 4, self.dof_count,
-                                3 * (nodes - 4) + np.arange(3))
+        self.el_dofs = _element_dofs(self.elements, self.dof_count)
         self.el_dof1, self.el_dof2 = self.el_dofs
         # Largest |i - j| over the free dofs i, j of one element: the
         # half-bandwidth of every assembled matrix (23 for two or more bays).
@@ -275,68 +375,24 @@ class TrussModel:
 
     def dofs_needed_for_rows(self, rows) -> np.ndarray:
         """All dofs entering the element computations behind the given rows."""
-        return self._plan(rows).dofs.copy()
+        return self._plan(rows).topology.dofs.copy()
 
     def _plan(self, rows=None, cols=None) -> AssemblyPlan:
         """The plan over ``rows`` x ``cols``; ``None`` means all dofs.
 
         Plans are kept for the model's lifetime, one per distinct index set.
         """
-        rows, cols = (None if ix is None else np.asarray(ix, dtype=int)
-                      for ix in (rows, cols))
-        key = tuple(None if ix is None else ix.tobytes() for ix in (rows, cols))
+        key = tuple(None if ix is None else np.asarray(ix, dtype=int).tobytes()
+                    for ix in (rows, cols))
         if key not in self._plans:
-            every = np.arange(self.dof_count)
-            self._plans[key] = AssemblyPlan(
-                self.el_dofs, self.dof_count,
-                every if rows is None else rows, every if cols is None else cols)
+            self._plans[key] = AssemblyPlan(_plan_topology(self.bays, *key), self)
         return self._plans[key]
-
-    # -- assembly: gather -> element kernel -> scatter -------------------------
-
-    def _element_strain(self, els, u1, u2):
-        # Green--Lagrange strain with the squared-length difference expanded
-        # analytically (2 x.du + du.du); the naive |x+du|^2 - L^2 form loses
-        # ~8 digits to cancellation at working strain levels.
-        du = u2 - u1
-        d = self.el_vec[els] + du
-        length_sq = self.el_length_sq[els]
-        stretch = (2.0 * np.einsum("ij,ij->i", self.el_vec[els], du)
-                   + np.einsum("ij,ij->i", du, du))
-        if np.any(length_sq + stretch < (COLLAPSE_RTOL**2) * length_sq):
-            raise FloatingPointError("bar element length collapse")
-        strain = stretch / (2.0 * length_sq)
-        return d, strain
-
-    def _energy(self, plan, source) -> float:
-        _, strain = self._element_strain(plan.elements, *source[plan.gather])
-        return float(np.sum(0.5 * self.el_eal[plan.elements] * strain**2))
-
-    def _force(self, plan, source) -> np.ndarray:
-        d, strain = self._element_strain(plan.elements, *source[plan.gather])
-        f2 = (self.ea_over_l[plan.elements] * strain)[:, None] * d
-        return plan.scatter_vector(np.stack([f2, -f2]))
-
-    def _stiffness(self, plan, source, half=None) -> np.ndarray:
-        els = plan.elements
-        d, strain = self._element_strain(els, *source[plan.gather])
-        outer = np.einsum("ik,il->ikl", d, d) / self.el_length_sq[els, None, None]
-        k22 = self.ea_over_l[els, None, None] * (strain[:, None, None] * np.eye(3)
-                                                 + outer)
-        return plan.scatter_matrix(_STIFFNESS_BLOCKS,
-                                   np.stack([k22, k22, -k22, -k22]), half)
-
-    def _mass(self, plan, half=None) -> np.ndarray:
-        coeff = self.el_mass_coeff[plan.elements, None, None]
-        return plan.scatter_matrix(_MASS_BLOCKS, np.stack(
-            [coeff * (factor * np.eye(3)) for factor in (2.0, 2.0, 1.0, 1.0)]),
-            half)
 
     # -- potential energy and derivatives --------------------------------------
 
     def potential_energy(self, q) -> float:
         plan = self._plan()
-        return self._energy(plan, plan.dense_source(q))
+        return plan.energy(plan.dense_source(q))
 
     def potential_energy_sparse(self, dq_idx, dq_val) -> float:
         """Exact potential at equilibrium plus a sparse displacement.
@@ -345,44 +401,44 @@ class TrussModel:
         zero energy, so only incident elements are evaluated.
         """
         plan = self._plan(dq_idx)
-        return self._energy(plan, plan.sparse_source(dq_idx, dq_val))
+        return plan.energy(plan.sparse_source(dq_idx, dq_val))
 
     def internal_force(self, q) -> np.ndarray:
         """Potential gradient at configuration ``q``."""
         plan = self._plan()
-        return self._force(plan, plan.dense_source(q))
+        return plan.force(plan.dense_source(q))
 
     def internal_force_rows(self, rows, dq_idx, dq_val) -> np.ndarray:
         """Selected gradient entries at equilibrium plus a sparse displacement."""
         plan = self._plan(rows)
-        return self._force(plan, plan.sparse_source(dq_idx, dq_val))
+        return plan.force(plan.sparse_source(dq_idx, dq_val))
 
     def internal_force_rows_dense(self, rows, q) -> np.ndarray:
         """Selected gradient entries at a dense configuration."""
         plan = self._plan(rows)
-        return self._force(plan, plan.dense_source(q))
+        return plan.force(plan.dense_source(q))
 
     def tangent_stiffness(self, q) -> np.ndarray:
         """Potential Hessian at ``q`` (dense, exactly symmetric)."""
         plan = self._plan()
-        return self._stiffness(plan, plan.dense_source(q))
+        return plan.stiffness(plan.dense_source(q))
 
     def tangent_stiffness_band(self, q) -> SymmetricBand:
         """Potential Hessian at ``q`` with half-bandwidth ``half_bandwidth``;
         every entry equals the one of ``tangent_stiffness(q)``."""
         plan = self._plan()
-        return SymmetricBand(self._stiffness(plan, plan.dense_source(q),
-                                             self.half_bandwidth))
+        return SymmetricBand(plan.stiffness(plan.dense_source(q),
+                                            self.half_bandwidth))
 
     def tangent_stiffness_block(self, rows, cols, dq_idx, dq_val) -> np.ndarray:
         """Selected Hessian block at equilibrium plus a sparse displacement."""
         plan = self._plan(rows, cols)
-        return self._stiffness(plan, plan.sparse_source(dq_idx, dq_val))
+        return plan.stiffness(plan.sparse_source(dq_idx, dq_val))
 
     def tangent_stiffness_rows_dense(self, rows, q) -> np.ndarray:
         """Selected Hessian rows (dense columns) at a dense configuration."""
         plan = self._plan(rows)
-        return self._stiffness(plan, plan.dense_source(q))
+        return plan.stiffness(plan.dense_source(q))
 
     # -- mass -----------------------------------------------------------------
 
@@ -391,12 +447,12 @@ class TrussModel:
         lifetime; every entry equals the one of ``mass_dense()``."""
         if self._mass_band is None:
             self._mass_band = SymmetricBand(
-                self._mass(self._plan(), self.half_bandwidth))
+                self._plan().mass(self.half_bandwidth))
         return self._mass_band
 
     def mass_dense(self) -> np.ndarray:
         """The consistent mass as a dense N x N array (assembled per call)."""
-        return self._mass(self._plan())
+        return self._plan().mass()
 
     def mass_matrix(self) -> scipy.sparse.csr_array:
         """Consistent mass on the free dofs (SPD)."""
@@ -404,7 +460,7 @@ class TrussModel:
 
     def mass_entries(self, rows, cols) -> np.ndarray:
         """Selected mass entries from element contributions only."""
-        return self._mass(self._plan(rows, cols))
+        return self._plan(rows, cols).mass()
 
     # -- forcing and initial condition -----------------------------------------
 

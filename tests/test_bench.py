@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +371,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
 
+    @pytest.mark.parametrize("field", ["newton_rel_tol", "newton_max_iters",
+                                       "n_online"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0, -3])
+    def test_newton_settings_and_online_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+
     @pytest.mark.parametrize("field", ["energy_state", "energy_terms",
                                        "energy_matrix"])
     @pytest.mark.parametrize("value", [np.nan, -0.1, 1.5])
@@ -414,3 +425,15 @@ class TestCli:
         assert cli_main(["compare", "--config", str(config_path),
                          "--out", str(out)]) == 0
         assert (out / "summary.csv").exists()
+
+
+def test_import_does_not_load_scipy_stats():
+    """``scipy.stats`` (slow to import) loads only when LHS points are drawn."""
+    src = str(Path(lagrom.bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lagrom; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -14,6 +14,14 @@ def harmonic_oscillator(k=1.0):
 
 
 class TestNewton:
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", np.nan), ("rel_tol", np.inf), ("rel_tol", 0.0),
+        ("rel_tol", -1e-6), ("max_iters", np.nan), ("max_iters", np.inf),
+        ("max_iters", 0), ("max_iters", -3)])
+    def test_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NewtonSettings(**{field: value})
+
     def test_linear_single_iteration(self):
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
         b = np.array([1.0, -2.0])

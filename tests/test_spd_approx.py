@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
-from lagrom.spd_approx import (assembled_eigen_gradients,
+from lagrom.spd_approx import (_congruence_objective, assembled_eigen_gradients,
                                build_matrix_gappy_basis, eigen_constrained_solve,
                                gappy_matrix_assemble, gappy_matrix_coeffs,
                                generalized_interlacing_check, matrix_pod_basis,
@@ -18,6 +18,24 @@ def affine_family(rng, big_n):
 
 
 class TestRbsFit:
+    @pytest.mark.parametrize("snapshots", [1, 2, 5])
+    def test_objective_equals_per_snapshot_loop(self, rng, snapshots):
+        """The stacked objective sums exactly what a loop over the snapshots
+        sums, in the same order."""
+        m, n = 7, 3
+        z = rng.normal(size=(m, n))
+        sampled = np.array([random_spd(rng, m) for _ in range(snapshots)])
+        reduced = np.array([random_spd(rng, n) for _ in range(snapshots)])
+        value, grad = 0.0, np.zeros_like(z)
+        for a_s, r in zip(sampled, reduced):
+            az = a_s @ z
+            err = z.T @ az - r
+            value += float(np.sum(err * err))
+            grad += 4.0 * (az @ err)
+        got_value, got_grad = _congruence_objective(z, sampled, reduced)
+        assert got_value == value
+        assert np.array_equal(got_grad, grad)
+
     def test_full_sampling_exact(self, rng):
         big_n, n = 9, 3
         phi = random_orthonormal(rng, big_n, n)

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import lagrom.truss
+from lagrom.band import SymmetricBand
 from lagrom.truss import (ForcingConfig, build_truss, damping_band,
                           fundamental_frequency, rayleigh_coefficients,
                           validate_parameters)
@@ -370,16 +371,16 @@ class TestInitialDisplacement:
     def test_singular_shift_skipped(self, model, forcing, monkeypatch):
         # The unshifted tangent is reported singular at every iterate; the
         # Levenberg-shifted ones still reach the static solution.
-        solve_banded = scipy.linalg.solve_banded
+        solve = SymmetricBand.solve
         unshifted = []   # right-hand sides, one per iterate
 
-        def failing_unshifted(l_and_u, ab, b, **kwargs):
+        def failing_unshifted(band, b):
             if not unshifted or not np.array_equal(unshifted[-1], b):
                 unshifted.append(b)
                 raise np.linalg.LinAlgError("singular matrix")
-            return solve_banded(l_and_u, ab, b, **kwargs)
+            return solve(band, b)
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", failing_unshifted)
+        monkeypatch.setattr(SymmetricBand, "solve", failing_unshifted)
         load = forcing.nominal_amplitudes[0] * model.load_patterns()[0]
         x = model.static_displacement(load)
         rel = np.linalg.norm(model.internal_force(x) - load) / np.linalg.norm(load)
@@ -445,11 +446,122 @@ def test_band_operators_do_not_mix_with_dense(model):
 
 
 def test_band_assembly_caches_band_scatters_only():
-    """The band scatters are derived from the dense ones, which are not
-    kept: a fresh model's full plan holds band keys only."""
-    model = build_truss(4, np.zeros(16))
+    """Full-order band assembly keeps one band scatter operator for the mass
+    and one for the stiffness, and no index array with N x N entries (an
+    operator with a row per dense entry would have one)."""
+    lagrom.truss._plan_topology.cache_clear()
+    model = build_truss(10, np.zeros(16))
     model.mass_band()
     model.tangent_stiffness_band(np.zeros(model.dof_count))
-    keys = list(model._plan()._matrix)
-    assert len(keys) == 2
-    assert all(half == model.half_bandwidth for _, half in keys)
+    topology = model._plan().topology
+    assert [half for _, half in topology._matrix] == [model.half_bandwidth] * 2
+    arrays = [value for value in vars(topology).values()
+              if isinstance(value, np.ndarray)]
+    for scatter in (topology.vector, *topology._matrix.values()):
+        arrays += [scatter.dest, scatter.operator.indices,
+                   scatter.operator.indptr, scatter.operator.data]
+    assert max(array.size for array in arrays) < model.dof_count**2
+
+
+def test_singular_band_solve_raises():
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        SymmetricBand(np.zeros((3, 4))).solve(np.ones(4))
+
+
+def test_models_with_one_bay_count_share_plan_topology():
+    """Every model of a bay count reuses the parameter-independent part of
+    its plans; the element constants stay the model's own."""
+    rng = np.random.default_rng(3)
+    first, second = (build_truss(3, rng.uniform(-1.0, 1.0, 16))
+                     for _ in range(2))
+    rows, cols = [17, 1, 5], [2, 30]
+    for index_sets in ((), (rows,), (rows, cols)):
+        assert (first._plan(*index_sets).topology
+                is second._plan(*index_sets).topology)
+    assert first._plan().topology is not build_truss(4, np.zeros(16))._plan().topology
+    assert not np.array_equal(first._plan().vec, second._plan().vec)
+
+
+def _reference_assembly(model, q):
+    """Energy, force, stiffness and mass by the sequential scatter: element
+    values stacked as +-blocks, gathered and summed with ``np.add.at`` in
+    the full assembly's order (elements ascending; force second node
+    first; matrix blocks in the order below).  Returns the energy's
+    per-element terms and the dense arrays."""
+    n = model.dof_count
+    pad = np.append(q, 0.0)
+    du = pad[model.el_dof2] - pad[model.el_dof1]
+    vec, length_sq = model.el_vec, model.el_length_sq
+    d = vec + du
+    stretch = (2.0 * np.einsum("ij,ij->i", vec, du)
+               + np.einsum("ij,ij->i", du, du))
+    strain = stretch / (2.0 * length_sq)
+    f2 = (model.ea_over_l * strain)[:, None] * d
+    outer = np.einsum("ik,il->ikl", d, d) / length_sq[:, None, None]
+    k22 = model.ea_over_l[:, None, None] * (strain[:, None, None] * np.eye(3)
+                                           + outer)
+    coeff = model.el_mass_coeff[:, None, None]
+
+    force = np.zeros(n + 1)   # the last slot collects clamped dofs
+    np.add.at(force, model.el_dofs[::-1].ravel(), np.stack([f2, -f2]).ravel())
+
+    def matrix(blocks, values):
+        out = np.zeros((n + 1, n + 1))
+        for (row_end, col_end), block in zip(blocks, values):
+            rows = model.el_dofs[row_end][:, :, None]
+            cols = model.el_dofs[col_end][:, None, :]
+            np.add.at(out, (np.broadcast_to(rows, block.shape),
+                            np.broadcast_to(cols, block.shape)), block)
+        return out[:n, :n]
+
+    stiffness = matrix(((1, 1), (0, 0), (1, 0), (0, 1)),
+                       np.stack([k22, k22, -k22, -k22]))
+    mass = matrix(((0, 0), (1, 1), (0, 1), (1, 0)),
+                  [coeff * (factor * np.eye(3)) for factor in (2.0, 2.0, 1.0, 1.0)])
+    return 0.5 * model.el_eal * strain**2, force[:n], stiffness, mass
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_evaluators_equal_sequential_scatter(data):
+    """Every evaluator, full and sampled, equals the sequential-scatter
+    assembly bit for bit."""
+    bays = data.draw(st.integers(1, 5), label="bays")
+    n = 12 * bays
+    index_sets = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+    rows = np.array(data.draw(index_sets, label="rows"), dtype=int)
+    cols = np.array(data.draw(index_sets, label="cols"), dtype=int)
+    dq_idx = np.array(data.draw(index_sets, label="dq_idx"), dtype=int)
+    dq_val = np.array(data.draw(st.lists(
+        st.floats(-0.05, 0.05), min_size=dq_idx.size, max_size=dq_idx.size),
+        label="dq_val"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    model = build_truss(bays, rng.uniform(-1.0, 1.0, size=16))
+    q_sparse = np.zeros(n)
+    q_sparse[dq_idx] = dq_val
+    q_dense = 0.03 * rng.normal(size=n)
+    energy, force, stiffness, mass = _reference_assembly(model, q_dense)
+    sparse_energy, sparse_force, sparse_stiffness, _ = _reference_assembly(
+        model, q_sparse)
+    block, half = np.ix_(rows, cols), model.half_bandwidth
+
+    assert model.potential_energy(q_dense) == float(np.sum(energy))
+    assert (model.potential_energy_sparse(dq_idx, dq_val)
+            == float(np.sum(sparse_energy[model.elements_for_dofs(dq_idx)])))
+    assert np.array_equal(model.internal_force(q_dense), force)
+    assert np.array_equal(model.internal_force_rows(rows, dq_idx, dq_val),
+                          sparse_force[rows])
+    assert np.array_equal(model.internal_force_rows_dense(rows, q_dense),
+                          force[rows])
+    assert np.array_equal(model.tangent_stiffness(q_dense), stiffness)
+    assert np.array_equal(model.tangent_stiffness_band(q_dense).ab,
+                          band_of(stiffness, half))
+    assert np.array_equal(
+        model.tangent_stiffness_block(rows, cols, dq_idx, dq_val),
+        sparse_stiffness[block])
+    assert np.array_equal(model.tangent_stiffness_rows_dense(rows, q_dense),
+                          stiffness[rows])
+    assert np.array_equal(model.mass_dense(), mass)
+    assert np.array_equal(model.mass_band().ab, band_of(mass, half))
+    assert np.array_equal(model.mass_entries(rows, cols), mass[block])
