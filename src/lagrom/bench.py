@@ -32,8 +32,8 @@ from .sampling import (SampleIndexSet, SampleSetDiagnostics,
                        greedy_sample_indices, validate_sample_set)
 from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
                          matrix_pod_modes, rbs_fit)
-from .truss import (ForcingConfig, build_truss, fundamental_frequency,
-                    rayleigh_coefficients)
+from .truss import (PARAMETER_COUNT, ForcingConfig, build_truss,
+                    fundamental_frequency, rayleigh_coefficients)
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +42,9 @@ TERM_NAMES = ("mass", "damping", "potential", "force")
 # Newton tolerance of verify_timestep, tight enough to keep solver noise
 # below the Richardson differences (the config's is used if tighter).
 VERIFY_REL_TOL = 1e-10
+# Random-basis seed and timing repeats of sp_step_seconds.
+SP_STEP_SEED = 0
+SP_STEP_REPEATS = 3
 
 
 def _check_percentage(p):
@@ -78,6 +81,12 @@ class ExperimentConfig:
                 raise ValueError("%s must be positive and finite" % name)
         if not 0 <= self.zeta < math.inf:
             raise ValueError("zeta must be nonnegative and finite")
+        if self.conservative and self.zeta != 0.0:
+            raise ValueError("a conservative experiment is undamped: zeta must be 0")
+        forces = np.asarray(self.nominal_forces, dtype=float)
+        if forces.shape != (4,) or not np.all(np.isfinite(forces)):
+            raise ValueError("nominal_forces must be 4 finite numbers: %r"
+                             % (self.nominal_forces,))
         for name in ("bays", "n_train", "n_online"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
@@ -117,13 +126,13 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def lhs_points(n: int, dim: int = 16, seed: int = 0) -> np.ndarray:
+def lhs_points(n: int, seed: int = 0) -> np.ndarray:
     """Latin hypercube training points on the unit parameter box."""
     if n < 1:
         raise ValueError("need at least one point")
     from scipy.stats import qmc   # imported here: scipy.stats is slow to load
 
-    sampler = qmc.LatinHypercube(d=dim, seed=seed)
+    sampler = qmc.LatinHypercube(d=PARAMETER_COUNT, seed=seed)
     return qmc.scale(sampler.random(n), -1.0, 1.0)
 
 
@@ -210,7 +219,7 @@ def nominal_setup(config: ExperimentConfig):
                             omega0=fundamental_frequency(model),
                             final_time=config.final_time)
     alpha, beta = 0.0, 0.0
-    if config.zeta > 0.0 and not config.conservative:
+    if config.zeta > 0.0:
         k0 = model.tangent_stiffness(np.zeros(model.dof_count))
         alpha, beta = rayleigh_coefficients(model.mass_dense(), k0, config.zeta)
     return model, forcing, alpha, beta
@@ -341,7 +350,7 @@ def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProdu
     rbs_map = rbs_fit(offline.mass_snapshots, phi, sample_set)
     gappy_basis = build_matrix_gappy_basis(offline.matrix_modes, phi, sample_set)
     diagnostics = validate_sample_set(
-        sample_set, k_matrix, phi,
+        sample_set, k_matrix,
         vectorized_operator=gappy_basis.vectorized_sampled_operator)
     if not diagnostics.passed:
         logger.warning("sample-set diagnostics at %.3g%%: %s",
@@ -395,8 +404,8 @@ def run_online(offline: OfflineProducts, reduced: ReducedProducts, mu_star,
     config = offline.config
     start = time.perf_counter()
     model = build_truss(config.bays, mu_star)
-    q0 = model.initial_displacement(offline.forcing)
     system = build_variant(offline, reduced, model, variant)
+    q0 = model.initial_displacement(offline.forcing)
     q_r0 = system.phi.T @ q0
     build_seconds = time.perf_counter() - start
 
@@ -466,8 +475,10 @@ def run_comparison(config: ExperimentConfig, outdir=None,
     record_energy = bool(config.conservative)
 
     mu_online = online_points(config)
-    hfm_runs = []
+    hfm_runs, hfm_seconds = [], []
     for mu in mu_online:
+        # Timed like run_online: model build, initial condition, stepping.
+        start = time.perf_counter()
         model = build_truss(config.bays, mu)
         q0 = model.initial_displacement(offline.forcing)
         traj = integrate_full_model(
@@ -475,6 +486,7 @@ def run_comparison(config: ExperimentConfig, outdir=None,
             beta=offline.beta, forcing=offline.forcing,
             state0=State(q=q0, v=np.zeros_like(q0)),
             settings=config.newton_settings, record_energy=record_energy)
+        hfm_seconds.append(time.perf_counter() - start)
         hfm_runs.append(traj)
 
     trajectories = {}
@@ -489,9 +501,8 @@ def run_comparison(config: ExperimentConfig, outdir=None,
                 stable = traj.stable
                 err = speed = drift = None
                 if stable:
-                    hfm = hfm_runs[j]
-                    err = error_metric(traj.quantity, hfm.quantity)
-                    speed = hfm.wall_time / max(result.rom_seconds, 1e-12)
+                    err = error_metric(traj.quantity, hfm_runs[j].quantity)
+                    speed = hfm_seconds[j] / max(result.rom_seconds, 1e-12)
                     if record_energy and traj.energy is not None:
                         drift = energy_drift(traj)
                 newton_avg = (float(np.mean(traj.newton_iterations))
@@ -561,14 +572,14 @@ def verify_timestep(config: ExperimentConfig, dt=None, horizon=None) -> dict:
 # ---------------------------------------------------------------------------
 
 def sp_step_seconds(bays: int, n: int, m: int, steps: int = 200,
-                    dt: float = 0.05, seed: int = 0, repeats: int = 3) -> float:
+                    dt: float = 0.05) -> float:
     """Per-step online cost of the SP-RBS model at pinned (n, m).
 
     Uses a seeded random orthonormal basis so the reduced dimensions stay
-    fixed while the truss size varies; returns the best of ``repeats``
-    timing runs.
+    fixed while the truss size varies; returns the best of
+    ``SP_STEP_REPEATS`` timing runs.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SP_STEP_SEED)
     model = build_truss(bays, np.zeros(16))
     big_n = model.dof_count
     phi = np.linalg.qr(rng.normal(size=(big_n, n)))[0]
@@ -579,7 +590,7 @@ def sp_step_seconds(bays: int, n: int, m: int, steps: int = 200,
     q_r0 = 1e-3 * rng.normal(size=n)
 
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(SP_STEP_REPEATS):
         traj = integrate_rom(system, dt, steps * dt,
                              state0=State(q=q_r0.copy(), v=np.zeros(n)))
         best = min(best, traj.wall_time / traj.n_steps)

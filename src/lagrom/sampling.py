@@ -21,7 +21,11 @@ class SampleIndexSet:
     ambient_dim: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices)
+        if idx.dtype.kind == "f" and np.all(idx == np.trunc(idx)):
+            idx = idx.astype(int)   # archives store the indices as float64
+        if idx.dtype.kind not in "iu":
+            raise ValueError("sample indices must be integers")
         object.__setattr__(self, "indices", idx)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("sample set must contain at least one index")
@@ -62,30 +66,30 @@ def greedy_sample_indices(residual_basis, m) -> SampleIndexSet:
         raise ValueError("need 1 <= m <= N, got m=%d, N=%d" % (m, big_n))
 
     selected: list[int] = []
+    taken = np.zeros(big_n, dtype=bool)
     visited: list[int] = []  # distinct column indices already cycled through
     step = 0
     while len(selected) < m:
         col = step % k
         step += 1
-        remaining = np.setdiff1d(np.arange(big_n), selected, assume_unique=False)
 
         residual = _gappy_residual(basis, col, visited, selected)
         if col not in visited:
             visited.append(col)
 
-        pick = _argmax_abs(residual, remaining)
+        pick = _argmax_abs(residual, taken)
         if pick is None:
             # Degenerate: this column vanishes on every remaining row.  Fall
             # back to largest-magnitude selection on the next columns.
             logger.warning("greedy sampling: column %d vanishes on remaining rows", col)
             for fallback in range(1, k + 1):
-                col_fb = (col + fallback) % k
-                pick = _argmax_abs(basis[:, col_fb], remaining)
+                pick = _argmax_abs(basis[:, (col + fallback) % k], taken)
                 if pick is not None:
                     break
             if pick is None:
-                pick = int(remaining[0])
+                pick = int(np.argmin(taken))   # lowest remaining row
         selected.append(pick)
+        taken[pick] = True
 
     return SampleIndexSet(indices=np.array(selected, dtype=int), ambient_dim=big_n)
 
@@ -102,13 +106,12 @@ def _gappy_residual(basis, col, visited, selected):
     return c - basis[:, prior] @ coeffs
 
 
-def _argmax_abs(values, candidates):
-    """Lowest candidate index attaining the max magnitude; None if all zero."""
-    mags = np.abs(values[candidates])
-    best = mags.max() if mags.size else 0.0
-    if best == 0.0:
+def _argmax_abs(values, taken):
+    """Lowest index not taken attaining the max magnitude; None if all zero."""
+    mags = np.where(taken, 0.0, np.abs(values))
+    if mags.max() == 0.0:
         return None
-    return int(candidates[np.argmax(mags)])
+    return int(np.argmax(mags))
 
 
 @dataclass(frozen=True)
@@ -118,43 +121,30 @@ class SampleSetDiagnostics:
     m: int
     ambient_dim: int
     size_rule_ok: bool
-    first_block_nonsingular: bool
     vectorized_operator_full_rank: bool | None
     messages: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        checks = [self.size_rule_ok, self.first_block_nonsingular]
-        if self.vectorized_operator_full_rank is not None:
-            checks.append(self.vectorized_operator_full_rank)
-        return all(checks)
+        return self.size_rule_ok and self.vectorized_operator_full_rank is not False
 
 
-def validate_sample_set(sample_set, min_m_for_matrix_gappy, pod_basis,
+def validate_sample_set(sample_set, min_m_for_matrix_gappy,
                         vectorized_operator=None) -> SampleSetDiagnostics:
     """Check a sample set against the requirements of the matrix approximations.
 
-    Reports whether (m^2 + m)/2 covers the matrix-basis size, whether the
-    first-n sampled rows of the basis are nonsingular, and (when given the
-    upper-triangle vectorized sampled operator of the matrix basis, see
+    Reports whether (m^2 + m)/2 covers the matrix-basis size and (when given
+    the upper-triangle vectorized sampled operator of the matrix basis, see
     :class:`~lagrom.spd_approx.MatrixGappyBasis`) whether that operator has
     full column rank.
     """
-    phi = np.asarray(pod_basis, dtype=float)
     m = sample_set.m
-    n = phi.shape[1]
     k = int(min_m_for_matrix_gappy)
     messages = []
 
     size_ok = (m * m + m) // 2 >= k
     if not size_ok:
         messages.append("(m^2+m)/2 = %d < %d basis matrices" % ((m * m + m) // 2, k))
-
-    sub = phi[sample_set.first(min(n, m)), :]
-    sv = np.linalg.svd(sub, compute_uv=False)
-    nonsingular = bool(sv.size == n and sv[-1] > 1e-12 * max(sv[0], 1.0))
-    if not nonsingular:
-        messages.append("first-n rows of the basis are (numerically) singular")
 
     vec_ok = None
     if vectorized_operator is not None:
@@ -168,7 +158,6 @@ def validate_sample_set(sample_set, min_m_for_matrix_gappy, pod_basis,
         m=m,
         ambient_dim=sample_set.ambient_dim,
         size_rule_ok=bool(size_ok),
-        first_block_nonsingular=nonsingular,
         vectorized_operator_full_rank=vec_ok,
         messages=messages,
     )

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 logger = logging.getLogger(__name__)
 
 RANK_PROJECT_RTOL = 1e-10
 # rbs_fit stops when its largest gradient entry falls below this fraction
-# of the one at the start.
+# of the one at the start, or after RBS_MAX_ITERS L-BFGS iterations.
 RBS_GRAD_TOL = 1e-9
+RBS_MAX_ITERS = 50
 # Penalty escalations of eigen_constrained_solve, each ten times the last.
 CONSTRAINED_ROUNDS = 10
 
@@ -36,6 +36,18 @@ CONSTRAINED_ROUNDS = 10
 def symmetrize(a):
     """Symmetric part of a square matrix."""
     return 0.5 * (a + a.T)
+
+
+def _sampled_and_reduced(matrices, phi, sample_set):
+    """Sampled principal blocks (K, m, m) and reduced matrices
+    ``phi.T @ A @ phi`` (K, n, n) of full-size matrices, stacked."""
+    phi = np.asarray(phi, dtype=float)
+    mats = [np.asarray(a, dtype=float) for a in matrices]
+    if not mats:
+        raise ValueError("no matrix snapshots")
+    block = np.ix_(sample_set.indices, sample_set.indices)
+    return (np.array([a[block] for a in mats]),
+            np.array([phi.T @ a @ phi for a in mats]))
 
 
 # ---------------------------------------------------------------------------
@@ -77,32 +89,22 @@ def _congruence_objective(z, sampled, reduced):
     return float(value), grad
 
 
-def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500) -> RBSMap:
+def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=RBS_MAX_ITERS) -> RBSMap:
     """Fit the dense factor of the sparse reduced basis over matrix snapshots.
 
     Minimizes the summed squared Frobenius error between the sparse
     congruence and the true reduced matrices, by limited-memory
-    quasi-Newton descent started from the sampled rows of ``phi``.  On
-    stagnation the achieved residual is kept and the map is flagged
-    unconverged rather than raising.
+    quasi-Newton descent started from the sampled rows of ``phi``, for at
+    most ``max_iters`` iterations.  A fit stopped at that budget keeps the
+    achieved residual and is flagged unconverged rather than raising.
     """
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[1]
-    s_idx = sample_set.indices
     m = sample_set.m
     if m < n:
         raise ValueError("need at least as many samples as basis columns (m >= n)")
-
-    sampled, reduced = [], []
-    for a in matrix_snapshots:
-        a = np.asarray(a, dtype=float)
-        sampled.append(a[np.ix_(s_idx, s_idx)])
-        reduced.append(phi.T @ a @ phi)
-    if not sampled:
-        raise ValueError("no matrix snapshots")
-    sampled, reduced = np.array(sampled), np.array(reduced)
-
-    z0 = phi[s_idx, :].copy()
+    sampled, reduced = _sampled_and_reduced(matrix_snapshots, phi, sample_set)
+    z0 = phi[sample_set.indices, :].copy()
 
     def fun(x):
         value, grad = _congruence_objective(x.reshape(m, n), sampled, reduced)
@@ -112,24 +114,18 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500) -> RBSMap:
     obj_scale = max(sum(float(np.sum(r * r)) for r in reduced), 1e-300)
 
     f0, g0 = fun(z0.ravel())
-    gscale = np.max(np.abs(g0)) if np.max(np.abs(g0)) > 0 else 1.0
     if f0 <= 1e-24 * obj_scale:
         # The prescribed initialization is already (numerically) exact,
         # e.g. under full sampling.
         return RBSMap(factor=z0, fit_residual=float(f0), converged=True,
                       iterations=0)
+    import scipy.optimize   # imported here: only the offline fits need it
+
     result = scipy.optimize.minimize(
-        fun,
-        z0.ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": max_iters,
-            "gtol": RBS_GRAD_TOL * gscale,
-            "ftol": 1e-16,
-            "maxcor": 20,
-        },
-    )
+        fun, z0.ravel(), jac=True, method="L-BFGS-B",
+        options={"maxiter": max_iters,
+                 "gtol": RBS_GRAD_TOL * (np.max(np.abs(g0)) or 1.0),
+                 "ftol": 1e-16})
     z = result.x.reshape(m, n)
 
     # Project back to full column rank: inflate collapsed singular values.
@@ -140,14 +136,12 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=500) -> RBSMap:
                        int(np.sum(sv <= floor)))
         z = u @ np.diag(np.maximum(sv, floor)) @ vt
 
-    residual, grad = _congruence_objective(z, sampled, reduced)
-    converged = bool(result.success
-                     or np.max(np.abs(grad)) <= RBS_GRAD_TOL * gscale
-                     or residual <= 1e-24 * obj_scale)
+    residual, _ = _congruence_objective(z, sampled, reduced)
+    converged = bool(result.success or residual <= 1e-24 * obj_scale)
     if not converged:
-        logger.warning("rbs_fit stagnated: residual %.3e (relative %.3e) "
-                       "after %d iterations", residual,
-                       np.sqrt(residual / obj_scale), result.nit)
+        logger.info("rbs_fit stopped after %d iterations: residual %.3e "
+                    "(relative %.3e)", result.nit, residual,
+                    np.sqrt(residual / obj_scale))
     return RBSMap(
         factor=z,
         fit_residual=float(residual),
@@ -228,15 +222,9 @@ def matrix_pod_modes(matrix_snapshots, energy):
 
 def build_matrix_gappy_basis(modes, phi, sample_set) -> MatrixGappyBasis:
     """Sample and reduce full-size principal matrices, then discard them."""
-    phi = np.asarray(phi, dtype=float)
-    s_idx = sample_set.indices
-    sampled, reduced = [], []
-    for a in modes:
-        a = np.asarray(a, dtype=float)
-        sampled.append(a[np.ix_(s_idx, s_idx)])
-        reduced.append(symmetrize(phi.T @ a @ phi))
-    return MatrixGappyBasis(sampled_basis=np.array(sampled),
-                            reduced_basis=np.array(reduced))
+    sampled, reduced = _sampled_and_reduced(modes, phi, sample_set)
+    return MatrixGappyBasis(sampled_basis=sampled,
+                            reduced_basis=0.5 * (reduced + reduced.transpose(0, 2, 1)))
 
 
 def matrix_pod_basis(matrix_snapshots, energy, phi, sample_set) -> MatrixGappyBasis:
@@ -249,10 +237,10 @@ def _assemble(basis: MatrixGappyBasis, x):
     return np.einsum("i,ijk->jk", np.asarray(x, dtype=float), basis.reduced_basis)
 
 
-def _pd_threshold(basis: MatrixGappyBasis, x):
+def _pd_threshold(assembled):
     """Definiteness threshold: a tiny fraction of the unconstrained
     assembly's mean diagonal."""
-    scale = abs(float(np.mean(np.diagonal(_assemble(basis, x)))))
+    scale = abs(float(np.mean(np.diagonal(assembled))))
     return 1e-10 * (scale if scale > 0 else 1.0)
 
 
@@ -276,20 +264,21 @@ def gappy_matrix_coeffs(sampled_online, basis: MatrixGappyBasis):
     if a.shape != (m, m):
         raise ValueError("sampled matrix shape %s does not match basis (%d, %d)"
                          % (a.shape, m, m))
-    op = basis.vectorized_sampled_operator
-    if (m * m + m) // 2 < basis.k or np.linalg.matrix_rank(op) < basis.k:
+    rows, cols = np.triu_indices(m)
+    # lstsq's rank uses matrix_rank's cutoff; it is below k also whenever
+    # the (m^2 + m)/2 sampled entries are fewer than the k coefficients.
+    x, _, rank, _ = np.linalg.lstsq(basis.vectorized_sampled_operator,
+                                    a[rows, cols], rcond=None)
+    if rank < basis.k:
         raise ValueError("invalid sampling for matrix gappy POD")
 
-    rows, cols = np.triu_indices(m)
-    rhs = a[rows, cols]
-    x, *_ = np.linalg.lstsq(op, rhs, rcond=None)
-
-    eps = _pd_threshold(basis, x)
-    lam_min = float(np.linalg.eigvalsh(_assemble(basis, x))[0])
+    assembled = _assemble(basis, x)
+    eps = _pd_threshold(assembled)
+    lam_min = float(np.linalg.eigvalsh(assembled)[0])
     if lam_min < eps:
         logger.info("gappy coefficients infeasible (lambda_min=%.3e < %.3e); "
                     "running constrained solve", lam_min, eps)
-        x = eigen_constrained_solve(basis, a, x)
+        x = eigen_constrained_solve(basis, a, x, pd_threshold=eps)
     return x
 
 
@@ -313,9 +302,9 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
     projection.  A feasible input is returned unchanged.
     """
     x0 = np.asarray(x0, dtype=float).copy()
-    eps = _pd_threshold(basis, x0) if pd_threshold is None else float(pd_threshold)
-    lam0 = np.linalg.eigvalsh(_assemble(basis, x0))
-    if lam0[0] >= eps:
+    assembled = _assemble(basis, x0)
+    eps = _pd_threshold(assembled) if pd_threshold is None else float(pd_threshold)
+    if np.linalg.eigvalsh(assembled)[0] >= eps:
         return x0
 
     a = np.asarray(sampled_online, dtype=float)
@@ -337,6 +326,8 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
             raise ValueError("cannot preserve definiteness with this basis")
         x = float(np.clip(x0[0], lo, hi))
         return np.array([x])
+
+    import scipy.optimize   # imported here: only this branch needs it
 
     # Penalized descent: quadratic penalty on eigenvalues short of a target
     # slightly above the threshold, escalated until feasible.

@@ -20,6 +20,7 @@ construction.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,10 @@ ELASTIC_MODULUS = 62.0e9  # Pa
 
 # Deformed bar shorter than this fraction of its rest length is an error.
 COLLAPSE_RTOL = 1e-9
-# Newton iteration budget of each initial-condition load case.
+# Newton iteration budget of each static solve (initial-condition load case).
 IC_MAX_ITERS = 50
+# Entries of the parameter vector.
+PARAMETER_COUNT = 16
 # Pencil frequencies closer than this relative gap count as one.
 DISTINCT_RTOL = 1e-6
 
@@ -46,6 +49,9 @@ _CORNERS = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
 
 # Side faces of a bay as corner pairs; each carries two crossing diagonals.
 _SIDE_FACES = ((0, 1), (1, 2), (2, 3), (3, 0))
+
+# Dof axis loaded along each corner chord line (load group).
+_LOAD_AXES = (1, 1, 2, 2)
 
 # Plan topologies kept across models (see _plan_topology).
 PLAN_CACHE_SIZE = 256
@@ -65,8 +71,8 @@ _EYE = np.eye(3)
 def validate_parameters(mu) -> np.ndarray:
     """Check the 16-parameter vector against its componentwise bounds."""
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (16,):
-        raise ValueError("parameter vector must have 16 components")
+    if mu.shape != (PARAMETER_COUNT,):
+        raise ValueError("parameter vector must have %d components" % PARAMETER_COUNT)
     if not np.all(np.isfinite(mu)):
         raise ValueError("parameters must be finite")
     if np.any(mu[:8] < -1.0) or np.any(mu > 1.0):
@@ -88,7 +94,6 @@ class ForcingConfig:
     nominal_amplitudes: tuple
     omega0: float
     final_time: float = 25.0
-    directions: tuple = (1, 1, 2, 2)  # dof axis loaded per corner group
 
 
 def _element_nodes(bays) -> np.ndarray:
@@ -306,8 +311,8 @@ class TrussModel:
     """
 
     def __init__(self, bays: int, mu):
-        if bays < 1:
-            raise ValueError("need at least one bay")
+        if not (isinstance(bays, numbers.Integral) and bays >= 1):
+            raise ValueError("need an integral bay count of at least 1: %r" % bays)
         self.bays = int(bays)
         self.mu = validate_parameters(mu)
 
@@ -321,7 +326,6 @@ class TrussModel:
         self._build_geometry()
         self._build_elements()
         self._plans = {}
-        self._pattern_cache = {}
         self._mass_band = None
 
     # -- geometry -----------------------------------------------------------
@@ -336,15 +340,15 @@ class TrussModel:
                     pitch * section, wy * self.width, wz * self.height)
         self.node_coords = coords
         self.dof_count = 12 * bays
-        # Section-0 nodes are clamped; free dofs are numbered from section 1.
-        # Quantity of interest: y-displacement of the end-face corner 0.
-        self.tip_dof = self._dof(4 * bays + 0, 1)
-
-    def _dof(self, node: int, axis: int) -> int:
-        """Global dof of a node/axis; clamped dofs map to the zero pad slot."""
-        if node < 4:
-            return self.dof_count  # pad index, always reads zero
-        return 3 * (node - 4) + axis
+        # Section-0 nodes are clamped; free dofs are numbered from section 1,
+        # three per node.  Quantity of interest: y-displacement of the
+        # end-face corner 0 (node 4 * bays).
+        self.tip_dof = 3 * (4 * bays - 4) + 1
+        # Unit nodal loads along the four corner chord lines (load_patterns).
+        sections = np.arange(1, bays + 1)
+        self._patterns = np.zeros((4, self.dof_count))
+        for group, axis in enumerate(_LOAD_AXES):
+            self._patterns[group, 3 * (4 * sections + group - 4) + axis] = 1.0
 
     def _build_elements(self):
         self.elements = _element_nodes(self.bays)
@@ -359,7 +363,6 @@ class TrussModel:
         self.el_mass_coeff = self.density * self.area * self.el_length / 6.0
 
         self.el_dofs = _element_dofs(self.elements, self.dof_count)
-        self.el_dof1, self.el_dof2 = self.el_dofs
         # Largest |i - j| over the free dofs i, j of one element: the
         # half-bandwidth of every assembled matrix (23 for two or more bays).
         free = np.concatenate(self.el_dofs, axis=1)
@@ -464,24 +467,14 @@ class TrussModel:
 
     # -- forcing and initial condition -----------------------------------------
 
-    def load_patterns(self, directions=(1, 1, 2, 2)) -> np.ndarray:
+    def load_patterns(self) -> np.ndarray:
         """Unit nodal loads distributed along the four corner chord lines.
 
-        Every free node of chord line i carries a unit load along the
-        configured axis, so the total applied force scales with the bay
-        count (the force magnitudes are per-node amplitudes).
+        Every free node of chord line i carries a unit load along that
+        line's axis (``_LOAD_AXES``), so the total applied force scales
+        with the bay count (the force magnitudes are per-node amplitudes).
         """
-        return self._load_patterns(directions)
-
-    def _load_patterns(self, directions) -> np.ndarray:
-        key = tuple(directions)
-        if key not in self._pattern_cache:
-            patterns = np.zeros((4, self.dof_count))
-            sections = np.arange(1, self.bays + 1)
-            for group, axis in zip(range(4), key):
-                patterns[group, 3 * (4 * sections + group - 4) + axis] = 1.0
-            self._pattern_cache[key] = patterns
-        return self._pattern_cache[key]
+        return self._patterns
 
     def _force_components(self, t: float, forcing: ForcingConfig):
         onset = forcing.final_time / 4.0
@@ -494,11 +487,11 @@ class TrussModel:
 
     def external_force(self, t: float, forcing: ForcingConfig) -> np.ndarray:
         comps = self._force_components(t, forcing)
-        return comps @ self._load_patterns(forcing.directions)
+        return comps @ self._patterns
 
     def external_force_rows(self, rows, t: float, forcing: ForcingConfig) -> np.ndarray:
         comps = self._force_components(t, forcing)
-        return comps @ self._load_patterns(forcing.directions)[:, np.asarray(rows, dtype=int)]
+        return comps @ self._patterns[:, np.asarray(rows, dtype=int)]
 
     def initial_displacement(self, forcing: ForcingConfig) -> np.ndarray:
         """Superposed scaled static deflections under the nominal loads."""
@@ -508,11 +501,11 @@ class TrussModel:
             amplitude = float(forcing.nominal_amplitudes[group])
             if scale == 0.0 or amplitude == 0.0:
                 continue
-            load = amplitude * self._load_patterns(forcing.directions)[group]
-            q += scale * self.static_displacement(load, max_iters=IC_MAX_ITERS)
+            load = amplitude * self._patterns[group]
+            q += scale * self.static_displacement(load)
         return q
 
-    def static_displacement(self, load, max_iters=30) -> np.ndarray:
+    def static_displacement(self, load) -> np.ndarray:
         """Solve the nonlinear static problem grad V(q) = load.
 
         Newton minimization of the total potential V(q) - load.q, which the
@@ -523,7 +516,7 @@ class TrussModel:
         Newton tolerates.
         """
         load = np.asarray(load, dtype=float)
-        settings = NewtonSettings(max_iters=max_iters)
+        settings = NewtonSettings(max_iters=IC_MAX_ITERS)
         q = np.zeros(self.dof_count)
         applied, increment = 0.0, 1.0
         while applied < 1.0:

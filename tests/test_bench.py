@@ -1,16 +1,20 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lagrom.bench
+import lagrom.midpoint
+import lagrom.roms
 from lagrom.bench import (ExperimentConfig, build_variant, error_metric,
                           lhs_points, load_offline, load_reduced, nominal_setup,
                           online_points, reduce_products, run_comparison,
@@ -19,7 +23,7 @@ from lagrom.bench import (ExperimentConfig, build_variant, error_metric,
 from lagrom.cli import main as cli_main
 from lagrom.midpoint import State
 from lagrom.roms import VARIANTS, integrate_full_model
-from lagrom.truss import build_truss
+from lagrom.truss import TrussModel, build_truss
 
 
 def assert_same_products(loaded, original, path="products"):
@@ -300,6 +304,34 @@ class TestOnlineAndComparison:
         with pytest.raises(ValueError, match="percentages"):
             reduce_products(tiny_offline, percentage)
 
+    def test_speedup_compares_like_times(self, tiny_config, tiny_offline,
+                                         monkeypatch):
+        # Both sides of the speedup include the static initial condition, so
+        # slowing it down slows the HFM and the ROM queries alike.
+        initial = TrussModel.initial_displacement
+
+        def slow_initial(self, forcing):
+            time.sleep(0.2)
+            return initial(self, forcing)
+
+        monkeypatch.setattr(TrussModel, "initial_displacement", slow_initial)
+        cfg = ExperimentConfig(**{**tiny_config.to_dict(),
+                                  "sampling_percentages": (100.0,)})
+        report = run_comparison(cfg, offline=tiny_offline)
+        assert report.rows
+        assert all(r.speedup > 0.5 for r in report.rows), \
+            [(r.variant, r.speedup) for r in report.rows]
+
+    def test_unknown_variant_fails_before_initial_condition(self, tiny_offline,
+                                                            monkeypatch):
+        def no_initial(self, forcing):
+            raise AssertionError("initial condition computed")
+
+        monkeypatch.setattr(TrussModel, "initial_displacement", no_initial)
+        with pytest.raises(ValueError, match="unknown variant"):
+            run_online(tiny_offline, reduce_products(tiny_offline, 50.0),
+                       np.zeros(16), "nope")
+
     def test_build_seconds_within_rom_seconds(self, tiny_offline):
         result = run_online(tiny_offline, reduce_products(tiny_offline, 50.0),
                             np.zeros(16), "sp_rbs")
@@ -366,10 +398,16 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("zeta", np.nan), ("zeta", np.inf), ("zeta", -0.1),
-        ("bays", 0), ("bays", -1), ("n_train", 0)])
+        ("bays", 0), ("bays", -1), ("n_train", 0),
+        ("nominal_forces", (1.0, 2.0)), ("nominal_forces", (1.0, 2.0, 3.0, np.nan)),
+        ("nominal_forces", (1.0, 2.0, np.inf, 4.0))])
     def test_bad_damping_and_sizes_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+
+    def test_conservative_must_be_undamped(self):
+        with pytest.raises(ValueError, match="zeta"):
+            ExperimentConfig(bays=2, dt=0.1, conservative=True, zeta=0.2)
 
     @pytest.mark.parametrize("field", ["newton_rel_tol", "newton_max_iters",
                                        "n_online"])
@@ -428,12 +466,30 @@ class TestCli:
 
 
 def test_import_does_not_load_scipy_stats():
-    """``scipy.stats`` (slow to import) loads only when LHS points are drawn."""
+    """``scipy.stats`` and ``scipy.optimize`` (slow to import) load only
+    when LHS points are drawn or a fit runs."""
     src = str(Path(lagrom.bench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, lagrom; print('scipy.stats' in sys.modules)"],
+         "import sys, lagrom; "
+         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_tracer_targets_are_own_attributes():
+    """``perfbench/tracing.py`` swaps each traced name in its owner's own
+    ``__dict__``; a moved or removed name fails here, not in a traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(owner, attr) for owner, attr, _ in tracing.SPAN_TARGETS]
+    targets += [(lagrom.roms, "full_order_system"),
+                (lagrom.roms.ReducedSystem, "second_order_system"),
+                (lagrom.midpoint, "newton")]
+    missing = ["%s.%s" % (owner.__name__, attr) for owner, attr in targets
+               if attr not in vars(owner)]
+    assert missing == []

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lagrom.sampling import (SampleIndexSet, greedy_sample_indices,
-                             validate_sample_set)
+from lagrom.sampling import (SampleIndexSet, _gappy_residual,
+                             greedy_sample_indices, validate_sample_set)
 from lagrom.spd_approx import build_matrix_gappy_basis
 
 from conftest import random_orthonormal, random_spd
@@ -16,6 +17,17 @@ class TestSampleIndexSet:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             SampleIndexSet(np.array([0, 5]), 5)
+
+    @pytest.mark.parametrize("indices", [[0.5, 1.7], [0.0, np.nan], ["0", "1"]])
+    def test_rejects_non_integral(self, indices):
+        with pytest.raises(ValueError, match="integers"):
+            SampleIndexSet(indices, 3)
+
+    def test_integral_floats_load(self):
+        # Archives store the indices as float64.
+        s = SampleIndexSet(np.array([2.0, 0.0]), 3)
+        assert s.indices.dtype.kind == "i"
+        assert list(s.indices) == [2, 0]
 
     def test_first_preserves_order(self):
         s = SampleIndexSet(np.array([4, 1, 3]), 6)
@@ -75,6 +87,22 @@ class TestGreedySampleIndices:
         s = greedy_sample_indices(basis, 2)
         assert list(s.indices)[0] == 1
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_setdiff_reference(self, data):
+        big_n = data.draw(st.integers(1, 10), label="N")
+        k = data.draw(st.integers(1, 4), label="k")
+        m = data.draw(st.integers(1, big_n), label="m")
+        # Small integers give exact ties and zeros; zeroed columns run the
+        # fallback path.
+        basis = np.array(data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+            min_size=big_n, max_size=big_n)), dtype=float)
+        zero = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        basis[:, zero] = 0.0
+        got = greedy_sample_indices(basis, m).indices
+        assert list(got) == _setdiff_greedy(basis, m)
+
     def test_first_n_block_nonsingular(self, rng):
         """The leading indices must support the square sparse-basis block."""
         for trial in range(25):
@@ -85,17 +113,47 @@ class TestGreedySampleIndices:
             assert np.linalg.matrix_rank(block) == 4
 
 
+def _setdiff_greedy(basis, m):
+    """Reference selection loop that recomputes the remaining rows with
+    ``np.setdiff1d`` at every step."""
+    def argmax_abs(values, candidates):
+        mags = np.abs(values[candidates])
+        best = mags.max() if mags.size else 0.0
+        return None if best == 0.0 else int(candidates[np.argmax(mags)])
+
+    big_n, k = basis.shape
+    selected, visited = [], []
+    step = 0
+    while len(selected) < m:
+        col = step % k
+        step += 1
+        remaining = np.setdiff1d(np.arange(big_n), selected)
+        residual = _gappy_residual(basis, col, visited, selected)
+        if col not in visited:
+            visited.append(col)
+        pick = argmax_abs(residual, remaining)
+        if pick is None:
+            for fallback in range(1, k + 1):
+                pick = argmax_abs(basis[:, (col + fallback) % k], remaining)
+                if pick is not None:
+                    break
+            if pick is None:
+                pick = int(remaining[0])
+        selected.append(pick)
+    return selected
+
+
 class TestValidateSampleSet:
     def test_size_rule_pass(self, rng):
         phi = random_orthonormal(rng, 12, 3)
         s = greedy_sample_indices(phi, 3)
-        diag = validate_sample_set(s, 6, phi)
+        diag = validate_sample_set(s, 6)
         assert diag.size_rule_ok  # (9 + 3) / 2 == 6
 
     def test_size_rule_fail(self, rng):
         phi = random_orthonormal(rng, 12, 1)
         s = SampleIndexSet(np.array([0]), 12)
-        diag = validate_sample_set(s, 2, phi)
+        diag = validate_sample_set(s, 2)
         assert not diag.size_rule_ok  # (1 + 1) / 2 < 2
         assert not diag.passed
 
@@ -104,6 +162,6 @@ class TestValidateSampleSet:
         s = greedy_sample_indices(phi, 10)
         modes = [random_spd(rng, 10) for _ in range(3)]
         op = build_matrix_gappy_basis(modes, phi, s).vectorized_sampled_operator
-        diag = validate_sample_set(s, 3, phi, vectorized_operator=op)
+        diag = validate_sample_set(s, 3, vectorized_operator=op)
         assert diag.passed
         assert diag.vectorized_operator_full_rank

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,8 @@ class TestRbsFit:
         assert np.isfinite(fit.fit_residual)
 
     def test_stagnation_warning_reports_relative_residual(self, rng, caplog):
+        # Stopping at the iteration budget is expected: logged at INFO.
+        caplog.set_level(logging.INFO, logger="lagrom.spd_approx")
         big_n, n = 10, 2
         phi = random_orthonormal(rng, big_n, n)
         snaps = [random_spd(rng, big_n) for _ in range(4)]

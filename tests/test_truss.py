@@ -31,6 +31,11 @@ class TestGeometry:
         assert build_truss(1, np.zeros(16)).dof_count == 12
         assert build_truss(250, np.zeros(16)).dof_count == 3000
 
+    @pytest.mark.parametrize("bays", [2.7, 2.0, 0, -1])
+    def test_bay_count_must_be_positive_integer(self, bays):
+        with pytest.raises(ValueError, match="bay count"):
+            build_truss(bays, np.zeros(16))
+
     def test_sixteen_elements_per_bay(self, model):
         assert len(model.elements) == 16 * model.bays
 
@@ -100,11 +105,11 @@ class TestMass:
         assert np.allclose(block, rho * a * length / 6 * np.array([[2.0, 1.0],
                                                                    [1.0, 2.0]]))
         # The free-node diagonal entry of this single element.
-        dof = model.el_dof2[element, 0]
+        dof = model.el_dofs[1][element, 0]
         entry = model.mass_entries([dof], [dof])[0, 0]
         incident = model.elements_for_dofs([dof])
         expected = sum(2.0 * model.el_mass_coeff[e] for e in incident
-                       if model.el_dof2[e, 0] == dof or model.el_dof1[e, 0] == dof)
+                       if model.el_dofs[1][e, 0] == dof or model.el_dofs[0][e, 0] == dof)
         assert np.isclose(entry, expected)
 
     def test_mass_linear_in_area(self):
@@ -490,7 +495,7 @@ def _reference_assembly(model, q):
     per-element terms and the dense arrays."""
     n = model.dof_count
     pad = np.append(q, 0.0)
-    du = pad[model.el_dof2] - pad[model.el_dof1]
+    du = pad[model.el_dofs[1]] - pad[model.el_dofs[0]]
     vec, length_sq = model.el_vec, model.el_length_sq
     d = vec + du
     stretch = (2.0 * np.einsum("ij,ij->i", vec, du)
