@@ -75,7 +75,8 @@ def compute_pod_basis(snapshots, energy) -> PODBasis:
         Retained fraction of squared singular-value mass.
 
     Each snapshot is normalized to unit 2-norm before the decomposition;
-    identically zero snapshots are dropped with a warning.
+    identically zero snapshots are dropped with a warning, and a snapshot
+    with a non-finite entry raises ``ValueError``.
     """
     energy = _check_energy(energy)
     if isinstance(snapshots, np.ndarray) and snapshots.ndim == 2:
@@ -87,6 +88,10 @@ def compute_pod_basis(snapshots, energy) -> PODBasis:
         mat = np.column_stack(vecs)
     if mat.size == 0 or mat.shape[1] == 0:
         raise ValueError("no snapshots")
+    finite = np.all(np.isfinite(mat), axis=0)
+    if not np.all(finite):
+        raise ValueError("non-finite snapshot column(s) %s"
+                         % np.flatnonzero(~finite).tolist())
 
     norms = np.linalg.norm(mat, axis=0)
     nonzero = norms > 0.0

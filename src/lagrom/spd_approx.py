@@ -199,12 +199,16 @@ class MatrixGappyBasis:
 
 
 def matrix_pod_modes(matrix_snapshots, energy):
-    """Principal matrices of the snapshot family via vectorized POD.
+    """Principal matrices of the symmetric snapshot family via vectorized POD.
 
-    Snapshots are vectorized, run through the standard snapshot-normalized
-    POD, and the retained modes are devectorized.  Modes are symmetric up
-    to round-off because they are linear combinations of symmetric
-    snapshots; they are symmetrized exactly on return.
+    The standard snapshot-normalized POD runs on the snapshots' common
+    support only: the entries nonzero in at least one snapshot, closed
+    under transposition.  An entry that is zero in every snapshot is zero
+    in every left singular vector, so this is the same POD at O(nnz K)
+    cost instead of O(N^2 K).  Modes are symmetric up to round-off because
+    they are linear combinations of symmetric snapshots; each is
+    symmetrized exactly on the support, ``0.5 * (a_ij + a_ji)`` as in
+    ``symmetrize``, and scattered into a dense N x N array.
     """
     from .pod import compute_pod_basis
 
@@ -214,10 +218,24 @@ def matrix_pod_modes(matrix_snapshots, energy):
     big_n = mats[0].shape[0]
     if any(a.shape != (big_n, big_n) for a in mats):
         raise ValueError("matrix snapshots must share one square shape")
-    vectorized = np.column_stack([a.ravel() for a in mats])
+    support = np.zeros((big_n, big_n), dtype=bool)
+    for a in mats:
+        support |= a != 0.0
+    support |= support.T
+    flat = np.flatnonzero(support)
+    # Position in ``flat`` of each entry's transpose.
+    transpose = np.searchsorted(flat, (flat % big_n) * big_n + flat // big_n)
+    vectorized = np.column_stack([a.ravel()[flat] for a in mats])
+    # Off the support every snapshot is zero, and so symmetric.
+    asymmetry = np.max(np.abs(vectorized - vectorized[transpose]), axis=0, initial=0.0)
+    asymmetric = asymmetry > 1e-12 * np.max(np.abs(vectorized), axis=0, initial=0.0)
+    if np.any(asymmetric):
+        raise ValueError("matrix snapshot(s) %s not symmetric"
+                         % np.flatnonzero(asymmetric).tolist())
     basis = compute_pod_basis(vectorized, energy)
-    return [symmetrize(basis.columns[:, i].reshape(big_n, big_n))
-            for i in range(basis.n)]
+    modes = np.zeros((basis.n, big_n * big_n))
+    modes[:, flat] = 0.5 * (basis.columns + basis.columns[transpose]).T
+    return list(modes.reshape(basis.n, big_n, big_n))
 
 
 def build_matrix_gappy_basis(modes, phi, sample_set) -> MatrixGappyBasis:

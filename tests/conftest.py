@@ -1,9 +1,23 @@
 """Shared test helpers: random SPD factories and a linear model double."""
 
+import os
+
 import numpy as np
 import pytest
 
 from lagrom.band import SymmetricBand
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def pytest_report_header(config):
+    """BLAS build and thread settings: some acceptance results (criterion 10)
+    move with round-off, which depends on both."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join("%s=%s" % (name, os.environ.get(name, "unset"))
+                       for name in THREAD_VARIABLES)
+    return ["blas: %s %s" % (blas.get("name"), blas.get("version")),
+            "threads: %s cpus=%s" % (threads, os.cpu_count())]
 
 
 def random_spd(rng, n, shift=None):

@@ -43,6 +43,13 @@ class TestComputePodBasis:
                                       energy=1.0)
         assert basis.n == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_snapshot_errors(self, bad):
+        snaps = np.ones((3, 4))
+        snaps[1, 2] = bad
+        with pytest.raises(ValueError, match=r"non-finite snapshot column\(s\) \[2\]"):
+            compute_pod_basis(snaps, energy=1.0)
+
     def test_all_zero_errors(self):
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError, match="no snapshots"):

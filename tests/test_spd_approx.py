@@ -1,16 +1,36 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lagrom.pod import compute_pod_basis
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
 from lagrom.spd_approx import (_congruence_objective, assembled_eigen_gradients,
                                build_matrix_gappy_basis, eigen_constrained_solve,
                                gappy_matrix_assemble, gappy_matrix_coeffs,
                                generalized_interlacing_check, matrix_pod_basis,
-                               matrix_pod_modes, rbs_apply, rbs_fit)
+                               matrix_pod_modes, rbs_apply, rbs_fit, symmetrize)
+from lagrom.truss import build_truss
 
 from conftest import random_orthonormal, random_spd
+
+
+def banded_snapshot(rng, big_n, half, drop=0.3):
+    """Random symmetric matrix of half-bandwidth ``half`` with structural
+    zeros inside the band."""
+    a = rng.normal(size=(big_n, big_n))
+    i, j = np.indices(a.shape)
+    a[(np.abs(i - j) > half) | (rng.random(a.shape) < drop)] = 0.0
+    return a + a.T
+
+
+def dense_matrix_pod(snapshots, energy):
+    """Reference: POD of the fully vectorized N x N snapshots, symmetrized."""
+    big_n = snapshots[0].shape[0]
+    basis = compute_pod_basis(np.column_stack([a.ravel() for a in snapshots]), energy)
+    modes = [symmetrize(c.reshape(big_n, big_n)) for c in basis.columns.T]
+    return modes, basis.singular_values
 
 
 def affine_family(rng, big_n):
@@ -161,6 +181,57 @@ class TestMatrixPodBasis:
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no matrix snapshots"):
             matrix_pod_modes([], energy=1.0)
+
+    @staticmethod
+    def assert_matches_dense_pod(snaps, energy):
+        ref_modes, ref_sv = dense_matrix_pod(snaps, energy)
+        modes = matrix_pod_modes(snaps, energy)
+        assert len(modes) == len(ref_modes)
+        # The modes span the leading left singular subspace: projecting the
+        # normalized snapshots onto them keeps the leading singular values.
+        vec = np.column_stack([a.ravel() / np.linalg.norm(a) for a in snaps])
+        got = np.column_stack([m.ravel() for m in modes])
+        sv = np.linalg.svd(got.T @ vec, compute_uv=False)
+        assert np.allclose(sv, ref_sv[:len(modes)], rtol=1e-12, atol=0.0)
+        support = np.logical_or.reduce([a != 0.0 for a in snaps])
+        for mode, ref in zip(modes, ref_modes):
+            assert np.abs(np.outer(mode, mode) - np.outer(ref, ref)).max() <= 1e-10
+            assert np.array_equal(mode, mode.T)
+            assert not np.any(mode[~support])
+
+    @pytest.mark.parametrize("energy", [1.0, 1.0 - 1e-8])
+    @pytest.mark.parametrize("count", range(1, 7))
+    def test_support_pod_matches_dense_pod(self, rng, count, energy):
+        snaps = [banded_snapshot(rng, 12, 1 + i % 3) for i in range(count)]
+        self.assert_matches_dense_pod(snaps, energy)
+
+    def test_rank_deficient_pair_matches_dense_pod(self, rng):
+        a = banded_snapshot(rng, 12, 2)
+        self.assert_matches_dense_pod([a, -3.0 * a], 1.0)
+
+    def test_peak_memory_scales_with_support(self, rng):
+        masses = [build_truss(40, rng.uniform(-1, 1, size=16)).mass_dense()
+                  for _ in range(3)]
+        big_n = masses[0].shape[0]
+        tracemalloc.start()
+        try:
+            matrix_pod_modes(masses, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(masses) * big_n**2 * 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_snapshot_errors(self, rng, bad):
+        b = random_spd(rng, 5)
+        b[1, 3] = bad
+        with pytest.raises(ValueError, match=r"non-finite snapshot column\(s\) \[1\]"):
+            matrix_pod_modes([np.eye(5), b], energy=1.0)
+
+    def test_asymmetric_snapshot_errors(self, rng):
+        b = random_spd(rng, 5)
+        with pytest.raises(ValueError, match=r"matrix snapshot\(s\) \[1\] not symmetric"):
+            matrix_pod_modes([np.eye(5), np.triu(b)], energy=1.0)
 
     def test_reduced_basis_symmetric(self, rng):
         big_n, n, m = 8, 3, 4
