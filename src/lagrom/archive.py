@@ -33,32 +33,38 @@ def save_archive(path, arrays: dict) -> None:
 
 
 def load_archive(path) -> dict:
-    """Read an archive back into a name -> ndarray mapping."""
+    """Read an archive back into a name -> ndarray mapping; a file cut short
+    or with bytes after its last entry raises ``ValueError``."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        def read(size):
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError("truncated archive at byte %d" % fh.tell())
+            return data
+
+        if read(4) != MAGIC:
             raise ValueError("not a matrix archive: bad magic")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read(8))
         if version != VERSION:
             raise ValueError("unsupported archive version %d" % version)
         arrays = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack("<%dQ" % ndim, fh.read(8 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if ndim else 1
-            payload = fh.read(8 * size)
-            if len(payload) != 8 * size:
-                raise ValueError("truncated archive entry %r" % name)
+            (name_len,) = struct.unpack("<H", read(2))
+            name = read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack("<%dQ" % ndim, read(8 * ndim))
+            payload = read(8 * int(np.prod(shape)))
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError("bytes after the last archive entry")
     return arrays
 
 
 def flatten(products, skip=()) -> dict:
     """Leaves (arrays, ``bool``/``int``/``float``) of a dataclass product
     below its fields, string-keyed dicts and lists, named by path
-    (``term_bases/force``, ``matrix_modes/0``); top-level ``skip`` fields
-    are left out."""
+    (``term_bases/force``, list items by index); top-level ``skip``
+    fields are left out."""
     arrays = {}
 
     def walk(path, value):

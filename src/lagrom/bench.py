@@ -28,8 +28,7 @@ from .pod import compute_pod_basis
 from .roms import (build_collocation, build_galerkin, build_gappy_rom,
                    build_structure_preserving, full_order_system,
                    integrate_full_model, integrate_rom, VARIANTS)
-from .sampling import (SampleIndexSet, SampleSetDiagnostics,
-                       greedy_sample_indices, validate_sample_set)
+from .sampling import SampleIndexSet, greedy_sample_indices, validate_sample_set
 from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
                          matrix_pod_modes, rbs_fit)
 from .truss import (PARAMETER_COUNT, ForcingConfig, build_truss,
@@ -159,7 +158,7 @@ class OfflineProducts:
     phi: np.ndarray                        # (N, n)
     phi_singular_values: np.ndarray
     term_bases: dict[str, np.ndarray]      # name -> (N, n_f)
-    matrix_modes: list[np.ndarray]         # full principal mass matrices
+    matrix_modes: np.ndarray               # (k, n_train) over mass_snapshots
     mass_snapshots: list[np.ndarray]       # training mass matrices
 
     @property
@@ -297,7 +296,6 @@ class ReducedProducts:
     rbs_map: RBSMap
     gappy_basis: MatrixGappyBasis
     reconstructors: dict[str, ForceReconstructor]
-    diagnostics: SampleSetDiagnostics | None    # not archived
 
 
 def sample_count(config: ExperimentConfig, percentage: float, n: int,
@@ -348,21 +346,19 @@ def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProdu
     sample_set = greedy_sample_indices(basis_for_sampling, m)
 
     rbs_map = rbs_fit(offline.mass_snapshots, phi, sample_set)
-    gappy_basis = build_matrix_gappy_basis(offline.matrix_modes, phi, sample_set)
-    diagnostics = validate_sample_set(
-        sample_set, k_matrix,
-        vectorized_operator=gappy_basis.vectorized_sampled_operator)
-    if not diagnostics.passed:
+    gappy_basis = build_matrix_gappy_basis(offline.matrix_modes,
+                                           offline.mass_snapshots, phi, sample_set)
+    problems = validate_sample_set(sample_set, gappy_basis.vectorized_sampled_operator)
+    if problems:
         logger.warning("sample-set diagnostics at %.3g%%: %s",
-                       percentage, "; ".join(diagnostics.messages))
+                       percentage, "; ".join(problems))
 
     reconstructors = {name: _fit_reconstructor(phi, term_basis, sample_set, name)
                       for name, term_basis in offline.term_bases.items()}
 
     return ReducedProducts(percentage=percentage, sample_set=sample_set,
                            rbs_map=rbs_map, gappy_basis=gappy_basis,
-                           reconstructors=reconstructors,
-                           diagnostics=diagnostics)
+                           reconstructors=reconstructors)
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +677,9 @@ def load_offline(path) -> OfflineProducts:
 
 
 def save_reduced(path, reduced: ReducedProducts) -> None:
-    """Persist per-percentage products (full matrices already discarded);
-    the sample-set diagnostics are not stored."""
-    save_archive(path, flatten(reduced, skip=("diagnostics",)))
+    """Persist per-percentage products (full matrices already discarded)."""
+    save_archive(path, flatten(reduced))
 
 
 def load_reduced(path) -> ReducedProducts:
-    return unflatten(ReducedProducts, load_archive(path), diagnostics=None)
+    return unflatten(ReducedProducts, load_archive(path))

@@ -70,7 +70,7 @@ def compute_pod_basis(snapshots, energy) -> PODBasis:
 
     Parameters
     ----------
-    snapshots : sequence of (N,) arrays, or (N, k) array with snapshot columns
+    snapshots : sequence of (N,) arrays, one (N,) array, or (N, k) columns
     energy : float in [0, 1]
         Retained fraction of squared singular-value mass.
 
@@ -79,8 +79,10 @@ def compute_pod_basis(snapshots, energy) -> PODBasis:
     with a non-finite entry raises ``ValueError``.
     """
     energy = _check_energy(energy)
-    if isinstance(snapshots, np.ndarray) and snapshots.ndim == 2:
+    if isinstance(snapshots, np.ndarray) and snapshots.ndim in (1, 2):
         mat = np.array(snapshots, dtype=float)
+        if mat.ndim == 1:
+            mat = mat[:, None]
     else:
         vecs = [np.asarray(v, dtype=float).ravel() for v in snapshots]
         if not vecs:

@@ -6,7 +6,8 @@ by the sparse potential map.
 """
 
 import logging
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +62,8 @@ def greedy_sample_indices(residual_basis, m) -> SampleIndexSet:
     big_n, k = basis.shape
     if k < 1:
         raise ValueError("residual basis needs at least one column")
-    m = int(m)
+    if not isinstance(m, numbers.Integral):
+        raise ValueError("sample count m must be an integer, got %r" % (m,))
     if not 1 <= m <= big_n:
         raise ValueError("need 1 <= m <= N, got m=%d, N=%d" % (m, big_n))
 
@@ -114,50 +116,17 @@ def _argmax_abs(values, taken):
     return int(np.argmax(mags))
 
 
-@dataclass(frozen=True)
-class SampleSetDiagnostics:
-    """Outcome of :func:`validate_sample_set` (purely informational)."""
-
-    m: int
-    ambient_dim: int
-    size_rule_ok: bool
-    vectorized_operator_full_rank: bool | None
-    messages: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.size_rule_ok and self.vectorized_operator_full_rank is not False
-
-
-def validate_sample_set(sample_set, min_m_for_matrix_gappy,
-                        vectorized_operator=None) -> SampleSetDiagnostics:
-    """Check a sample set against the requirements of the matrix approximations.
-
-    Reports whether (m^2 + m)/2 covers the matrix-basis size and (when given
-    the upper-triangle vectorized sampled operator of the matrix basis, see
-    :class:`~lagrom.spd_approx.MatrixGappyBasis`) whether that operator has
-    full column rank.
-    """
+def validate_sample_set(sample_set, vectorized_operator) -> list[str]:
+    """Problems of a sample set for matrix gappy POD as messages, none if it
+    passes: (m^2 + m)/2 must cover the k basis matrices, and the
+    upper-triangle vectorized sampled operator ((m^2 + m)/2, k; see
+    :class:`~lagrom.spd_approx.MatrixGappyBasis`) must have full column rank."""
     m = sample_set.m
-    k = int(min_m_for_matrix_gappy)
+    k = vectorized_operator.shape[1]
     messages = []
-
-    size_ok = (m * m + m) // 2 >= k
-    if not size_ok:
+    if (m * m + m) // 2 < k:
         messages.append("(m^2+m)/2 = %d < %d basis matrices" % ((m * m + m) // 2, k))
-
-    vec_ok = None
-    if vectorized_operator is not None:
-        rank = np.linalg.matrix_rank(vectorized_operator)
-        k_ops = vectorized_operator.shape[1]
-        vec_ok = bool(rank == k_ops)
-        if not vec_ok:
-            messages.append("vectorized sampled operator rank %d < %d" % (rank, k_ops))
-
-    return SampleSetDiagnostics(
-        m=m,
-        ambient_dim=sample_set.ambient_dim,
-        size_rule_ok=bool(size_ok),
-        vectorized_operator_full_rank=vec_ok,
-        messages=messages,
-    )
+    rank = np.linalg.matrix_rank(vectorized_operator)
+    if rank < k:
+        messages.append("vectorized sampled operator rank %d < %d" % (rank, k))
+    return messages

@@ -199,16 +199,15 @@ class MatrixGappyBasis:
 
 
 def matrix_pod_modes(matrix_snapshots, energy):
-    """Principal matrices of the symmetric snapshot family via vectorized POD.
+    """Principal matrices of the symmetric snapshot family via vectorized
+    POD, as (k, K) coefficients C over the K snapshots: mode i is
+    ``sum_j C[i, j] * A_j`` (minimum-norm C for dependent snapshots).
 
     The standard snapshot-normalized POD runs on the snapshots' common
     support only: the entries nonzero in at least one snapshot, closed
     under transposition.  An entry that is zero in every snapshot is zero
     in every left singular vector, so this is the same POD at O(nnz K)
-    cost instead of O(N^2 K).  Modes are symmetric up to round-off because
-    they are linear combinations of symmetric snapshots; each is
-    symmetrized exactly on the support, ``0.5 * (a_ij + a_ji)`` as in
-    ``symmetrize``, and scattered into a dense N x N array.
+    cost instead of O(N^2 K).
     """
     from .pod import compute_pod_basis
 
@@ -233,22 +232,27 @@ def matrix_pod_modes(matrix_snapshots, energy):
         raise ValueError("matrix snapshot(s) %s not symmetric"
                          % np.flatnonzero(asymmetric).tolist())
     basis = compute_pod_basis(vectorized, energy)
-    modes = np.zeros((basis.n, big_n * big_n))
-    modes[:, flat] = 0.5 * (basis.columns + basis.columns[transpose]).T
-    return list(modes.reshape(basis.n, big_n, big_n))
+    return np.linalg.lstsq(vectorized, basis.columns, rcond=None)[0].T
 
 
-def build_matrix_gappy_basis(modes, phi, sample_set) -> MatrixGappyBasis:
-    """Sample and reduce full-size principal matrices, then discard them."""
-    sampled, reduced = _sampled_and_reduced(modes, phi, sample_set)
-    return MatrixGappyBasis(sampled_basis=sampled,
+def build_matrix_gappy_basis(coefficients, matrix_snapshots, phi,
+                             sample_set) -> MatrixGappyBasis:
+    """Sampled and reduced blocks of the principal matrices
+    ``sum_j C[i, j] * A_j``, from (k, K) coefficients C and K snapshots."""
+    c = np.asarray(coefficients, dtype=float)
+    if c.ndim != 2 or c.shape[1] != len(matrix_snapshots):
+        raise ValueError("need (k, %d) coefficients, got shape %s"
+                         % (len(matrix_snapshots), c.shape))
+    sampled, reduced = _sampled_and_reduced(matrix_snapshots, phi, sample_set)
+    reduced = np.tensordot(c, reduced, axes=1)
+    return MatrixGappyBasis(sampled_basis=np.tensordot(c, sampled, axes=1),
                             reduced_basis=0.5 * (reduced + reduced.transpose(0, 2, 1)))
 
 
 def matrix_pod_basis(matrix_snapshots, energy, phi, sample_set) -> MatrixGappyBasis:
     """Principal-matrix basis of SPD snapshots in sampled/reduced form."""
-    modes = matrix_pod_modes(matrix_snapshots, energy)
-    return build_matrix_gappy_basis(modes, phi, sample_set)
+    return build_matrix_gappy_basis(matrix_pod_modes(matrix_snapshots, energy),
+                                    matrix_snapshots, phi, sample_set)
 
 
 def _assemble(basis: MatrixGappyBasis, x):

@@ -5,7 +5,8 @@ Green--Lagrange strain and a quadratic (St. Venant--Kirchhoff) bar energy,
 consistent mass, Rayleigh damping, and parameterized geometry, initial
 condition, and forcing.  Sixteen parameters in the unit box control the
 model; the force amplitude/frequency entries additionally admit the value
--2, which switches the corresponding load component off.
+-2, which switches the corresponding load component off; the section
+width and height mu[2], mu[3] lie in (-1, 1] (-1 is a zero section).
 
 Bay topology: each bay carries 4 longitudinal chords, 4 perimeter bars in
 its end cross-section, and 8 side-face diagonals (16 bars, 12 free degrees
@@ -77,6 +78,10 @@ def validate_parameters(mu) -> np.ndarray:
         raise ValueError("parameters must be finite")
     if np.any(mu[:8] < -1.0) or np.any(mu > 1.0):
         raise ValueError("geometry/initial-condition parameters must lie in [-1, 1]")
+    for index, dimension in ((2, "width"), (3, "height")):
+        if mu[index] == -1.0:
+            raise ValueError("section %s parameter mu[%d] must lie in (-1, 1]"
+                             % (dimension, index))
     if np.any(mu[8:] < -2.0):
         raise ValueError("force parameters must lie in [-2, 1]")
     return mu

@@ -58,8 +58,8 @@ def test_criterion_01_structure_preservation():
         rbs = rbs_fit([mass], phi, sample_set)
         sp1 = model.mass_entries(sample_set.indices, sample_set.indices)
         mass_rbs = rbs.factor.T @ sp1 @ rbs.factor
-        basis = build_matrix_gappy_basis(matrix_pod_modes([mass], 1.0), phi,
-                                         sample_set)
+        basis = build_matrix_gappy_basis(matrix_pod_modes([mass], 1.0), [mass],
+                                         phi, sample_set)
         coeffs = gappy_matrix_coeffs(sp1, basis)
         mass_gap = gappy_matrix_assemble(coeffs, basis)
 
@@ -183,7 +183,7 @@ def test_criterion_05_derivative_consistency():
         local = np.random.default_rng(seed)
         modes = [0.5 * (a + a.T) for a in local.normal(size=(3, 4, 4))]
         phi = random_orthonormal(local, 4, 4)
-        basis = build_matrix_gappy_basis(modes, phi,
+        basis = build_matrix_gappy_basis(np.eye(3), modes, phi,
                                          SampleIndexSet(np.arange(4), 4))
         x = local.normal(size=3)
         _, grads = assembled_eigen_gradients(basis, x)

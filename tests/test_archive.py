@@ -50,6 +50,19 @@ def test_truncated_payload_rejected(tmp_path, rng):
         load_archive(path)
 
 
+def test_every_truncation_and_trailing_bytes_rejected(tmp_path, rng):
+    path = tmp_path / "cut.lgrm"
+    save_archive(path, {"matrix": rng.normal(size=(2, 3)), "scalar": np.array(1.5)})
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated archive"):
+            load_archive(path)
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(ValueError, match="after the last archive entry"):
+        load_archive(path)
+
+
 def test_empty_archive(tmp_path):
     path = tmp_path / "empty.lgrm"
     save_archive(path, {})

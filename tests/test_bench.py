@@ -20,6 +20,7 @@ from lagrom.bench import (ExperimentConfig, build_variant, error_metric,
                           online_points, reduce_products, run_comparison,
                           run_offline, run_online, save_offline, save_reduced,
                           training_points, verify_timestep)
+from lagrom.archive import load_archive, save_archive
 from lagrom.cli import main as cli_main
 from lagrom.midpoint import State
 from lagrom.roms import VARIANTS, integrate_full_model
@@ -28,11 +29,11 @@ from lagrom.truss import TrussModel, build_truss
 
 def assert_same_products(loaded, original, path="products"):
     """Every dataclass field, dict key and list item equal: arrays by value,
-    scalars by value and type; the config and diagnostics are not archived."""
+    scalars by value and type; the config is not archived."""
     if dataclasses.is_dataclass(original):
         assert type(loaded) is type(original), path
         for f in dataclasses.fields(original):
-            if f.name not in ("config", "diagnostics"):
+            if f.name != "config":
                 assert_same_products(getattr(loaded, f.name),
                                      getattr(original, f.name),
                                      "%s.%s" % (path, f.name))
@@ -145,6 +146,7 @@ class TestOfflineProducts:
     def test_matrix_snapshots_collected(self, tiny_offline, tiny_config):
         assert len(tiny_offline.mass_snapshots) == tiny_config.n_train
         assert 1 <= len(tiny_offline.matrix_modes) <= tiny_config.n_train
+        assert tiny_offline.matrix_modes.shape[1] == tiny_config.n_train
 
     def test_conservative_force_terms_empty(self):
         cfg = ExperimentConfig(bays=2, dt=0.05, final_time=2.0,
@@ -181,9 +183,20 @@ class TestOfflineProducts:
         red = reduce_products(tiny_offline, 50.0)
         path = tmp_path / "reduced.lgrm"
         save_reduced(path, red)
-        loaded = load_reduced(path)
-        assert loaded.diagnostics is None
-        assert_same_products(loaded, red)
+        assert_same_products(load_reduced(path), red)
+
+    def test_old_layout_training_archive_rejected(self, tiny_offline, tmp_path):
+        """An archive that stores the modes as N x N matrices
+        (``matrix_modes/0``, ...) names the entry it lacks."""
+        path = tmp_path / "training.lgrm"
+        save_offline(path, tiny_offline)
+        arrays = load_archive(path)
+        del arrays["matrix_modes"]
+        for i, mode in enumerate(tiny_offline.mass_snapshots[:2]):
+            arrays["matrix_modes/%d" % i] = mode
+        save_archive(path, arrays)
+        with pytest.raises(ValueError, match="archive has no entry 'matrix_modes'"):
+            load_offline(path)
 
     def test_mass_term_basis_holds_mass_times_acceleration(self):
         """The mass snapshots are M a with a from the equation of motion:

@@ -16,6 +16,12 @@ class TestComputePodBasis:
         assert basis.n == 1
         assert np.allclose(np.abs(basis.columns.ravel()), [0.6, 0.8])
 
+    def test_one_dimensional_array_is_one_snapshot(self):
+        basis = compute_pod_basis(np.array([1.0, 2.0, 3.0]), energy=1.0)
+        assert basis.columns.shape == (3, 1)
+        assert np.allclose(np.abs(basis.columns.ravel()),
+                           np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))
+
     def test_rank_one_snapshots(self):
         basis = compute_pod_basis([np.array([1.0, 0.0])] * 2, energy=0.99)
         assert basis.n == 1

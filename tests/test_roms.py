@@ -11,7 +11,7 @@ from lagrom.roms import (build_collocation, build_galerkin, build_gappy_rom,
                          integrate_full_model, integrate_rom,
                          reduced_total_energy, total_energy)
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
-from lagrom.spd_approx import build_matrix_gappy_basis, rbs_fit
+from lagrom.spd_approx import matrix_pod_basis, rbs_fit
 from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
 from conftest import QuadraticModel, random_orthonormal, random_spd
@@ -43,9 +43,7 @@ def sp_products(truss, phi, m, method="rbs"):
     if method == "rbs":
         product = rbs_fit([truss.mass_dense()], phi, sample_set)
     else:
-        from lagrom.spd_approx import matrix_pod_modes
-        modes = matrix_pod_modes([truss.mass_dense()], 1.0)
-        product = build_matrix_gappy_basis(modes, phi, sample_set)
+        product = matrix_pod_basis([truss.mass_dense()], 1.0, phi, sample_set)
     return sample_set, product
 
 

@@ -80,6 +80,11 @@ class TestGreedySampleIndices:
         with pytest.raises(ValueError):
             greedy_sample_indices(np.eye(3), 4)
 
+    @pytest.mark.parametrize("m", [2.7, 2.0, np.nan])
+    def test_non_integral_m_errors(self, m):
+        with pytest.raises(ValueError, match="sample count m must be an integer"):
+            greedy_sample_indices(np.eye(3), m)
+
     def test_zero_column_fallback(self):
         basis = np.zeros((4, 2))
         basis[:, 1] = [0.0, 3.0, 2.0, 1.0]
@@ -147,21 +152,19 @@ class TestValidateSampleSet:
     def test_size_rule_pass(self, rng):
         phi = random_orthonormal(rng, 12, 3)
         s = greedy_sample_indices(phi, 3)
-        diag = validate_sample_set(s, 6)
-        assert diag.size_rule_ok  # (9 + 3) / 2 == 6
+        op = rng.normal(size=(6, 6))   # (9 + 3) / 2 == 6 entries, 6 matrices
+        assert validate_sample_set(s, op) == []
 
     def test_size_rule_fail(self, rng):
-        phi = random_orthonormal(rng, 12, 1)
         s = SampleIndexSet(np.array([0]), 12)
-        diag = validate_sample_set(s, 2)
-        assert not diag.size_rule_ok  # (1 + 1) / 2 < 2
-        assert not diag.passed
+        problems = validate_sample_set(s, np.ones((1, 2)))   # (1 + 1) / 2 < 2
+        assert problems == ["(m^2+m)/2 = 1 < 2 basis matrices",
+                            "vectorized sampled operator rank 1 < 2"]
 
     def test_full_sampling_passes(self, rng):
         phi = random_orthonormal(rng, 10, 3)
         s = greedy_sample_indices(phi, 10)
         modes = [random_spd(rng, 10) for _ in range(3)]
-        op = build_matrix_gappy_basis(modes, phi, s).vectorized_sampled_operator
-        diag = validate_sample_set(s, 3, vectorized_operator=op)
-        assert diag.passed
-        assert diag.vectorized_operator_full_rank
+        op = build_matrix_gappy_basis(np.eye(3), modes, phi,
+                                      s).vectorized_sampled_operator
+        assert validate_sample_set(s, op) == []

@@ -25,6 +25,11 @@ def banded_snapshot(rng, big_n, half, drop=0.3):
     return a + a.T
 
 
+def materialize(coefficients, snapshots):
+    """Modes ``sum_j C[i, j] * A_j`` as dense (k, N, N) matrices."""
+    return np.tensordot(coefficients, np.array(snapshots), axes=1)
+
+
 def dense_matrix_pod(snapshots, energy):
     """Reference: POD of the fully vectorized N x N snapshots, symmetrized."""
     big_n = snapshots[0].shape[0]
@@ -157,18 +162,18 @@ class TestRbsApply:
 class TestMatrixPodBasis:
     def test_single_snapshot_normalized_mode(self, rng):
         a = random_spd(rng, 4)
-        modes = matrix_pod_modes([a], energy=1.0)
+        modes = materialize(matrix_pod_modes([a], energy=1.0), [a])
         assert len(modes) == 1
         assert np.allclose(np.abs(modes[0]), np.abs(a) / np.linalg.norm(a))
 
     def test_scaled_pair_is_rank_one(self, rng):
         a = random_spd(rng, 4)
-        modes = matrix_pod_modes([a, 2.0 * a], energy=1.0)
-        assert len(modes) == 1
+        coefficients = matrix_pod_modes([a, 2.0 * a], energy=1.0)
+        assert coefficients.shape == (1, 2)
 
     def test_two_diagonal_snapshots_vs_svd_oracle(self):
         snaps = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        modes = matrix_pod_modes(snaps, energy=1.0)
+        modes = materialize(matrix_pod_modes(snaps, energy=1.0), snaps)
         assert len(modes) == 2
         for mode in modes:
             assert np.abs(mode - mode.T).max() <= 1e-12
@@ -185,8 +190,9 @@ class TestMatrixPodBasis:
     @staticmethod
     def assert_matches_dense_pod(snaps, energy):
         ref_modes, ref_sv = dense_matrix_pod(snaps, energy)
-        modes = matrix_pod_modes(snaps, energy)
-        assert len(modes) == len(ref_modes)
+        coefficients = matrix_pod_modes(snaps, energy)
+        assert coefficients.shape == (len(ref_modes), len(snaps))
+        modes = materialize(coefficients, snaps)
         # The modes span the leading left singular subspace: projecting the
         # normalized snapshots onto them keeps the leading singular values.
         vec = np.column_stack([a.ravel() / np.linalg.norm(a) for a in snaps])
@@ -196,7 +202,7 @@ class TestMatrixPodBasis:
         support = np.logical_or.reduce([a != 0.0 for a in snaps])
         for mode, ref in zip(modes, ref_modes):
             assert np.abs(np.outer(mode, mode) - np.outer(ref, ref)).max() <= 1e-10
-            assert np.array_equal(mode, mode.T)
+            assert np.abs(mode - mode.T).max() <= 1e-12 * np.abs(mode).max()
             assert not np.any(mode[~support])
 
     @pytest.mark.parametrize("energy", [1.0, 1.0 - 1e-8])
@@ -219,7 +225,7 @@ class TestMatrixPodBasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * len(masses) * big_n**2 * 8
+        assert peak <= 0.25 * len(masses) * big_n**2 * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_snapshot_errors(self, rng, bad):
@@ -244,6 +250,29 @@ class TestMatrixPodBasis:
                           - basis.reduced_basis[k].T).max() <= 1e-12
         assert basis.vectorized_sampled_operator.shape == ((m * m + m) // 2,
                                                            basis.k)
+
+    def test_basis_from_coefficients_matches_materialized_modes(self, rng):
+        """Contracting the coefficients with the snapshots' blocks gives the
+        blocks of the dense modes."""
+        masses = [build_truss(4, rng.uniform(-1, 1, size=16)).mass_dense()
+                  for _ in range(4)]
+        big_n = masses[0].shape[0]
+        phi = random_orthonormal(rng, big_n, 5)
+        s = greedy_sample_indices(phi, 9)
+        coefficients = matrix_pod_modes(masses, 1.0)
+        modes = materialize(coefficients, masses)
+        got = build_matrix_gappy_basis(coefficients, masses, phi, s)
+        want = build_matrix_gappy_basis(np.eye(len(modes)), list(modes), phi, s)
+        for field in ("sampled_basis", "reduced_basis"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), field
+
+    def test_coefficients_of_wrong_shape_rejected(self, rng):
+        snaps = [random_spd(rng, 4) for _ in range(2)]
+        s = SampleIndexSet(np.arange(2), 4)
+        for bad in (np.ones((1, 3)), np.ones(2), np.ones((1, 1, 2))):
+            with pytest.raises(ValueError, match="coefficients"):
+                build_matrix_gappy_basis(bad, snaps, np.eye(4)[:, :2], s)
 
 
 class TestGappyCoeffs:
@@ -273,14 +302,15 @@ class TestGappyCoeffs:
 
     def test_hand_least_squares(self):
         s = SampleIndexSet(np.arange(2), 2)
-        basis = build_matrix_gappy_basis([np.eye(2)], np.eye(2), s)
+        basis = build_matrix_gappy_basis(np.eye(1), [np.eye(2)], np.eye(2), s)
         coeffs = gappy_matrix_coeffs(np.diag([2.0, 4.0]), basis)
         assert np.allclose(coeffs, [3.0])
 
     def test_rank_deficient_operator_rejected(self, rng):
         s = SampleIndexSet(np.array([0]), 3)
         modes = [np.diag([0.0, 1.0, 1.0]), np.diag([0.0, 2.0, 1.0])]
-        basis = build_matrix_gappy_basis(modes, random_orthonormal(rng, 3, 1), s)
+        basis = build_matrix_gappy_basis(np.eye(2), modes,
+                                         random_orthonormal(rng, 3, 1), s)
         with pytest.raises(ValueError, match="invalid sampling"):
             gappy_matrix_coeffs(np.eye(1), basis)
 
@@ -304,7 +334,7 @@ class TestGappyAssemble:
     def test_identity_combinations(self):
         s = SampleIndexSet(np.arange(2), 2)
         basis = build_matrix_gappy_basis(
-            [np.diag([1.0, 0.0]) + 1e-3 * np.eye(2),
+            np.eye(2), [np.diag([1.0, 0.0]) + 1e-3 * np.eye(2),
              np.diag([0.0, 1.0]) + 1e-3 * np.eye(2)], np.eye(2), s)
         out = gappy_matrix_assemble(np.array([1.0, 1.0]), basis)
         assert np.allclose(out, np.eye(2) + 2e-3 * np.eye(2))
@@ -313,14 +343,14 @@ class TestGappyAssemble:
         s = SampleIndexSet(np.arange(3), 3)
         modes = [0.5 * (m + m.T) for m in rng.normal(size=(2, 3, 3))]
         modes = [m + 3 * np.eye(3) for m in modes]
-        basis = build_matrix_gappy_basis(modes, np.eye(3), s)
+        basis = build_matrix_gappy_basis(np.eye(2), modes, np.eye(3), s)
         x = rng.normal(size=2) ** 2 + 0.1
         expected = x[0] * modes[0] + x[1] * modes[1]
         assert np.allclose(gappy_matrix_assemble(x, basis), expected)
 
     def test_indefinite_assembly_rejected(self):
         s = SampleIndexSet(np.arange(2), 2)
-        basis = build_matrix_gappy_basis([np.eye(2)], np.eye(2), s)
+        basis = build_matrix_gappy_basis(np.eye(1), [np.eye(2)], np.eye(2), s)
         with pytest.raises(ValueError, match="positive definite"):
             gappy_matrix_assemble(np.array([-1.0]), basis)
 
@@ -328,7 +358,7 @@ class TestGappyAssemble:
 class TestEigenConstrainedSolve:
     def test_feasible_returned_unchanged(self, rng):
         s = SampleIndexSet(np.arange(3), 3)
-        basis = build_matrix_gappy_basis([np.eye(3)], np.eye(3), s)
+        basis = build_matrix_gappy_basis(np.eye(1), [np.eye(3)], np.eye(3), s)
         x0 = np.array([2.0])
         assert np.array_equal(
             eigen_constrained_solve(basis, 2 * np.eye(3), x0, pd_threshold=1e-8),
@@ -337,7 +367,7 @@ class TestEigenConstrainedSolve:
     def test_one_dimensional_clip(self, rng):
         a1 = random_spd(rng, 3)
         s = SampleIndexSet(np.arange(3), 3)
-        basis = build_matrix_gappy_basis([a1], np.eye(3), s)
+        basis = build_matrix_gappy_basis(np.eye(1), [a1], np.eye(3), s)
         lam_min = np.linalg.eigvalsh(a1)[0]
         x = eigen_constrained_solve(basis, -a1, np.array([-1.0]),
                                     pd_threshold=0.5)
@@ -348,7 +378,7 @@ class TestEigenConstrainedSolve:
         modes = [0.5 * (m + m.T) for m in rng.normal(size=(k, big_n, big_n))]
         phi = random_orthonormal(rng, big_n, n)
         s = SampleIndexSet(np.arange(big_n), big_n)
-        basis = build_matrix_gappy_basis(modes, phi, s)
+        basis = build_matrix_gappy_basis(np.eye(len(modes)), modes, phi, s)
         for trial in range(10):
             x = np.random.default_rng(trial).normal(size=k)
             lam, grads = assembled_eigen_gradients(basis, x)
@@ -373,7 +403,7 @@ class TestEigenConstrainedSolve:
         modes = [base / np.linalg.norm(base), random_spd(rng, big_n)]
         modes[1] /= np.linalg.norm(modes[1])
         s = SampleIndexSet(np.arange(4), big_n)
-        basis = build_matrix_gappy_basis(modes, phi, s)
+        basis = build_matrix_gappy_basis(np.eye(len(modes)), modes, phi, s)
         target = -3.0 * base[np.ix_(s.indices, s.indices)]
         x = eigen_constrained_solve(
             basis, target,
@@ -385,7 +415,8 @@ class TestEigenConstrainedSolve:
 
     def test_infeasible_raises(self):
         s = SampleIndexSet(np.arange(2), 2)
-        basis = build_matrix_gappy_basis([np.diag([1.0, -1.0])], np.eye(2), s)
+        basis = build_matrix_gappy_basis(np.eye(1), [np.diag([1.0, -1.0])],
+                                         np.eye(2), s)
         with pytest.raises(ValueError, match="cannot preserve definiteness"):
             eigen_constrained_solve(basis, np.eye(2), np.array([0.0]),
                                     pd_threshold=1e-6)

@@ -63,6 +63,15 @@ class TestGeometry:
         force_off[8:] = -2.0  # documented force-off sentinel
         validate_parameters(force_off)
 
+    @pytest.mark.parametrize("index, dimension", [(2, "width"), (3, "height")])
+    def test_zero_section_dimension_rejected(self, index, dimension):
+        """mu = -1 gives a section of zero width or height, so bars of zero
+        length; it is the box edge, but no truss."""
+        mu = np.zeros(16)
+        mu[index] = -1.0
+        with pytest.raises(ValueError, match="section %s" % dimension):
+            build_truss(2, mu)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_rejected(self, value):
         mu = np.zeros(16)
