@@ -36,8 +36,14 @@ from .truss import (PARAMETER_COUNT, ForcingConfig, build_truss,
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_NOMINAL_FORCES = (2.0 * 9.81, 2.0 * 9.81, 0.4 * 9.81, 0.4 * 9.81)
+NOMINAL_FORCES = (2.0 * 9.81, 2.0 * 9.81, 0.4 * 9.81, 0.4 * 9.81)
 TERM_NAMES = ("mass", "damping", "potential", "force")
+# POD energy of the term and matrix bases: keep every nonzero mode.
+FULL_ENERGY = 1.0
+# Keys of older configs whose values are now fixed: NOMINAL_FORCES,
+# FULL_ENERGY for both bases and NewtonSettings' own iteration budget.
+FIXED_KEYS = ("nominal_forces", "energy_terms", "energy_matrix",
+              "newton_max_iters")
 # Newton tolerance of verify_timestep, tight enough to keep solver noise
 # below the Richardson differences (the config's is used if tighter).
 VERIFY_REL_TOL = 1e-10
@@ -59,10 +65,7 @@ class ExperimentConfig:
     dt: float
     final_time: float = 25.0
     zeta: float = 0.0
-    nominal_forces: tuple = DEFAULT_NOMINAL_FORCES
     energy_state: float = 1.0 - 1e-5
-    energy_terms: float = 1.0
-    energy_matrix: float = 1.0
     n_train: int = 6
     n_online: int = 3
     sampling_percentages: tuple = (5.0, 20.0, 100.0)
@@ -72,32 +75,34 @@ class ExperimentConfig:
     conservative: bool = False
     fixed_parameters: bool = False
     newton_rel_tol: float = 1e-6
-    newton_max_iters: int = 500
 
     def __post_init__(self):
-        for name in ("dt", "final_time"):
-            if not 0 < getattr(self, name) < math.inf:
+        for name in ("dt", "final_time", "newton_rel_tol"):
+            if not 0 < getattr(self, name) < math.inf:   # false for NaN
                 raise ValueError("%s must be positive and finite" % name)
+        # implicit_midpoint_solve's rule; two steps or more, as training takes half.
+        if (self.n_steps < 2 or abs(self.n_steps * self.dt - self.final_time)
+                > 1e-9 * max(self.final_time, 1.0)):
+            raise ValueError("final_time must be an integral number of at "
+                             "least two steps dt: %r / %r"
+                             % (self.final_time, self.dt))
         if not 0 <= self.zeta < math.inf:
             raise ValueError("zeta must be nonnegative and finite")
+        for name in ("conservative", "fixed_parameters"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError("%s must be true or false: %r"
+                                 % (name, getattr(self, name)))
         if self.conservative and self.zeta != 0.0:
             raise ValueError("a conservative experiment is undamped: zeta must be 0")
-        forces = np.asarray(self.nominal_forces, dtype=float)
-        if forces.shape != (4,) or not np.all(np.isfinite(forces)):
-            raise ValueError("nominal_forces must be 4 finite numbers: %r"
-                             % (self.nominal_forces,))
-        for name in ("bays", "n_train", "n_online"):
+        for name, least in (("bays", 1), ("n_train", 1), ("n_online", 1),
+                            ("seed_train", 0), ("seed_online", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError("%s must be an integer of at least 1: %r"
-                                 % (name, value))
-        try:   # NewtonSettings names the field without the prefix
-            self.newton_settings
-        except ValueError as exc:
-            raise ValueError("newton_%s" % exc) from None
-        for name in ("energy_state", "energy_terms", "energy_matrix"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError("%s must lie in [0, 1]" % name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               and value >= least):
+                raise ValueError("%s must be an integer of at least %d: %r"
+                                 % (name, least, value))
+        if not 0 <= self.energy_state <= 1:
+            raise ValueError("energy_state must lie in [0, 1]")
         for p in self.sampling_percentages:
             _check_percentage(p)
         unknown = set(self.variants) - set(VARIANTS)
@@ -105,21 +110,24 @@ class ExperimentConfig:
             raise ValueError("unknown variants: %s" % sorted(unknown))
 
     @property
+    def n_steps(self) -> int:
+        return int(round(self.final_time / self.dt))
+
+    @property
     def newton_settings(self) -> NewtonSettings:
-        return NewtonSettings(rel_tol=self.newton_rel_tol,
-                              max_iters=self.newton_max_iters)
+        return NewtonSettings(rel_tol=self.newton_rel_tol)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key, value in out.items():
-            if isinstance(value, tuple):
-                out[key] = list(value)
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        for key in sorted(set(data) - {f.name for f in dataclasses.fields(cls)}):
+            raise ValueError(("config key %r is no longer settable: its value "
+                              "is fixed" if key in FIXED_KEYS else
+                              "unknown config key %r") % key)
         kwargs = dict(data)
-        for key in ("nominal_forces", "sampling_percentages", "variants"):
+        for key in ("sampling_percentages", "variants"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
@@ -163,7 +171,7 @@ class OfflineProducts:
 
     @property
     def forcing(self) -> ForcingConfig:
-        return ForcingConfig(nominal_amplitudes=tuple(self.config.nominal_forces),
+        return ForcingConfig(nominal_amplitudes=NOMINAL_FORCES,
                              omega0=self.omega0,
                              final_time=self.config.final_time)
 
@@ -172,14 +180,14 @@ class OfflineProducts:
         return self.phi.shape[1]
 
 
-def _term_basis(snapshots, energy):
+def _term_basis(snapshots):
     """POD basis of a term's snapshots; empty basis if the term vanishes."""
     mat = np.column_stack(snapshots)
     if not np.any(np.linalg.norm(mat, axis=0) > 0.0):
         return np.zeros((mat.shape[0], 0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return compute_pod_basis(mat, energy).columns
+        return compute_pod_basis(mat, FULL_ENERGY).columns
 
 
 def training_points(config: ExperimentConfig) -> np.ndarray:
@@ -194,7 +202,7 @@ def training_points(config: ExperimentConfig) -> np.ndarray:
 
 def online_points(config: ExperimentConfig) -> np.ndarray:
     if config.fixed_parameters:
-        mu = np.zeros((max(1, config.n_online), 16))
+        mu = np.zeros((config.n_online, 16))
     else:
         rng = np.random.default_rng(config.seed_online)
         mu = rng.uniform(-1.0, 1.0, size=(config.n_online, 16))
@@ -214,7 +222,7 @@ def nominal_setup(config: ExperimentConfig):
     if config.conservative:
         mu = _apply_conservative(mu)
     model = build_truss(config.bays, mu)
-    forcing = ForcingConfig(nominal_amplitudes=tuple(config.nominal_forces),
+    forcing = ForcingConfig(nominal_amplitudes=NOMINAL_FORCES,
                             omega0=fundamental_frequency(model),
                             final_time=config.final_time)
     alpha, beta = 0.0, 0.0
@@ -227,14 +235,14 @@ def nominal_setup(config: ExperimentConfig):
 def run_offline(config: ExperimentConfig) -> OfflineProducts:
     """Full-order training runs, snapshot collection, bases, matrix snapshots.
 
-    Snapshots are collected over the first half of the time window only,
+    Snapshots are collected over the first ``n_steps // 2`` steps only,
     so the second half of every comparison is predictive.  An unstable
     training run aborts the offline stage.
     """
     _, forcing, alpha, beta = nominal_setup(config)
 
     mu_train = training_points(config)
-    half = config.final_time / 2.0
+    half = (config.n_steps // 2) * config.dt
     settings = config.newton_settings
 
     state_snaps, term_snaps = [], {name: [] for name in TERM_NAMES}
@@ -271,9 +279,8 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
                     float(np.mean(traj.newton_iterations)))
 
     basis = compute_pod_basis(np.column_stack(state_snaps), config.energy_state)
-    term_bases = {name: _term_basis(snaps, config.energy_terms)
-                  for name, snaps in term_snaps.items()}
-    modes = matrix_pod_modes(mass_snapshots, config.energy_matrix)
+    term_bases = {name: _term_basis(snaps) for name, snaps in term_snaps.items()}
+    modes = matrix_pod_modes(mass_snapshots, FULL_ENERGY)
 
     return OfflineProducts(config=config, mu_train=mu_train,
                            omega0=forcing.omega0,
@@ -468,7 +475,7 @@ def run_comparison(config: ExperimentConfig, outdir=None,
     if offline is None:
         offline = run_offline(config)
     report = ComparisonReport(config=config)
-    record_energy = bool(config.conservative)
+    record_energy = config.conservative
 
     mu_online = online_points(config)
     hfm_runs, hfm_seconds = [], []
@@ -542,10 +549,12 @@ def verify_timestep(config: ExperimentConfig, dt=None, horizon=None) -> dict:
     """
     dt = config.dt if dt is None else float(dt)
     horizon = config.final_time / 5.0 if horizon is None else float(horizon)
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not 0 < value < math.inf:   # false for NaN
+            raise ValueError("%s must be positive and finite: %r" % (name, value))
     # Keep the horizon an integral multiple of the coarsest step.
     horizon = max(1, int(round(horizon / dt))) * dt
-    settings = NewtonSettings(rel_tol=min(config.newton_rel_tol, VERIFY_REL_TOL),
-                              max_iters=config.newton_max_iters)
+    settings = NewtonSettings(rel_tol=min(config.newton_rel_tol, VERIFY_REL_TOL))
 
     model, forcing, alpha, beta = nominal_setup(config)
     q0 = model.initial_displacement(forcing)

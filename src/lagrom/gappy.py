@@ -21,11 +21,6 @@ class ForceReconstructor:
     """Operator taking sampled entries of a term to its reduced projection."""
 
     operator: np.ndarray        # (n, m)
-    basis_dim: int
-
-    @property
-    def n(self) -> int:
-        return self.operator.shape[0]
 
     @property
     def m(self) -> int:
@@ -41,11 +36,10 @@ def _sampled_pinv(phi_f_sampled):
     diag = np.abs(np.diagonal(r))
     if diag.size == 0 or diag.min() <= RANK_RTOL * np.linalg.norm(phi_f_sampled):
         raise ValueError("sampling insufficient for force basis")
-    n_f = phi_f_sampled.shape[1]
     pinv_permuted = scipy.linalg.solve_triangular(r, q.T, lower=False)
     pinv = np.empty_like(pinv_permuted)
     pinv[piv, :] = pinv_permuted
-    return pinv, n_f
+    return pinv
 
 
 def build_force_reconstructor(phi, phi_f, sample_set) -> ForceReconstructor:
@@ -61,13 +55,12 @@ def build_force_reconstructor(phi, phi_f, sample_set) -> ForceReconstructor:
     n = phi.shape[1]
     m = sample_set.m
     if phi_f.shape[1] == 0:
-        return ForceReconstructor(operator=np.zeros((n, m)), basis_dim=0)
+        return ForceReconstructor(operator=np.zeros((n, m)))
     if phi_f.shape[1] > m:
         raise ValueError("term basis dimension %d exceeds sample count %d"
                          % (phi_f.shape[1], m))
-    pinv, n_f = _sampled_pinv(phi_f[sample_set.indices, :])
-    operator = (phi.T @ phi_f) @ pinv
-    return ForceReconstructor(operator=operator, basis_dim=n_f)
+    pinv = _sampled_pinv(phi_f[sample_set.indices, :])
+    return ForceReconstructor(operator=(phi.T @ phi_f) @ pinv)
 
 
 def apply_force_reconstructor(reconstructor: ForceReconstructor, sampled_values):

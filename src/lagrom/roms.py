@@ -218,13 +218,10 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
 # Integration and energy
 # ---------------------------------------------------------------------------
 
-def integrate_rom(system: ReducedSystem, dt, t_end,
+def integrate_rom(system: ReducedSystem, dt, t_end, state0: State,
                   settings: NewtonSettings | None = None,
-                  state0: State | None = None,
                   record_energy: bool = False) -> Trajectory:
     """Integrate a reduced system with the shared midpoint/Newton stack."""
-    if state0 is None:
-        state0 = State(q=np.zeros(system.n), v=np.zeros(system.n))
     traj = implicit_midpoint_solve(system.second_order_system(), state0, dt,
                                    t_end, settings)
     traj.quantity = traj.q @ system.qoi_weights
@@ -249,17 +246,13 @@ def full_order_system(model, alpha=0.0, beta=0.0, forcing=None) -> SecondOrderSy
                              force=force, potential=model.potential_energy)
 
 
-def integrate_full_model(model, dt, t_end, alpha=0.0, beta=0.0, forcing=None,
-                         state0: State | None = None,
-                         settings: NewtonSettings | None = None,
+def integrate_full_model(model, dt, t_end, state0: State, alpha=0.0, beta=0.0,
+                         forcing=None, settings: NewtonSettings | None = None,
                          record_energy: bool = False) -> Trajectory:
     """Reference full-order solve; records the tip displacement."""
-    if state0 is None:
-        zeros = np.zeros(model.dof_count)
-        state0 = State(q=zeros, v=zeros.copy())
     system = full_order_system(model, alpha, beta, forcing)
     traj = implicit_midpoint_solve(system, state0, dt, t_end, settings)
-    traj.quantity = np.array([model.tip_displacement(q) for q in traj.q])
+    traj.quantity = traj.q[:, model.tip_dof]
     if record_energy:
         traj.energy = np.array([total_energy(model, q, v)
                                 for q, v in zip(traj.q, traj.v)])

@@ -89,13 +89,13 @@ def _congruence_objective(z, sampled, reduced):
     return float(value), grad
 
 
-def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=RBS_MAX_ITERS) -> RBSMap:
+def rbs_fit(matrix_snapshots, phi, sample_set) -> RBSMap:
     """Fit the dense factor of the sparse reduced basis over matrix snapshots.
 
     Minimizes the summed squared Frobenius error between the sparse
     congruence and the true reduced matrices, by limited-memory
     quasi-Newton descent started from the sampled rows of ``phi``, for at
-    most ``max_iters`` iterations.  A fit stopped at that budget keeps the
+    most ``RBS_MAX_ITERS`` iterations.  A fit stopped at that budget keeps the
     achieved residual and is flagged unconverged rather than raising.
     """
     phi = np.asarray(phi, dtype=float)
@@ -123,7 +123,7 @@ def rbs_fit(matrix_snapshots, phi, sample_set, max_iters=RBS_MAX_ITERS) -> RBSMa
 
     result = scipy.optimize.minimize(
         fun, z0.ravel(), jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iters,
+        options={"maxiter": RBS_MAX_ITERS,
                  "gtol": RBS_GRAD_TOL * (np.max(np.abs(g0)) or 1.0),
                  "ftol": 1e-16})
     z = result.x.reshape(m, n)

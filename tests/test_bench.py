@@ -184,6 +184,12 @@ class TestOfflineProducts:
         path = tmp_path / "reduced.lgrm"
         save_reduced(path, red)
         assert_same_products(load_reduced(path), red)
+        # Older archives also store each reconstructor's basis dimension.
+        arrays = load_archive(path)
+        for name, rec in red.reconstructors.items():
+            arrays["reconstructors/%s/basis_dim" % name] = np.array(float(rec.m))
+        save_archive(path, arrays)
+        assert_same_products(load_reduced(path), red)
 
     def test_old_layout_training_archive_rejected(self, tiny_offline, tmp_path):
         """An archive that stores the modes as N x N matrices
@@ -388,6 +394,15 @@ class TestVerifyTimestep:
         assert set(out) >= {"rate", "error_estimate", "values", "dt"}
         assert np.isfinite(out["rate"])
 
+    @pytest.mark.parametrize("name, value", [
+        ("dt", 0.0), ("dt", -0.1), ("dt", np.nan), ("dt", np.inf),
+        ("horizon", 0.0), ("horizon", -1.0), ("horizon", np.nan)])
+    def test_bad_step_or_horizon_rejected(self, name, value):
+        cfg = ExperimentConfig(bays=2, dt=0.02, final_time=8.0,
+                               conservative=True, fixed_parameters=True)
+        with pytest.raises(ValueError, match=name):
+            verify_timestep(cfg, **{name: value})
+
 
 class TestConfig:
     def test_json_round_trip(self, tiny_config):
@@ -403,20 +418,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="variants"):
             ExperimentConfig(bays=2, dt=0.1, variants=("nope",))
 
+    # The cases below read their config as the CLI does, through from_dict,
+    # which also rejects the keys whose values are now fixed.
+
     @pytest.mark.parametrize("field", ["dt", "final_time"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     def test_times_must_be_positive_and_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+            ExperimentConfig.from_dict({"bays": 2, "dt": 0.1, field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("zeta", np.nan), ("zeta", np.inf), ("zeta", -0.1),
         ("bays", 0), ("bays", -1), ("n_train", 0),
         ("nominal_forces", (1.0, 2.0)), ("nominal_forces", (1.0, 2.0, 3.0, np.nan)),
-        ("nominal_forces", (1.0, 2.0, np.inf, 4.0))])
+        ("nominal_forces", (1.0, 2.0, np.inf, 4.0)),
+        ("conservative", "false"), ("fixed_parameters", 1), ("bays", True),
+        ("n_train", True), ("seed_train", -1),
+        ("seed_online", 1.5), ("seed_online", True)])
     def test_bad_damping_and_sizes_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+            ExperimentConfig.from_dict({"bays": 2, "dt": 0.1, field: value})
 
     def test_conservative_must_be_undamped(self):
         with pytest.raises(ValueError, match="zeta"):
@@ -427,14 +448,52 @@ class TestConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0, -3])
     def test_newton_settings_and_online_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+            ExperimentConfig.from_dict({"bays": 2, "dt": 0.1, field: value})
 
     @pytest.mark.parametrize("field", ["energy_state", "energy_terms",
                                        "energy_matrix"])
     @pytest.mark.parametrize("value", [np.nan, -0.1, 1.5])
     def test_energy_criteria_must_lie_in_unit_interval(self, field, value):
+        # The term and matrix bases keep every mode: any value is rejected.
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(**{"bays": 2, "dt": 0.1, field: value})
+            ExperimentConfig.from_dict({"bays": 2, "dt": 0.1, field: value})
+
+    @pytest.mark.parametrize("key", lagrom.bench.FIXED_KEYS)
+    def test_fixed_keys_rejected(self, key, tiny_config):
+        data = {**tiny_config.to_dict(), key: 1.0}
+        with pytest.raises(ValueError, match="%r is no longer settable" % key):
+            ExperimentConfig.from_dict(data)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown config key 'bay'"):
+            ExperimentConfig.from_dict({"bays": 2, "dt": 0.1, "bay": 3})
+
+    @pytest.mark.parametrize("dt, final_time", [
+        (0.3, 1.0), (2.0, 1.0), (1.0, 1.0), (0.1, 1.0 + 1e-6)])
+    def test_final_time_must_be_whole_steps(self, dt, final_time):
+        with pytest.raises(ValueError, match="integral number"):
+            ExperimentConfig(bays=2, dt=dt, final_time=final_time)
+
+    def test_odd_step_count_trains_over_first_half_steps(self, monkeypatch):
+        steps = []
+
+        def recording(*args, **kwargs):
+            traj = integrate_full_model(*args, **kwargs)
+            steps.append(traj.n_steps)
+            return traj
+
+        monkeypatch.setattr(lagrom.bench, "integrate_full_model", recording)
+        cfg = ExperimentConfig(bays=2, dt=0.1, final_time=0.3, n_train=1,
+                               conservative=True)
+        run_offline(cfg)
+        assert steps == [1]
+
+    def test_readme_examples_load(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```json\n")[1:]
+        assert blocks
+        for block in blocks:
+            ExperimentConfig.from_dict(json.loads(block.split("```")[0]))
 
 
 class TestCli:

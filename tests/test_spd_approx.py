@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lagrom.spd_approx
 from lagrom.pod import compute_pod_basis
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
 from lagrom.spd_approx import (_congruence_objective, assembled_eigen_gradients,
@@ -99,22 +100,25 @@ class TestRbsFit:
                 best = min(best, float(val))
         assert abs(fit.fit_residual - best) <= 1e-4
 
-    def test_unconverged_flagged_not_raised(self, rng):
+    def test_unconverged_flagged_not_raised(self, rng, monkeypatch):
+        monkeypatch.setattr(lagrom.spd_approx, "RBS_MAX_ITERS", 1)
         big_n, n = 10, 2
         phi = random_orthonormal(rng, big_n, n)
         snaps = [random_spd(rng, big_n) for _ in range(4)]
         s = SampleIndexSet(np.arange(3), big_n)
-        fit = rbs_fit(snaps, phi, s, max_iters=1)
+        fit = rbs_fit(snaps, phi, s)
         assert np.isfinite(fit.fit_residual)
 
-    def test_stagnation_warning_reports_relative_residual(self, rng, caplog):
+    def test_stagnation_warning_reports_relative_residual(self, rng, caplog,
+                                                           monkeypatch):
         # Stopping at the iteration budget is expected: logged at INFO.
+        monkeypatch.setattr(lagrom.spd_approx, "RBS_MAX_ITERS", 1)
         caplog.set_level(logging.INFO, logger="lagrom.spd_approx")
         big_n, n = 10, 2
         phi = random_orthonormal(rng, big_n, n)
         snaps = [random_spd(rng, big_n) for _ in range(4)]
         s = SampleIndexSet(np.arange(3), big_n)
-        fit = rbs_fit(snaps, phi, s, max_iters=1)
+        fit = rbs_fit(snaps, phi, s)
         assert not fit.converged
         scale = sum(float(np.sum((phi.T @ a @ phi) ** 2)) for a in snaps)
         assert "relative %.3e" % np.sqrt(fit.fit_residual / scale) in caplog.text
