@@ -5,7 +5,7 @@ from .sampling import SampleIndexSet, greedy_sample_indices, validate_sample_set
 from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
                          eigen_constrained_solve, gappy_matrix_assemble,
                          gappy_matrix_coeffs, generalized_interlacing_check,
-                         matrix_pod_basis, matrix_pod_modes, rbs_apply, rbs_fit)
+                         matrix_pod_modes, rbs_apply, rbs_fit)
 from .potential_map import (SparsePotentialMap, approx_reduced_gradient,
                             approx_reduced_hessian, build_potential_map)
 from .gappy import (ForceReconstructor, apply_force_reconstructor,

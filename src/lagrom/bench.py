@@ -15,7 +15,6 @@ import logging
 import math
 import numbers
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,9 +184,7 @@ def _term_basis(snapshots):
     mat = np.column_stack(snapshots)
     if not np.any(np.linalg.norm(mat, axis=0) > 0.0):
         return np.zeros((mat.shape[0], 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return compute_pod_basis(mat, FULL_ENERGY).columns
+    return compute_pod_basis(mat, FULL_ENERGY).columns
 
 
 def training_points(config: ExperimentConfig) -> np.ndarray:
@@ -339,18 +336,15 @@ def _fit_reconstructor(phi, term_basis, sample_set, name):
 
 
 def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProducts:
-    """Greedy sample selection on the potential term basis (the state basis
-    if that is missing or empty) plus all sampling-dependent fits."""
+    """Greedy sample selection on the potential term basis plus all
+    sampling-dependent fits."""
     _check_percentage(percentage)
     config = offline.config
     phi = offline.phi
     k_matrix = len(offline.matrix_modes)
     m = sample_count(config, percentage, offline.n, k_matrix)
 
-    basis_for_sampling = offline.term_bases.get("potential")
-    if basis_for_sampling is None or basis_for_sampling.shape[1] == 0:
-        basis_for_sampling = phi
-    sample_set = greedy_sample_indices(basis_for_sampling, m)
+    sample_set = greedy_sample_indices(offline.term_bases["potential"], m)
 
     rbs_map = rbs_fit(offline.mass_snapshots, phi, sample_set)
     gappy_basis = build_matrix_gappy_basis(offline.matrix_modes,

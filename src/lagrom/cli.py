@@ -2,7 +2,9 @@
 
 Subcommands: ``train`` (offline stage), ``reduce`` (sampling-dependent
 fits), ``simulate`` (one online run), ``compare`` (full sweep), and
-``verify-dt`` (Richardson timestep study).
+``verify-dt`` (Richardson timestep study).  A command that fails on bad
+input or a missing file prints one ``lagrom <command>: <message>`` line to
+standard error and exits with status 1.
 """
 
 import argparse
@@ -34,11 +36,7 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        offline = run_offline(config)
-    except RuntimeError as exc:
-        print("offline stage aborted: %s" % exc, file=sys.stderr)
-        return 1
+    offline = run_offline(config)
     save_offline(outdir / TRAINING_ARCHIVE, offline)
     print("trained: basis dimension %d, %d training points"
           % (offline.n, len(offline.mu_train)))
@@ -58,15 +56,19 @@ def cmd_reduce(args) -> int:
 def cmd_simulate(args) -> int:
     outdir = Path(args.out)
     offline = load_offline(outdir / TRAINING_ARCHIVE)
+    if args.mu is not None:
+        mu = np.asarray(json.loads(args.mu), dtype=float)
+    else:
+        points = online_points(offline.config)
+        if not 0 <= args.online_index < len(points):
+            raise ValueError("--online-index must be in [0, %d), got %d"
+                             % (len(points), args.online_index))
+        mu = points[args.online_index]
     path = _reduced_path(outdir, args.percent)
     if path.exists():
         reduced = load_reduced(path)
     else:
         reduced = reduce_products(offline, args.percent)
-    if args.mu is not None:
-        mu = np.asarray(json.loads(args.mu), dtype=float)
-    else:
-        mu = online_points(offline.config)[args.online_index]
     result: OnlineResult = run_online(offline, reduced, mu, args.variant,
                                       record_energy=offline.config.conservative)
     traj = result.trajectory
@@ -81,11 +83,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
     outdir = Path(args.out)
-    try:
-        report = run_comparison(config, outdir=outdir)
-    except RuntimeError as exc:
-        print("comparison aborted: %s" % exc, file=sys.stderr)
-        return 1
+    report = run_comparison(config, outdir=outdir)
     unstable = [r for r in report.rows if not r.stable]
     print("compare: %d runs, %d unstable; artifacts in %s"
           % (len(report.rows), len(unstable), outdir))
@@ -146,7 +144,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, RuntimeError, ValueError) as exc:
+        print("lagrom %s: %s" % (args.command, exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

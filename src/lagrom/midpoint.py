@@ -114,10 +114,6 @@ class SecondOrderSystem:
     force: object         # t -> vector
     potential: object = None   # q -> scalar
 
-    @property
-    def dim(self) -> int:
-        return self.mass.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # Globalized Newton

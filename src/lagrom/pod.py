@@ -6,7 +6,6 @@ columns are defined only up to sign, so downstream code must compare
 projectors rather than the columns themselves.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,6 @@ class PODBasis:
     def n(self) -> int:
         """Retained basis dimension."""
         return self.columns.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.columns.shape[0]
 
 
 def _check_energy(energy: float) -> float:
@@ -70,26 +65,18 @@ def compute_pod_basis(snapshots, energy) -> PODBasis:
 
     Parameters
     ----------
-    snapshots : sequence of (N,) arrays, one (N,) array, or (N, k) columns
+    snapshots : (N, k) ndarray, one snapshot per column
     energy : float in [0, 1]
         Retained fraction of squared singular-value mass.
 
     Each snapshot is normalized to unit 2-norm before the decomposition;
-    identically zero snapshots are dropped with a warning, and a snapshot
-    with a non-finite entry raises ``ValueError``.
+    identically zero snapshots are dropped, and a snapshot with a
+    non-finite entry raises ``ValueError``.
     """
     energy = _check_energy(energy)
-    if isinstance(snapshots, np.ndarray) and snapshots.ndim in (1, 2):
-        mat = np.array(snapshots, dtype=float)
-        if mat.ndim == 1:
-            mat = mat[:, None]
-    else:
-        vecs = [np.asarray(v, dtype=float).ravel() for v in snapshots]
-        if not vecs:
-            raise ValueError("no snapshots")
-        mat = np.column_stack(vecs)
-    if mat.size == 0 or mat.shape[1] == 0:
-        raise ValueError("no snapshots")
+    if not isinstance(snapshots, np.ndarray) or snapshots.ndim != 2:
+        raise ValueError("snapshots must be an (N, k) array")
+    mat = np.asarray(snapshots, dtype=float)
     finite = np.all(np.isfinite(mat), axis=0)
     if not np.all(finite):
         raise ValueError("non-finite snapshot column(s) %s"
@@ -97,14 +84,9 @@ def compute_pod_basis(snapshots, energy) -> PODBasis:
 
     norms = np.linalg.norm(mat, axis=0)
     nonzero = norms > 0.0
-    if not np.all(nonzero):
-        warnings.warn(
-            "dropping %d zero-norm snapshot(s)" % int(np.sum(~nonzero)),
-            stacklevel=2,
-        )
-        mat = mat[:, nonzero]
-        norms = norms[nonzero]
-    if mat.shape[1] == 0:
+    mat = mat[:, nonzero]
+    norms = norms[nonzero]
+    if mat.size == 0:
         raise ValueError("no snapshots")
 
     u, s, _ = np.linalg.svd(mat / norms, full_matrices=False)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .sampling import SampleIndexSet
 from .spd_approx import symmetrize
 
 
@@ -19,39 +18,30 @@ from .spd_approx import symmetrize
 class SparsePotentialMap:
     """Square dense block of the sparse potential basis for one parameter.
 
-    The sparse basis is the first-n sampling matrix times ``factor``; the
-    remaining sampled rows are zero.  Valid only for the parameter it was
-    built at.
+    The sparse basis is the sampling matrix of ``rows`` (the first n
+    sampled indices) times ``factor``; the remaining sampled rows are zero.
+    Valid only for the parameter it was built at.
     """
 
+    rows: np.ndarray            # (n,) ambient rows carrying the nonzero entries
     factor: np.ndarray          # (n, n), nonsingular
-    sample_set: SampleIndexSet
-
-    @property
-    def n(self) -> int:
-        return self.factor.shape[0]
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Ambient row indices carrying the nonzero entries."""
-        return self.sample_set.first(self.n)
 
 
 def build_potential_map(reduced_hessian, sampled_hessian,
-                        sample_set) -> SparsePotentialMap:
+                        rows) -> SparsePotentialMap:
     """Match the reduced equilibrium Hessian through the sampled one.
 
-    With lower Cholesky factors ``L_phi`` (reduced) and ``L_s`` (sampled),
-    the factor solves ``L_s.T @ B = L_phi.T`` so that the congruence through
+    ``sampled_hessian`` is the equilibrium Hessian block on ``rows``.  With
+    lower Cholesky factors ``L_phi`` (reduced) and ``L_s`` (sampled), the
+    factor solves ``L_s.T @ B = L_phi.T`` so that the congruence through
     the sampled Hessian reproduces the reduced Hessian by construction.
     """
     h_r = np.asarray(reduced_hessian, dtype=float)
     h_s = np.asarray(sampled_hessian, dtype=float)
     n = h_r.shape[0]
-    if h_s.shape != (n, n):
-        raise ValueError("reduced and sampled Hessians must share one square shape")
-    if sample_set.m < n:
-        raise ValueError("sample set smaller than the reduced dimension")
+    if h_s.shape != (n, n) or np.shape(rows) != (n,):
+        raise ValueError("rows and sampled Hessian must match the reduced "
+                         "dimension %d" % n)
     try:
         l_phi = np.linalg.cholesky(symmetrize(h_r))
         l_s = np.linalg.cholesky(symmetrize(h_s))
@@ -59,7 +49,7 @@ def build_potential_map(reduced_hessian, sampled_hessian,
         raise ValueError(
             "equilibrium Hessian not positive definite on sample/reduced space")
     factor = scipy.linalg.solve_triangular(l_s.T, l_phi.T, lower=False)
-    return SparsePotentialMap(factor=factor, sample_set=sample_set)
+    return SparsePotentialMap(rows=rows, factor=factor)
 
 
 def approx_reduced_gradient(pmap: SparsePotentialMap, sampled_gradient, q_r):

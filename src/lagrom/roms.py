@@ -187,9 +187,9 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
     # the sampled one is cheap.
     k0 = model.tangent_stiffness_band(np.zeros(model.dof_count))
     k0_reduced = phi.T @ (k0 @ phi)
-    first = sample_set.first(n)
-    k0_sampled = model.tangent_stiffness_block(first, first, [], [])
-    pmap = build_potential_map(k0_reduced, k0_sampled, sample_set)
+    rows = s_idx[:n]
+    k0_sampled = model.tangent_stiffness_block(rows, rows, [], [])
+    pmap = build_potential_map(k0_reduced, k0_sampled, rows)
 
     damping_r = alpha * mass_r + beta * k0_reduced
 

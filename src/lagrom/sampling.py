@@ -16,7 +16,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SampleIndexSet:
-    """Ordered set of distinct degree-of-freedom indices in [0, N)."""
+    """Ordered set of distinct degree-of-freedom indices in [0, N); the
+    first n are the rows of the sparse potential map."""
 
     indices: np.ndarray
     ambient_dim: int
@@ -38,12 +39,6 @@ class SampleIndexSet:
     @property
     def m(self) -> int:
         return int(self.indices.size)
-
-    def first(self, n: int) -> np.ndarray:
-        """The first ``n`` indices (the square sub-block ordering)."""
-        if n > self.m:
-            raise ValueError("requested %d indices but only %d sampled" % (n, self.m))
-        return self.indices[:n]
 
 
 def greedy_sample_indices(residual_basis, m) -> SampleIndexSet:
@@ -69,16 +64,10 @@ def greedy_sample_indices(residual_basis, m) -> SampleIndexSet:
 
     selected: list[int] = []
     taken = np.zeros(big_n, dtype=bool)
-    visited: list[int] = []  # distinct column indices already cycled through
-    step = 0
-    while len(selected) < m:
+    for step in range(m):
         col = step % k
-        step += 1
-
-        residual = _gappy_residual(basis, col, visited, selected)
-        if col not in visited:
-            visited.append(col)
-
+        # The columns cycled through before this step.
+        residual = _gappy_residual(basis, col, range(min(step, k)), selected)
         pick = _argmax_abs(residual, taken)
         if pick is None:
             # Degenerate: this column vanishes on every remaining row.  Fall

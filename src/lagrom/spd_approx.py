@@ -249,12 +249,6 @@ def build_matrix_gappy_basis(coefficients, matrix_snapshots, phi,
                             reduced_basis=0.5 * (reduced + reduced.transpose(0, 2, 1)))
 
 
-def matrix_pod_basis(matrix_snapshots, energy, phi, sample_set) -> MatrixGappyBasis:
-    """Principal-matrix basis of SPD snapshots in sampled/reduced form."""
-    return build_matrix_gappy_basis(matrix_pod_modes(matrix_snapshots, energy),
-                                    matrix_snapshots, phi, sample_set)
-
-
 def _assemble(basis: MatrixGappyBasis, x):
     return np.einsum("i,ijk->jk", np.asarray(x, dtype=float), basis.reduced_basis)
 
@@ -314,7 +308,7 @@ def gappy_matrix_assemble(x, basis: MatrixGappyBasis) -> np.ndarray:
 
 
 def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
-                            pd_threshold=None):
+                            pd_threshold):
     """Eigenvalue-constrained sampled least squares.
 
     Keeps the coefficients feasible (all eigenvalues of the assembled
@@ -324,9 +318,8 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
     projection.  A feasible input is returned unchanged.
     """
     x0 = np.asarray(x0, dtype=float).copy()
-    assembled = _assemble(basis, x0)
-    eps = _pd_threshold(assembled) if pd_threshold is None else float(pd_threshold)
-    if np.linalg.eigvalsh(assembled)[0] >= eps:
+    eps = float(pd_threshold)
+    if np.linalg.eigvalsh(_assemble(basis, x0))[0] >= eps:
         return x0
 
     a = np.asarray(sampled_online, dtype=float)

@@ -524,6 +524,42 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @staticmethod
+    def assert_one_error_line(capsys, command):
+        err = capsys.readouterr().err
+        assert err.startswith("lagrom %s: " % command) and err.count("\n") == 1, err
+
+    def test_rejected_config_key_prints_one_line(self, tmp_path, capsys,
+                                                 tiny_config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**tiny_config.to_dict(),
+                                           "nominal_forces": [1.0] * 4}))
+        assert cli_main(["train", "--config", str(config_path),
+                         "--out", str(tmp_path / "run")]) == 1
+        self.assert_one_error_line(capsys, "train")
+
+    def test_bad_step_prints_one_line(self, tmp_path, capsys, tiny_config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config.to_dict()))
+        assert cli_main(["verify-dt", "--config", str(config_path),
+                         "--dt", "0"]) == 1
+        self.assert_one_error_line(capsys, "verify-dt")
+
+    def test_missing_training_archive_prints_one_line(self, tmp_path, capsys):
+        assert cli_main(["reduce", "--out", str(tmp_path),
+                         "--percent", "50"]) == 1
+        self.assert_one_error_line(capsys, "reduce")
+
+    @pytest.mark.parametrize("index", [-1, 1, 7])
+    def test_simulate_rejects_online_index_out_of_range(self, tmp_path, capsys,
+                                                        tiny_offline, index):
+        save_offline(tmp_path / "training.lgrm", tiny_offline)
+        assert cli_main(["simulate", "--out", str(tmp_path), "--percent", "50",
+                         "--variant", "galerkin",
+                         "--online-index", str(index)]) == 1
+        err = capsys.readouterr().err
+        assert "--online-index must be in [0, 1), got %d" % index in err
+
     def test_compare_subcommand(self, tmp_path):
         cfg = ExperimentConfig(bays=2, dt=0.1, final_time=2.0,
                                conservative=True, fixed_parameters=True,

@@ -12,41 +12,38 @@ def projector(columns):
 
 class TestComputePodBasis:
     def test_single_snapshot_normalized(self):
-        basis = compute_pod_basis([np.array([3.0, 4.0])], energy=1.0)
+        basis = compute_pod_basis(np.array([[3.0], [4.0]]), energy=1.0)
         assert basis.n == 1
         assert np.allclose(np.abs(basis.columns.ravel()), [0.6, 0.8])
 
-    def test_one_dimensional_array_is_one_snapshot(self):
-        basis = compute_pod_basis(np.array([1.0, 2.0, 3.0]), energy=1.0)
-        assert basis.columns.shape == (3, 1)
-        assert np.allclose(np.abs(basis.columns.ravel()),
-                           np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))
+    def test_one_dimensional_array_rejected(self):
+        for snaps in (np.array([1.0, 2.0, 3.0]), [np.array([1.0, 2.0, 3.0])]):
+            with pytest.raises(ValueError, match=r"\(N, k\) array"):
+                compute_pod_basis(snaps, energy=1.0)
 
     def test_rank_one_snapshots(self):
-        basis = compute_pod_basis([np.array([1.0, 0.0])] * 2, energy=0.99)
+        basis = compute_pod_basis(np.array([[1.0, 1.0], [0.0, 0.0]]), energy=0.99)
         assert basis.n == 1
         assert np.allclose(np.abs(basis.columns.ravel()), [1.0, 0.0])
 
     def test_identity_snapshots_half_energy(self):
         # SVD of the 2x2 identity: both singular values are one, so the
         # first mode carries exactly half the energy.
-        basis = compute_pod_basis([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-                                  energy=0.5)
+        basis = compute_pod_basis(np.eye(2), energy=0.5)
         assert basis.n == 1
         assert np.allclose(basis.singular_values, [1.0, 1.0])
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no snapshots"):
-            compute_pod_basis([], energy=0.9)
+            compute_pod_basis(np.zeros((3, 0)), energy=0.9)
 
     def test_invalid_energy(self):
         with pytest.raises(ValueError, match="invalid energy"):
-            compute_pod_basis([np.ones(3)], energy=1.5)
+            compute_pod_basis(np.ones((3, 1)), energy=1.5)
 
-    def test_zero_snapshots_dropped_with_warning(self):
-        with pytest.warns(UserWarning, match="zero-norm"):
-            basis = compute_pod_basis([np.zeros(3), np.array([0.0, 2.0, 0.0])],
-                                      energy=1.0)
+    def test_zero_snapshots_dropped(self):
+        snaps = np.column_stack([np.zeros(3), np.array([0.0, 2.0, 0.0])])
+        basis = compute_pod_basis(snaps, energy=1.0)
         assert basis.n == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -57,9 +54,8 @@ class TestComputePodBasis:
             compute_pod_basis(snaps, energy=1.0)
 
     def test_all_zero_errors(self):
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError, match="no snapshots"):
-                compute_pod_basis([np.zeros(4)], energy=1.0)
+        with pytest.raises(ValueError, match="no snapshots"):
+            compute_pod_basis(np.zeros((4, 1)), energy=1.0)
 
     def test_orthonormal_columns(self, rng):
         snaps = rng.normal(size=(30, 12))
@@ -121,7 +117,6 @@ def test_basis_dataclass_properties(rng):
     snaps = rng.normal(size=(7, 4))
     basis = compute_pod_basis(snaps, energy=0.9)
     assert isinstance(basis, PODBasis)
-    assert basis.ambient_dim == 7
     assert basis.columns.shape == (7, basis.n)
     sv = basis.singular_values
     assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0)

@@ -27,18 +27,19 @@ def dense_sampled_hessian(big_n, hess):
 class TestBuildPotentialMap:
     def test_identity_case(self):
         s = SampleIndexSet(np.arange(3), 3)
-        pmap = build_potential_map(np.eye(3), np.eye(3), s)
+        pmap = build_potential_map(np.eye(3), np.eye(3), s.indices[:3])
         assert np.allclose(pmap.factor, np.eye(3))
 
     def test_equal_hessians_give_identity(self, rng):
         h = random_spd(rng, 4)
         s = SampleIndexSet(np.arange(5), 8)
-        pmap = build_potential_map(h, h, s)
+        pmap = build_potential_map(h, h, s.indices[:4])
         assert np.allclose(pmap.factor, np.eye(4), atol=1e-12)
 
     def test_hand_cholesky(self):
         s = SampleIndexSet(np.arange(2), 6)
-        pmap = build_potential_map(np.diag([4.0, 9.0]), np.diag([1.0, 1.0]), s)
+        pmap = build_potential_map(np.diag([4.0, 9.0]), np.diag([1.0, 1.0]),
+                                   s.indices[:2])
         assert np.allclose(pmap.factor, np.diag([2.0, 3.0]))
         check = pmap.factor.T @ np.diag([1.0, 1.0]) @ pmap.factor
         assert np.allclose(check, np.diag([4.0, 9.0]))
@@ -46,7 +47,16 @@ class TestBuildPotentialMap:
     def test_non_spd_rejected(self):
         s = SampleIndexSet(np.arange(2), 4)
         with pytest.raises(ValueError, match="not positive definite"):
-            build_potential_map(np.diag([1.0, -1.0]), np.eye(2), s)
+            build_potential_map(np.diag([1.0, -1.0]), np.eye(2), s.indices[:2])
+
+    @pytest.mark.parametrize("rows, sampled", [
+        (np.arange(2), np.eye(3)),      # too few rows
+        (np.arange(4), np.eye(3)),      # too many rows
+        (np.arange(2), np.eye(2)),      # a sample set smaller than n
+    ])
+    def test_wrongly_sized_rows_rejected(self, rows, sampled):
+        with pytest.raises(ValueError, match="reduced dimension 3"):
+            build_potential_map(np.eye(3), sampled, rows)
 
     def test_hessian_match_identity(self, rng):
         """The congruence through the sampled Hessian reproduces the
@@ -57,9 +67,9 @@ class TestBuildPotentialMap:
             h0 = random_spd(local, big_n)
             phi = random_orthonormal(local, big_n, n)
             s = SampleIndexSet(local.permutation(big_n)[:m], big_n)
-            first = s.first(n)
+            first = s.indices[:n]
             pmap = build_potential_map(phi.T @ h0 @ phi,
-                                       h0[np.ix_(first, first)], s)
+                                       h0[np.ix_(first, first)], first)
             z_v = np.zeros((big_n, n))
             z_v[first, :] = pmap.factor
             lhs = z_v.T @ h0 @ z_v
@@ -72,8 +82,8 @@ class TestApproxReducedGradient:
         h0 = random_spd(rng, big_n)
         phi = random_orthonormal(rng, big_n, n)
         s = SampleIndexSet(rng.permutation(big_n)[:m], big_n)
-        first = s.first(n)
-        pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], s)
+        first = s.indices[:n]
+        pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], first)
         return h0, phi, pmap
 
     def test_zero_at_equilibrium(self, rng):
@@ -102,8 +112,8 @@ class TestApproxReducedGradient:
 
         phi = random_orthonormal(rng, big_n, 3)
         s = SampleIndexSet(rng.permutation(big_n)[:6], big_n)
-        first = s.first(3)
-        pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], s)
+        first = s.indices[:3]
+        pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], first)
         evaluator = dense_sampled_gradient(big_n, grad)
         reduced = phi.T @ h0 @ phi
         direction = rng.normal(size=3)
@@ -119,9 +129,9 @@ class TestApproxReducedHessian:
         h0 = random_spd(rng, big_n)
         phi = random_orthonormal(rng, big_n, 3)
         s = SampleIndexSet(rng.permutation(big_n)[:6], big_n)
-        first = s.first(3)
+        first = s.indices[:3]
         reduced = phi.T @ h0 @ phi
-        pmap = build_potential_map(reduced, h0[np.ix_(first, first)], s)
+        pmap = build_potential_map(reduced, h0[np.ix_(first, first)], first)
         evaluator = dense_sampled_hessian(big_n, lambda q: h0)
         out = approx_reduced_hessian(pmap, evaluator, np.zeros(3))
         assert np.linalg.norm(out - reduced) <= 1e-8 * np.linalg.norm(reduced)
@@ -136,8 +146,8 @@ class TestApproxReducedHessian:
         h0 = random_spd(rng, big_n)
         phi = random_orthonormal(rng, big_n, 3)
         s = SampleIndexSet(rng.permutation(big_n)[:5], big_n)
-        first = s.first(3)
-        pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], s)
+        first = s.indices[:3]
+        pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], first)
         evaluator = dense_sampled_hessian(big_n, hess)
         for _ in range(5):
             out = approx_reduced_hessian(pmap, evaluator, rng.normal(size=3))
@@ -156,8 +166,8 @@ class TestApproxReducedHessian:
 
         phi = random_orthonormal(rng, big_n, 3)
         s = SampleIndexSet(rng.permutation(big_n)[:6], big_n)
-        first = s.first(3)
-        pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], s)
+        first = s.indices[:3]
+        pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], first)
         g_eval = dense_sampled_gradient(big_n, grad)
         h_eval = dense_sampled_hessian(big_n, hess)
         q_r = 0.3 * rng.normal(size=3)

@@ -11,7 +11,7 @@ from lagrom.roms import (build_collocation, build_galerkin, build_gappy_rom,
                          integrate_full_model, integrate_rom,
                          reduced_total_energy, total_energy)
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
-from lagrom.spd_approx import matrix_pod_basis, rbs_fit
+from lagrom.spd_approx import build_matrix_gappy_basis, matrix_pod_modes, rbs_fit
 from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
 from conftest import QuadraticModel, random_orthonormal, random_spd
@@ -43,7 +43,9 @@ def sp_products(truss, phi, m, method="rbs"):
     if method == "rbs":
         product = rbs_fit([truss.mass_dense()], phi, sample_set)
     else:
-        product = matrix_pod_basis([truss.mass_dense()], 1.0, phi, sample_set)
+        mass = [truss.mass_dense()]
+        product = build_matrix_gappy_basis(matrix_pod_modes(mass, 1.0), mass, phi,
+                                           sample_set)
     return sample_set, product
 
 
@@ -353,6 +355,41 @@ def test_full_order_stepping_allocates_no_square_matrix():
         tracemalloc.stop()
     assert traj.stable and traj.n_steps == 2
     assert peak < n * n * 8
+
+
+# Every TrussModel evaluator whose cost grows with N.
+FULL_ORDER_EVALUATORS = (
+    "internal_force", "tangent_stiffness", "tangent_stiffness_band",
+    "potential_energy", "mass_band", "mass_dense", "external_force",
+    "internal_force_rows_dense", "tangent_stiffness_rows_dense")
+
+
+@pytest.mark.parametrize("method", ["rbs", "matrix_gappy"])
+def test_sp_stepping_makes_no_full_order_call(truss, forcing, basis, method,
+                                              monkeypatch):
+    """Once built, a forced, damped SP model steps and records its energy
+    through sampled evaluators only: its online cost does not depend on N."""
+    sample_set, product = sp_products(truss, basis, 12, method)
+    force_basis = np.linalg.qr(truss.load_patterns().T)[0]
+    system = build_structure_preserving(
+        truss, basis, sample_set, product, alpha=0.05, beta=2e-4,
+        force_reconstructor=build_force_reconstructor(basis, force_basis,
+                                                      sample_set),
+        forcing=forcing)
+    state0 = State(q=basis.T @ truss.initial_displacement(forcing),
+                   v=np.zeros(basis.shape[1]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-order evaluator called while stepping")
+
+    for name in FULL_ORDER_EVALUATORS:
+        monkeypatch.setattr(type(truss), name, refuse)
+    # The loads start at a quarter of the forcing's final time, 2.0.
+    traj = integrate_rom(system, 0.05, 3.0, state0=state0, record_energy=True)
+    monkeypatch.undo()
+    assert traj.stable and traj.n_steps == 60
+    assert np.all(np.isfinite(traj.energy))
+    assert np.any(system.force(2.5) != 0.0)
 
 
 def test_structure_dichotomy(truss, rng):

@@ -10,7 +10,7 @@ from lagrom.sampling import SampleIndexSet, greedy_sample_indices
 from lagrom.spd_approx import (_congruence_objective, assembled_eigen_gradients,
                                build_matrix_gappy_basis, eigen_constrained_solve,
                                gappy_matrix_assemble, gappy_matrix_coeffs,
-                               generalized_interlacing_check, matrix_pod_basis,
+                               generalized_interlacing_check,
                                matrix_pod_modes, rbs_apply, rbs_fit, symmetrize)
 from lagrom.truss import build_truss
 
@@ -248,7 +248,8 @@ class TestMatrixPodBasis:
         snaps = [random_spd(rng, big_n) for _ in range(3)]
         phi = random_orthonormal(rng, big_n, n)
         s = SampleIndexSet(np.arange(m), big_n)
-        basis = matrix_pod_basis(snaps, 1.0, phi, s)
+        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0), snaps,
+                                         phi, s)
         for k in range(basis.k):
             assert np.abs(basis.reduced_basis[k]
                           - basis.reduced_basis[k].T).max() <= 1e-12
@@ -285,7 +286,8 @@ class TestGappyCoeffs:
         snaps = [random_spd(rng, big_n) for _ in range(2)]
         phi = random_orthonormal(rng, big_n, n)
         s = SampleIndexSet(np.arange(m), big_n)
-        basis = matrix_pod_basis(snaps, 1.0, phi, s)
+        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0), snaps,
+                                         phi, s)
         idx = np.ix_(s.indices, s.indices)
         coeffs = gappy_matrix_coeffs(np.asarray(snaps[0])[idx], basis)
         recon = np.einsum("i,ijk->jk", coeffs, basis.sampled_basis)
@@ -297,7 +299,8 @@ class TestGappyCoeffs:
         phi = random_orthonormal(rng, big_n, 3)
         snaps = [fam(1.0, 0.5), fam(0.3, 1.2), fam(0.8, 0.8)]
         s = SampleIndexSet(np.arange(4), big_n)
-        basis = matrix_pod_basis(snaps, 1.0, phi, s)
+        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0), snaps,
+                                         phi, s)
         target = fam(0.3, 1.2)
         coeffs = gappy_matrix_coeffs(target[np.ix_(s.indices, s.indices)], basis)
         approx = gappy_matrix_assemble(coeffs, basis)
