@@ -8,8 +8,8 @@ from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
                          matrix_pod_modes, rbs_apply, rbs_fit)
 from .potential_map import (SparsePotentialMap, approx_reduced_gradient,
                             approx_reduced_hessian, build_potential_map)
-from .gappy import (ForceReconstructor, apply_force_reconstructor,
-                    build_force_reconstructor, gappy_error_bound)
+from .gappy import (apply_force_reconstructor, build_force_reconstructor,
+                    gappy_error_bound)
 from .truss import (ForcingConfig, TrussModel, build_truss, damping_band,
                     fundamental_frequency, rayleigh_coefficients,
                     validate_parameters)

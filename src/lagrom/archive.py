@@ -8,6 +8,8 @@ Round-trips are bit-exact.
 """
 
 import dataclasses
+import math
+import os
 import struct
 import typing
 
@@ -33,14 +35,18 @@ def save_archive(path, arrays: dict) -> None:
 
 
 def load_archive(path) -> dict:
-    """Read an archive back into a name -> ndarray mapping; a file cut short
-    or with bytes after its last entry raises ``ValueError``."""
+    """Read an archive back into a name -> ndarray mapping; a file cut short,
+    an entry sized beyond the bytes left in it, or bytes after its last
+    entry raise ``ValueError``."""
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+
         def read(size):
-            data = fh.read(size)
-            if len(data) != size:
+            # Checked before reading: a corrupted dimension may ask for more
+            # bytes than memory holds.
+            if size > file_size - fh.tell():
                 raise ValueError("truncated archive at byte %d" % fh.tell())
-            return data
+            return fh.read(size)
 
         if read(4) != MAGIC:
             raise ValueError("not a matrix archive: bad magic")
@@ -53,7 +59,7 @@ def load_archive(path) -> dict:
             name = read(name_len).decode("utf-8")
             (ndim,) = struct.unpack("<B", read(1))
             shape = struct.unpack("<%dQ" % ndim, read(8 * ndim))
-            payload = read(8 * int(np.prod(shape)))
+            payload = read(8 * math.prod(shape))   # exact: np.prod wraps
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError("bytes after the last archive entry")
@@ -62,16 +68,13 @@ def load_archive(path) -> dict:
 
 def flatten(products, skip=()) -> dict:
     """Leaves (arrays, ``bool``/``int``/``float``) of a dataclass product
-    below its fields, string-keyed dicts and lists, named by path
-    (``term_bases/force``, list items by index); top-level ``skip``
-    fields are left out."""
+    below its fields and string-keyed dicts, named by path
+    (``term_bases/force``); top-level ``skip`` fields are left out."""
     arrays = {}
 
     def walk(path, value):
         if dataclasses.is_dataclass(value):
             value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-        elif isinstance(value, list):
-            value = {str(i): item for i, item in enumerate(value)}
         if isinstance(value, dict):
             for key, item in value.items():
                 if "/" in key:
@@ -90,8 +93,8 @@ def flatten(products, skip=()) -> dict:
 def unflatten(cls, arrays: dict, **given):
     """Rebuild a dataclass product written by :func:`flatten` from its
     field annotations (``np.ndarray``, ``bool``, ``int``, ``float``,
-    ``list[X]``, ``dict[str, X]``, dataclasses); top-level fields in
-    ``given`` are taken as passed."""
+    ``dict[str, X]``, dataclasses); top-level fields in ``given`` are taken
+    as passed, and entries no field reads are ignored."""
 
     def build(kind, path, given=None):
         if dataclasses.is_dataclass(kind):
@@ -100,13 +103,11 @@ def unflatten(cls, arrays: dict, **given):
             return kind(**{f.name: given[f.name] if f.name in given else
                            build(hints[f.name], (path + "/" if path else "") + f.name)
                            for f in dataclasses.fields(kind)})
-        if typing.get_origin(kind) in (dict, list):
+        if typing.get_origin(kind) is dict:
             prefix = path + "/"
             keys = dict.fromkeys(name[len(prefix):].split("/")[0]
                                  for name in arrays if name.startswith(prefix))
-            # flatten writes list items in index order.
-            items = {key: build(typing.get_args(kind)[-1], prefix + key) for key in keys}
-            return items if typing.get_origin(kind) is dict else list(items.values())
+            return {key: build(typing.get_args(kind)[1], prefix + key) for key in keys}
         if path not in arrays:
             raise ValueError("archive has no entry %r" % path)
         return arrays[path] if kind is np.ndarray else kind(arrays[path])

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .archive import flatten, load_archive, save_archive, unflatten
-from .gappy import ForceReconstructor, build_force_reconstructor
+from .gappy import build_force_reconstructor
 from .midpoint import NewtonSettings, State, richardson_estimate
 from .pod import compute_pod_basis
 from .roms import (build_collocation, build_galerkin, build_gappy_rom,
@@ -51,9 +51,13 @@ SP_STEP_SEED = 0
 SP_STEP_REPEATS = 3
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_percentage(p):
-    if not 0 < p <= 100:   # false for NaN
-        raise ValueError("sampling percentages must lie in (0, 100]: %r" % p)
+    if not (_is_number(p) and 0 < p <= 100):   # false for NaN
+        raise ValueError("sampling percentages must lie in (0, 100]: %r" % (p,))
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,10 @@ class ExperimentConfig:
     newton_rel_tol: float = 1e-6
 
     def __post_init__(self):
+        for name in ("dt", "final_time", "zeta", "energy_state", "newton_rel_tol"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError("%s must be a number: %r" % (name, value))
         for name in ("dt", "final_time", "newton_rel_tol"):
             if not 0 < getattr(self, name) < math.inf:   # false for NaN
                 raise ValueError("%s must be positive and finite" % name)
@@ -104,9 +112,9 @@ class ExperimentConfig:
             raise ValueError("energy_state must lie in [0, 1]")
         for p in self.sampling_percentages:
             _check_percentage(p)
-        unknown = set(self.variants) - set(VARIANTS)
+        unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
-            raise ValueError("unknown variants: %s" % sorted(unknown))
+            raise ValueError("unknown variants: %r" % unknown)
 
     @property
     def n_steps(self) -> int:
@@ -121,6 +129,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("a config must be a JSON object, not %s"
+                             % type(data).__name__)
         for key in sorted(set(data) - {f.name for f in dataclasses.fields(cls)}):
             raise ValueError(("config key %r is no longer settable: its value "
                               "is fixed" if key in FIXED_KEYS else
@@ -128,6 +139,8 @@ class ExperimentConfig:
         kwargs = dict(data)
         for key in ("sampling_percentages", "variants"):
             if key in kwargs:
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise ValueError("%s must be a list: %r" % (key, kwargs[key]))
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -166,7 +179,7 @@ class OfflineProducts:
     phi_singular_values: np.ndarray
     term_bases: dict[str, np.ndarray]      # name -> (N, n_f)
     matrix_modes: np.ndarray               # (k, n_train) over mass_snapshots
-    mass_snapshots: list[np.ndarray]       # training mass matrices
+    mass_snapshots: list[np.ndarray]       # training_masses; not archived
 
     @property
     def forcing(self) -> ForcingConfig:
@@ -195,6 +208,11 @@ def training_points(config: ExperimentConfig) -> np.ndarray:
     if config.conservative:
         mu = _apply_conservative(mu)
     return mu
+
+
+def training_masses(config: ExperimentConfig, mu_train) -> list[np.ndarray]:
+    """The N x N mass matrices at the training points."""
+    return [build_truss(config.bays, mu).mass_dense() for mu in mu_train]
 
 
 def online_points(config: ExperimentConfig) -> np.ndarray:
@@ -243,7 +261,6 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
     settings = config.newton_settings
 
     state_snaps, term_snaps = [], {name: [] for name in TERM_NAMES}
-    mass_snapshots = []
     for i, mu in enumerate(mu_train):
         model = build_truss(config.bays, mu)
         q0 = model.initial_displacement(forcing)
@@ -270,13 +287,13 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
             term_snaps["damping"].append(damp)
             term_snaps["potential"].append(grad)
             term_snaps["force"].append(force)
-        mass_snapshots.append(model.mass_dense())
         logger.info("training run %d/%d done (%d steps, avg %.2f Newton iters)",
                     i + 1, len(mu_train), traj.n_steps,
                     float(np.mean(traj.newton_iterations)))
 
     basis = compute_pod_basis(np.column_stack(state_snaps), config.energy_state)
     term_bases = {name: _term_basis(snaps) for name, snaps in term_snaps.items()}
+    mass_snapshots = training_masses(config, mu_train)
     modes = matrix_pod_modes(mass_snapshots, FULL_ENERGY)
 
     return OfflineProducts(config=config, mu_train=mu_train,
@@ -299,7 +316,7 @@ class ReducedProducts:
     sample_set: SampleIndexSet
     rbs_map: RBSMap
     gappy_basis: MatrixGappyBasis
-    reconstructors: dict[str, ForceReconstructor]
+    reconstructors: dict[str, np.ndarray]  # term -> (n, m) operator
 
 
 def sample_count(config: ExperimentConfig, percentage: float, n: int,
@@ -349,7 +366,7 @@ def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProdu
     rbs_map = rbs_fit(offline.mass_snapshots, phi, sample_set)
     gappy_basis = build_matrix_gappy_basis(offline.matrix_modes,
                                            offline.mass_snapshots, phi, sample_set)
-    problems = validate_sample_set(sample_set, gappy_basis.vectorized_sampled_operator)
+    problems = validate_sample_set(sample_set, gappy_basis.sampled_operator)
     if problems:
         logger.warning("sample-set diagnostics at %.3g%%: %s",
                        percentage, "; ".join(problems))
@@ -666,9 +683,9 @@ def write_report_artifacts(outdir: Path, config, report, hfm_runs,
 # ---------------------------------------------------------------------------
 
 def save_offline(path, offline: OfflineProducts) -> None:
-    """Persist training products; the config goes to a JSON file next to
-    the archive."""
-    save_archive(path, flatten(offline, skip=("config",)))
+    """Persist training products but the masses, which ``load_offline``
+    rebuilds; the config goes to a JSON file next to the archive."""
+    save_archive(path, flatten(offline, skip=("config", "mass_snapshots")))
     Path(path).with_suffix(".config.json").write_text(
         json.dumps(offline.config.to_dict(), indent=2))
 
@@ -676,7 +693,13 @@ def save_offline(path, offline: OfflineProducts) -> None:
 def load_offline(path) -> OfflineProducts:
     config = ExperimentConfig.from_dict(
         json.loads(Path(path).with_suffix(".config.json").read_text()))
-    return unflatten(OfflineProducts, load_archive(path), config=config)
+    offline = unflatten(OfflineProducts, load_archive(path), config=config,
+                        mass_snapshots=[])
+    if offline.phi.shape[0] != 12 * config.bays:
+        raise ValueError("archived basis has %d rows, a config of %d bays %d"
+                         % (offline.phi.shape[0], config.bays, 12 * config.bays))
+    offline.mass_snapshots = training_masses(config, offline.mu_train)
+    return offline
 
 
 def save_reduced(path, reduced: ReducedProducts) -> None:

@@ -7,24 +7,11 @@ equals applying that operator to the sampled values, which is what lets
 the structure-preserving models treat the external force consistently.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 # Relative tolerance on the R factor used for rank decisions.
 RANK_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ForceReconstructor:
-    """Operator taking sampled entries of a term to its reduced projection."""
-
-    operator: np.ndarray        # (n, m)
-
-    @property
-    def m(self) -> int:
-        return self.operator.shape[1]
 
 
 def _sampled_pinv(phi_f_sampled):
@@ -42,8 +29,9 @@ def _sampled_pinv(phi_f_sampled):
     return pinv
 
 
-def build_force_reconstructor(phi, phi_f, sample_set) -> ForceReconstructor:
-    """Build the reduced reconstruction operator for one nonlinear term.
+def build_force_reconstructor(phi, phi_f, sample_set) -> np.ndarray:
+    """The (n, m) operator taking the m sampled entries of one nonlinear
+    term to the reduced projection of its gappy reconstruction.
 
     An empty term basis (e.g. a force that is identically zero over the
     training set) yields the zero operator.
@@ -55,21 +43,21 @@ def build_force_reconstructor(phi, phi_f, sample_set) -> ForceReconstructor:
     n = phi.shape[1]
     m = sample_set.m
     if phi_f.shape[1] == 0:
-        return ForceReconstructor(operator=np.zeros((n, m)))
+        return np.zeros((n, m))
     if phi_f.shape[1] > m:
         raise ValueError("term basis dimension %d exceeds sample count %d"
                          % (phi_f.shape[1], m))
     pinv = _sampled_pinv(phi_f[sample_set.indices, :])
-    return ForceReconstructor(operator=(phi.T @ phi_f) @ pinv)
+    return (phi.T @ phi_f) @ pinv
 
 
-def apply_force_reconstructor(reconstructor: ForceReconstructor, sampled_values):
+def apply_force_reconstructor(operator, sampled_values):
     """Reduced projection of the reconstructed term from its sampled entries."""
     v = np.asarray(sampled_values, dtype=float)
-    if v.shape != (reconstructor.m,):
+    if v.shape != operator.shape[1:]:
         raise ValueError("expected %d sampled values, got shape %s"
-                         % (reconstructor.m, v.shape))
-    return reconstructor.operator @ v
+                         % (operator.shape[1], v.shape))
+    return operator @ v
 
 
 def gappy_error_bound(phi_f, sample_set, f):

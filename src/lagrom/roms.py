@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gappy import ForceReconstructor, apply_force_reconstructor
+from .gappy import apply_force_reconstructor
 from .midpoint import (NewtonSettings, SecondOrderSystem, State, Trajectory,
                        implicit_midpoint_solve)
 from .potential_map import (build_potential_map, approx_reduced_gradient,
@@ -142,17 +142,16 @@ def build_gappy_rom(model, phi, reconstructors, sample_set, alpha=0.0,
     """Gappy POD baseline: a separate reconstruction for every term.
 
     ``reconstructors`` maps the keys ``mass``, ``damping``, ``potential``
-    and ``force`` to :class:`ForceReconstructor` instances built on the
-    shared sample set.
+    and ``force`` to (n, m) operators of ``build_force_reconstructor`` on
+    the shared sample set.
     """
-    ops = {term: rec.operator for term, rec in reconstructors.items()}
-    return _sampled_projection("gappy_pod", model, phi, sample_set, ops,
-                               alpha, beta, forcing)
+    return _sampled_projection("gappy_pod", model, phi, sample_set,
+                               reconstructors, alpha, beta, forcing)
 
 
 def build_structure_preserving(model, phi, sample_set, mass_product,
                                alpha=0.0, beta=0.0,
-                               force_reconstructor: ForceReconstructor | None = None,
+                               force_reconstructor: np.ndarray | None = None,
                                forcing=None) -> ReducedSystem:
     """Assemble a structure-preserving reduced model from offline products.
 

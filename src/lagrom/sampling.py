@@ -108,8 +108,8 @@ def _argmax_abs(values, taken):
 def validate_sample_set(sample_set, vectorized_operator) -> list[str]:
     """Problems of a sample set for matrix gappy POD as messages, none if it
     passes: (m^2 + m)/2 must cover the k basis matrices, and the
-    upper-triangle vectorized sampled operator ((m^2 + m)/2, k; see
-    :class:`~lagrom.spd_approx.MatrixGappyBasis`) must have full column rank."""
+    upper-triangle vectorized sampled operator ((m^2 + m)/2, k;
+    ``MatrixGappyBasis.sampled_operator``) must have full column rank."""
     m = sample_set.m
     k = vectorized_operator.shape[1]
     messages = []

@@ -17,6 +17,7 @@ when the unconstrained solution violates the constraint.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,6 @@ class RBSMap:
     @property
     def m(self) -> int:
         return self.factor.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.factor.shape[1]
 
 
 def _congruence_objective(z, sampled, reduced):
@@ -169,33 +166,17 @@ def rbs_apply(rbs_map: RBSMap, sampled_matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixGappyBasis:
-    """Sampled and reduced forms of the principal-matrix basis.
+    """The principal-matrix basis as the online stage reads it: the upper
+    triangles (``np.triu_indices`` order) of the k sampled m x m blocks as
+    the columns of the sampled least-squares operator, and the k reduced
+    n x n blocks."""
 
-    Only the entries needed online are kept: the m x m sampled blocks and
-    the n x n reduced blocks.
-    """
-
-    sampled_basis: np.ndarray            # (k, m, m)
+    sampled_operator: np.ndarray         # ((m^2 + m)/2, k)
     reduced_basis: np.ndarray            # (k, n, n)
 
     @property
     def k(self) -> int:
-        return self.sampled_basis.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.sampled_basis.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.reduced_basis.shape[1]
-
-    @property
-    def vectorized_sampled_operator(self) -> np.ndarray:
-        """Upper triangles of the sampled blocks as columns, ((m^2+m)/2, k);
-        the operator of the sampled least-squares solve."""
-        rows, cols = np.triu_indices(self.m)
-        return np.column_stack([a_s[rows, cols] for a_s in self.sampled_basis])
+        return self.reduced_basis.shape[0]
 
 
 def matrix_pod_modes(matrix_snapshots, energy):
@@ -237,16 +218,31 @@ def matrix_pod_modes(matrix_snapshots, energy):
 
 def build_matrix_gappy_basis(coefficients, matrix_snapshots, phi,
                              sample_set) -> MatrixGappyBasis:
-    """Sampled and reduced blocks of the principal matrices
+    """Sampled operator and reduced blocks of the principal matrices
     ``sum_j C[i, j] * A_j``, from (k, K) coefficients C and K snapshots."""
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 2 or c.shape[1] != len(matrix_snapshots):
         raise ValueError("need (k, %d) coefficients, got shape %s"
                          % (len(matrix_snapshots), c.shape))
     sampled, reduced = _sampled_and_reduced(matrix_snapshots, phi, sample_set)
+    sampled = np.tensordot(c, sampled, axes=1)
     reduced = np.tensordot(c, reduced, axes=1)
-    return MatrixGappyBasis(sampled_basis=np.tensordot(c, sampled, axes=1),
-                            reduced_basis=0.5 * (reduced + reduced.transpose(0, 2, 1)))
+    rows, cols = np.triu_indices(sample_set.m)
+    return MatrixGappyBasis(
+        sampled_operator=np.ascontiguousarray(sampled[:, rows, cols].T),
+        reduced_basis=0.5 * (reduced + reduced.transpose(0, 2, 1)))
+
+
+def _sampled_upper_triangle(basis: MatrixGappyBasis, sampled_matrix):
+    """Upper triangle of an online sampled m x m matrix, in the row order
+    of ``basis.sampled_operator``."""
+    a = np.asarray(sampled_matrix, dtype=float)
+    # The operator has (m^2 + m)/2 rows.
+    m = math.isqrt(2 * basis.sampled_operator.shape[0])
+    if a.shape != (m, m):
+        raise ValueError("sampled matrix shape %s does not match basis (%d, %d)"
+                         % (a.shape, m, m))
+    return a[np.triu_indices(m)]
 
 
 def _assemble(basis: MatrixGappyBasis, x):
@@ -275,16 +271,10 @@ def gappy_matrix_coeffs(sampled_online, basis: MatrixGappyBasis):
     reduced matrix against the definiteness threshold; if violated, the
     eigenvalue-constrained solve takes over.
     """
-    a = np.asarray(sampled_online, dtype=float)
-    m = basis.m
-    if a.shape != (m, m):
-        raise ValueError("sampled matrix shape %s does not match basis (%d, %d)"
-                         % (a.shape, m, m))
-    rows, cols = np.triu_indices(m)
+    rhs = _sampled_upper_triangle(basis, sampled_online)
     # lstsq's rank uses matrix_rank's cutoff; it is below k also whenever
     # the (m^2 + m)/2 sampled entries are fewer than the k coefficients.
-    x, _, rank, _ = np.linalg.lstsq(basis.vectorized_sampled_operator,
-                                    a[rows, cols], rcond=None)
+    x, _, rank, _ = np.linalg.lstsq(basis.sampled_operator, rhs, rcond=None)
     if rank < basis.k:
         raise ValueError("invalid sampling for matrix gappy POD")
 
@@ -294,7 +284,7 @@ def gappy_matrix_coeffs(sampled_online, basis: MatrixGappyBasis):
     if lam_min < eps:
         logger.info("gappy coefficients infeasible (lambda_min=%.3e < %.3e); "
                     "running constrained solve", lam_min, eps)
-        x = eigen_constrained_solve(basis, a, x, pd_threshold=eps)
+        x = eigen_constrained_solve(basis, sampled_online, x, pd_threshold=eps)
     return x
 
 
@@ -322,10 +312,8 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
     if np.linalg.eigvalsh(_assemble(basis, x0))[0] >= eps:
         return x0
 
-    a = np.asarray(sampled_online, dtype=float)
-    rows, cols = np.triu_indices(basis.m)
-    op = basis.vectorized_sampled_operator
-    rhs = a[rows, cols]
+    op = basis.sampled_operator
+    rhs = _sampled_upper_triangle(basis, sampled_online)
 
     if basis.k == 1:
         lam_basis = np.linalg.eigvalsh(basis.reduced_basis[0])

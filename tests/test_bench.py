@@ -156,7 +156,7 @@ class TestOfflineProducts:
         assert off.term_bases["damping"].shape[1] == 0
         assert off.alpha == off.beta == 0.0
         red = reduce_products(off, 100.0)
-        out = red.reconstructors["force"].operator @ np.zeros(red.sample_set.m)
+        out = red.reconstructors["force"] @ np.zeros(red.sample_set.m)
         assert np.array_equal(out, np.zeros(off.n))
 
     def test_archive_round_trip(self, tiny_offline, tmp_path):
@@ -186,10 +186,65 @@ class TestOfflineProducts:
         assert_same_products(load_reduced(path), red)
         # Older archives also store each reconstructor's basis dimension.
         arrays = load_archive(path)
-        for name, rec in red.reconstructors.items():
-            arrays["reconstructors/%s/basis_dim" % name] = np.array(float(rec.m))
+        for name, operator in red.reconstructors.items():
+            arrays["reconstructors/%s/basis_dim" % name] = np.array(
+                float(operator.shape[1]))
         save_archive(path, arrays)
         assert_same_products(load_reduced(path), red)
+
+    def test_training_archive_stores_no_masses(self, tiny_offline, tmp_path):
+        """The masses are rebuilt from the training points, bit for bit."""
+        path = tmp_path / "training.lgrm"
+        save_offline(path, tiny_offline)
+        assert not [name for name in load_archive(path)
+                    if name.startswith("mass_snapshots")]
+        loaded = load_offline(path).mass_snapshots
+        assert len(loaded) == len(tiny_offline.mass_snapshots)
+        for got, want in zip(loaded, tiny_offline.mass_snapshots):
+            assert np.array_equal(got, want)
+
+    def test_archive_with_masses_loads(self, tiny_offline, tmp_path):
+        """A training archive that also stores the masses
+        (``mass_snapshots/0``, ...) loads to the same products."""
+        path = tmp_path / "training.lgrm"
+        save_offline(path, tiny_offline)
+        arrays = load_archive(path)
+        for i, mass in enumerate(tiny_offline.mass_snapshots):
+            arrays["mass_snapshots/%d" % i] = mass
+        save_archive(path, arrays)
+        assert_same_products(load_offline(path), tiny_offline)
+
+    def test_config_of_other_bay_count_rejected(self, tiny_offline, tmp_path):
+        path = tmp_path / "training.lgrm"
+        save_offline(path, tiny_offline)
+        config = {**tiny_offline.config.to_dict(), "bays": 3}
+        path.with_suffix(".config.json").write_text(json.dumps(config))
+        with pytest.raises(ValueError, match="basis has 24 rows, a config of "
+                                             "3 bays 36"):
+            load_offline(path)
+
+    def test_reduced_archive_with_sampled_blocks_rejected(self, tiny_offline,
+                                                          tmp_path):
+        """An archive of the stacked sampled blocks
+        (``gappy_basis/sampled_basis``) and of wrapped reconstructor
+        operators (``reconstructors/force/operator``) names the entry it
+        lacks."""
+        red = reduce_products(tiny_offline, 50.0)
+        path = tmp_path / "reduced.lgrm"
+        save_reduced(path, red)
+        arrays = load_archive(path)
+        operator = arrays.pop("gappy_basis/sampled_operator")
+        rows, cols = np.triu_indices(red.sample_set.m)
+        blocks = np.zeros((red.gappy_basis.k, red.sample_set.m, red.sample_set.m))
+        blocks[:, rows, cols] = blocks[:, cols, rows] = operator.T
+        arrays["gappy_basis/sampled_basis"] = blocks
+        for name in red.reconstructors:
+            arrays["reconstructors/%s/operator" % name] = arrays.pop(
+                "reconstructors/" + name)
+        save_archive(path, arrays)
+        with pytest.raises(ValueError, match="archive has no entry "
+                                             "'gappy_basis/sampled_operator'"):
+            load_reduced(path)
 
     def test_old_layout_training_archive_rejected(self, tiny_offline, tmp_path):
         """An archive that stores the modes as N x N matrices
@@ -464,6 +519,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="%r is no longer settable" % key):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data, match", [
+        ({"bays": 2, "dt": "0.1"}, "dt must be a number"),
+        ({"bays": 2, "dt": True}, "dt must be a number"),
+        ({"bays": 2, "dt": 0.1, "zeta": "0"}, "zeta must be a number"),
+        ({"bays": 2, "dt": 0.1, "energy_state": None},
+         "energy_state must be a number"),
+        ({"bays": 2, "dt": 0.1, "sampling_percentages": 5},
+         "sampling_percentages must be a list"),
+        ({"bays": 2, "dt": 0.1, "sampling_percentages": [True]},
+         r"sampling percentages must lie in \(0, 100\]: True"),
+        ({"bays": 2, "dt": 0.1, "variants": "sp_rbs"}, "variants must be a list"),
+        ([1], "a config must be a JSON object, not list")],
+        ids=["dt-string", "dt-bool", "zeta-string", "energy_state-null",
+             "percentages-number", "percentages-bool", "variants-string",
+             "top-level-array"])
+    def test_values_of_wrong_json_type_rejected(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict(data)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key 'bay'"):
             ExperimentConfig.from_dict({"bays": 2, "dt": 0.1, "bay": 3})
@@ -537,6 +611,13 @@ class TestCli:
         assert cli_main(["train", "--config", str(config_path),
                          "--out", str(tmp_path / "run")]) == 1
         self.assert_one_error_line(capsys, "train")
+
+    def test_config_value_of_wrong_type_prints_one_line(self, tmp_path, capsys,
+                                                        tiny_config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**tiny_config.to_dict(), "dt": "0.1"}))
+        assert cli_main(["verify-dt", "--config", str(config_path)]) == 1
+        self.assert_one_error_line(capsys, "verify-dt")
 
     def test_bad_step_prints_one_line(self, tmp_path, capsys, tiny_config):
         config_path = tmp_path / "config.json"

@@ -19,7 +19,8 @@ def test_hash_outputs_is_deterministic(workload):
     first = run()
     lines = first.splitlines()
     names = [line.split()[0] for line in lines]
-    assert {"offline/phi", "reduced/sample_set/indices", "hfm/q",
+    assert {"offline/phi", "offline/mass_snapshots/0",
+            "reduced/sample_set/indices", "hfm/q",
             "sp_rbs/newton_iterations"} <= set(names)
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert run() == first

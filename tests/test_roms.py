@@ -207,9 +207,9 @@ def test_sampled_projections_build_no_full_matrices(truss, forcing, basis,
     assert np.array_equal(coll.mass_r, test_basis @ (mass @ basis))
     assert np.array_equal(coll.damping_r, test_basis @ (damping @ basis))
     assert np.array_equal(gappy.mass_r,
-                          recs["mass"].operator @ (mass @ basis))
+                          recs["mass"] @ (mass @ basis))
     assert np.array_equal(gappy.damping_r,
-                          recs["damping"].operator @ (damping @ basis))
+                          recs["damping"] @ (damping @ basis))
 
 
 class TestStructurePreserving:

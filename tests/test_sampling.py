@@ -165,5 +165,5 @@ class TestValidateSampleSet:
         s = greedy_sample_indices(phi, 10)
         modes = [random_spd(rng, 10) for _ in range(3)]
         op = build_matrix_gappy_basis(np.eye(3), modes, phi,
-                                      s).vectorized_sampled_operator
+                                      s).sampled_operator
         assert validate_sample_set(s, op) == []

@@ -253,8 +253,7 @@ class TestMatrixPodBasis:
         for k in range(basis.k):
             assert np.abs(basis.reduced_basis[k]
                           - basis.reduced_basis[k].T).max() <= 1e-12
-        assert basis.vectorized_sampled_operator.shape == ((m * m + m) // 2,
-                                                           basis.k)
+        assert basis.sampled_operator.shape == ((m * m + m) // 2, basis.k)
 
     def test_basis_from_coefficients_matches_materialized_modes(self, rng):
         """Contracting the coefficients with the snapshots' blocks gives the
@@ -268,9 +267,31 @@ class TestMatrixPodBasis:
         modes = materialize(coefficients, masses)
         got = build_matrix_gappy_basis(coefficients, masses, phi, s)
         want = build_matrix_gappy_basis(np.eye(len(modes)), list(modes), phi, s)
-        for field in ("sampled_basis", "reduced_basis"):
+        for field in ("sampled_operator", "reduced_basis"):
             a, b = getattr(got, field), getattr(want, field)
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), field
+
+    def test_sampled_operator_is_upper_triangles_of_sampled_modes(self, rng):
+        masses = [build_truss(4, rng.uniform(-1, 1, size=16)).mass_dense()
+                  for _ in range(3)]
+        phi = random_orthonormal(rng, masses[0].shape[0], 4)
+        s = greedy_sample_indices(phi, 7)
+        coefficients = matrix_pod_modes(masses, 1.0)
+        basis = build_matrix_gappy_basis(coefficients, masses, phi, s)
+        rows, cols = np.triu_indices(s.m)
+        want = np.column_stack([mode[np.ix_(s.indices, s.indices)][rows, cols]
+                                for mode in materialize(coefficients, masses)])
+        assert basis.sampled_operator.shape == want.shape
+        assert np.linalg.norm(basis.sampled_operator - want) \
+            <= 1e-12 * np.linalg.norm(want)
+
+    def test_sampled_matrix_of_wrong_shape_rejected(self, rng):
+        snaps = [random_spd(rng, 6) for _ in range(2)]
+        s = SampleIndexSet(np.arange(3), 6)
+        basis = build_matrix_gappy_basis(np.eye(2), snaps, np.eye(6)[:, :2], s)
+        for bad in (np.eye(2), np.eye(4), np.ones((3, 4)), np.ones(6)):
+            with pytest.raises(ValueError, match="does not match basis"):
+                gappy_matrix_coeffs(bad, basis)
 
     def test_coefficients_of_wrong_shape_rejected(self, rng):
         snaps = [random_spd(rng, 4) for _ in range(2)]
@@ -290,8 +311,8 @@ class TestGappyCoeffs:
                                          phi, s)
         idx = np.ix_(s.indices, s.indices)
         coeffs = gappy_matrix_coeffs(np.asarray(snaps[0])[idx], basis)
-        recon = np.einsum("i,ijk->jk", coeffs, basis.sampled_basis)
-        assert np.allclose(recon, snaps[0][idx], atol=1e-10)
+        recon = basis.sampled_operator @ coeffs
+        assert np.allclose(recon, snaps[0][idx][np.triu_indices(m)], atol=1e-10)
 
     def test_exactness_for_training_member(self, rng):
         big_n = 10
@@ -414,7 +435,7 @@ class TestEigenConstrainedSolve:
         target = -3.0 * base[np.ix_(s.indices, s.indices)]
         x = eigen_constrained_solve(
             basis, target,
-            np.linalg.lstsq(basis.vectorized_sampled_operator,
+            np.linalg.lstsq(basis.sampled_operator,
                             target[np.triu_indices(4)], rcond=None)[0],
             pd_threshold=1e-3)
         assembled = np.einsum("i,ijk->jk", x, basis.reduced_basis)

@@ -3,10 +3,11 @@
 Runs the offline, reduce, full-order and online phases of a workload from
 ``perfbench/workloads.py`` once, at the workload's online point, and prints
 one ``<name> <sha256>`` line per array: each entry that
-``archive.flatten`` makes of the offline and reduced products, and the q,
-v, Newton counts, tip series and (when recorded) energy of the HFM and of
-every online variant's trajectory.  Two source trees give the same outputs
-when their lines are equal::
+``archive.flatten`` makes of the offline and reduced products, each
+training mass (``offline/mass_snapshots/<i>``, which the training archive
+does not store), and the q, v, Newton counts, tip series and (when
+recorded) energy of the HFM and of every online variant's trajectory.
+Two source trees give the same outputs when their lines are equal::
 
     python tools/hash_outputs.py study-20 --size bench --seed 1 > a.txt
 
@@ -47,7 +48,10 @@ def output_arrays(workload, variants):
 
     offline = workload.offline()
     reduced = workload.reduce(offline)
-    yield from (("offline/" + k, v) for k, v in flatten(offline, skip=("config",)).items())
+    yield from (("offline/" + k, v) for k, v in
+                flatten(offline, skip=("config", "mass_snapshots")).items())
+    yield from (("offline/mass_snapshots/%d" % i, mass)
+                for i, mass in enumerate(offline.mass_snapshots))
     yield from (("reduced/" + k, v) for k, v in flatten(reduced).items())
     trajectories = {"hfm": workload.full_order(offline)}
     for variant in variants:
