@@ -33,10 +33,6 @@ class SymmetricBand:
         self.shape = (ab.shape[1], ab.shape[1])
         self._view = None
 
-    @property
-    def T(self) -> "SymmetricBand":
-        return self
-
     def __add__(self, other):
         if not isinstance(other, SymmetricBand):
             return NotImplemented

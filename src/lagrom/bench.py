@@ -312,11 +312,12 @@ def run_offline(config: ExperimentConfig) -> OfflineProducts:
 class ReducedProducts:
     """Per-sampling-percentage offline products."""
 
-    percentage: float
     sample_set: SampleIndexSet
     rbs_map: RBSMap
     gappy_basis: MatrixGappyBasis
     reconstructors: dict[str, np.ndarray]  # term -> (n, m) operator
+    # The training run reduced from: its OfflineProducts.phi_singular_values.
+    phi_singular_values: np.ndarray
 
 
 def sample_count(config: ExperimentConfig, percentage: float, n: int,
@@ -374,9 +375,10 @@ def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProdu
     reconstructors = {name: _fit_reconstructor(phi, term_basis, sample_set, name)
                       for name, term_basis in offline.term_bases.items()}
 
-    return ReducedProducts(percentage=percentage, sample_set=sample_set,
-                           rbs_map=rbs_map, gappy_basis=gappy_basis,
-                           reconstructors=reconstructors)
+    return ReducedProducts(sample_set=sample_set, rbs_map=rbs_map,
+                           gappy_basis=gappy_basis,
+                           reconstructors=reconstructors,
+                           phi_singular_values=offline.phi_singular_values)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +387,6 @@ def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProdu
 
 @dataclass
 class OnlineResult:
-    variant: str
-    percentage: float
     trajectory: object
     build_seconds: float           # model + initial condition + ROM assembly
     rom_seconds: float             # build + stepping (the online phase)
@@ -427,9 +427,7 @@ def run_online(offline: OfflineProducts, reduced: ReducedProducts, mu_star,
                          settings=config.newton_settings,
                          state0=State(q=q_r0, v=np.zeros_like(q_r0)),
                          record_energy=record_energy)
-    return OnlineResult(variant=variant, percentage=reduced.percentage,
-                        trajectory=traj,
-                        build_seconds=build_seconds,
+    return OnlineResult(trajectory=traj, build_seconds=build_seconds,
                         rom_seconds=build_seconds + traj.wall_time)
 
 
@@ -661,8 +659,6 @@ def write_report_artifacts(outdir: Path, config, report, hfm_runs,
     for j, traj in enumerate(hfm_runs):
         write_trajectory_csv(traj_dir / ("hfm_point%d.csv" % j), traj)
     for (variant, pct, j), traj in trajectories.items():
-        if traj.quantity is None:
-            continue
         name = "%s_p%g_point%d.csv" % (variant, pct, j)
         write_trajectory_csv(traj_dir / name, traj)
 
@@ -707,5 +703,12 @@ def save_reduced(path, reduced: ReducedProducts) -> None:
     save_archive(path, flatten(reduced))
 
 
-def load_reduced(path) -> ReducedProducts:
-    return unflatten(ReducedProducts, load_archive(path))
+def load_reduced(path, offline: OfflineProducts) -> ReducedProducts:
+    """Per-percentage products reduced from the training run ``offline``;
+    an archive reduced from another run raises ``ValueError``."""
+    arrays = load_archive(path)
+    if not np.array_equal(arrays.get("phi_singular_values"),
+                          offline.phi_singular_values):
+        raise ValueError("%s was not reduced from the current training "
+                         "archive; rerun lagrom reduce" % path)
+    return unflatten(ReducedProducts, arrays)

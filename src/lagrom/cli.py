@@ -28,6 +28,20 @@ def _load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
 
 
+def _parse_mu(text) -> np.ndarray:
+    """The ``--mu`` value: a JSON list of real numbers, booleans excluded."""
+    try:
+        values = json.loads(text)
+        if isinstance(values, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in values):
+            return np.array(values, dtype=float)
+    # Not JSON (JSONDecodeError is a ValueError), or an integer beyond float.
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError("--mu must be a JSON list of numbers: %r" % text)
+
+
 def _reduced_path(outdir: Path, percent: float) -> Path:
     return outdir / ("reduced_p%g.lgrm" % percent)
 
@@ -57,7 +71,7 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out)
     offline = load_offline(outdir / TRAINING_ARCHIVE)
     if args.mu is not None:
-        mu = np.asarray(json.loads(args.mu), dtype=float)
+        mu = _parse_mu(args.mu)
     else:
         points = online_points(offline.config)
         if not 0 <= args.online_index < len(points):
@@ -66,7 +80,7 @@ def cmd_simulate(args) -> int:
         mu = points[args.online_index]
     path = _reduced_path(outdir, args.percent)
     if path.exists():
-        reduced = load_reduced(path)
+        reduced = load_reduced(path, offline)
     else:
         reduced = reduce_products(offline, args.percent)
     result: OnlineResult = run_online(offline, reduced, mu, args.variant,

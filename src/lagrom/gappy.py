@@ -38,8 +38,6 @@ def build_force_reconstructor(phi, phi_f, sample_set) -> np.ndarray:
     """
     phi = np.asarray(phi, dtype=float)
     phi_f = np.asarray(phi_f, dtype=float)
-    if phi_f.ndim == 1:
-        phi_f = phi_f[:, None]
     n = phi.shape[1]
     m = sample_set.m
     if phi_f.shape[1] == 0:

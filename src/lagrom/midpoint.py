@@ -61,7 +61,6 @@ class NewtonResult:
     x: np.ndarray
     iterations: int
     converged: bool
-    residual_norm: float
     reason: str
 
 
@@ -70,7 +69,6 @@ class State:
     """Configuration/velocity pair at one time instant."""
     q: np.ndarray
     v: np.ndarray
-    t: float = 0.0
 
 
 @dataclass
@@ -156,8 +154,7 @@ def _linesearch(residual, merit, x, r, direction, slope):
         step = 0.5**k
         trial = x + step * direction
         try:
-            r_trial = (np.atleast_1d(residual(trial))
-                       if k == 0 or merit is None else None)
+            r_trial = residual(trial) if k == 0 or merit is None else None
             if k == 0 and float(r_trial @ r_trial) <= (1.0 - 2.0 * ARMIJO_C1) * rr:
                 return trial, r_trial
             if merit is None:
@@ -170,7 +167,7 @@ def _linesearch(residual, merit, x, r, direction, slope):
             continue
         if value <= merit0 + ARMIJO_C1 * step * slope:
             if r_trial is None:
-                r_trial = np.atleast_1d(residual(trial))
+                r_trial = residual(trial)
             return trial, r_trial
     return None
 
@@ -181,15 +178,16 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
 
     ``merit`` is a potential whose gradient is ``residual``; the iteration
     then minimizes it (the residual's Jacobian is its Hessian).  Without
-    one the merit is ``0.5 ||r||^2``.  Convergence: ``||r|| <= rel_tol *
-    reference_norm`` (reference defaults to the initial residual norm).
-    Non-convergence is reported through the result, not raised; a
+    one the merit is ``0.5 ||r||^2``, and the Jacobian must be dense; a
+    :class:`~lagrom.band.SymmetricBand` comes with a merit.  Convergence:
+    ``||r|| <= rel_tol * reference_norm`` (reference defaults to the
+    initial residual norm).  Non-convergence is reported through the result, not raised; a
     non-finite residual at an iterate ends the iteration at once.  One
     Jacobian is assembled per iteration, none at trial points.
     """
     settings = settings or NewtonSettings()
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    r = np.atleast_1d(residual(x))
+    x = np.array(x0, dtype=float)
+    r = residual(x)
     rnorm = float(np.linalg.norm(r))
     ref = rnorm if reference_norm is None else float(reference_norm)
     target = settings.rel_tol * ref
@@ -197,28 +195,26 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
     for it in range(settings.max_iters):
         if not np.isfinite(rnorm):
             return NewtonResult(x=x, iterations=it, converged=False,
-                                residual_norm=rnorm, reason="nonfinite")
+                                reason="nonfinite")
         if rnorm <= target:
             return NewtonResult(x=x, iterations=it, converged=True,
-                                residual_norm=rnorm, reason="converged")
+                                reason="converged")
         jac = jacobian(x)
-        if not isinstance(jac, SymmetricBand):
-            jac = np.atleast_2d(jac)
         direction, slope = _descent_direction(
             jac, r, r if merit is not None else jac.T @ r)
         if direction is None:
             return NewtonResult(x=x, iterations=it, converged=False,
-                                residual_norm=rnorm, reason="stationary")
+                                reason="stationary")
         accepted = _linesearch(residual, merit, x, r, direction, slope)
         if accepted is None:
             return NewtonResult(x=x, iterations=it + 1, converged=False,
-                                residual_norm=rnorm, reason="linesearch")
+                                reason="linesearch")
         x, r = accepted
         rnorm = float(np.linalg.norm(r))
 
     converged = rnorm <= target
     return NewtonResult(x=x, iterations=settings.max_iters,
-                        converged=converged, residual_norm=rnorm,
+                        converged=converged,
                         reason="converged" if converged else "budget")
 
 
@@ -275,7 +271,7 @@ def midpoint_step(system: SecondOrderSystem, q0, v0, t0, dt,
 
 def implicit_midpoint_solve(system: SecondOrderSystem, state0: State, dt, t_end,
                             settings: NewtonSettings | None = None) -> Trajectory:
-    """Integrate from ``state0.t`` to ``t_end`` with fixed step ``dt``.
+    """Integrate from t = 0 to ``t_end`` with fixed step ``dt``.
 
     A step whose Newton iteration does not converge is marked failed, with
     its ``NewtonResult.reason``, but its best iterate is kept; after
@@ -285,13 +281,13 @@ def implicit_midpoint_solve(system: SecondOrderSystem, state0: State, dt, t_end,
     settings = settings or NewtonSettings()
     if dt <= 0:
         raise ValueError("time step must be positive")
-    span = float(t_end) - float(state0.t)
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(abs(span), 1.0):
+    t_end = float(t_end)
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(abs(t_end), 1.0):
         raise ValueError("time span must be an integral number of steps")
 
     dim = len(np.asarray(state0.q))
-    times = state0.t + dt * np.arange(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     q = np.zeros((n_steps + 1, dim))
     v = np.zeros((n_steps + 1, dim))
     q[0], v[0] = state0.q, state0.v

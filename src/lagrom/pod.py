@@ -30,11 +30,6 @@ class PODBasis:
     columns: np.ndarray
     singular_values: np.ndarray
 
-    @property
-    def n(self) -> int:
-        """Retained basis dimension."""
-        return self.columns.shape[1]
-
 
 def _check_energy(energy: float) -> float:
     energy = float(energy)

@@ -40,10 +40,6 @@ class ReducedSystem:
     qoi_weights: np.ndarray       # tip displacement is q_r @ qoi_weights
     potential: object = None      # q_r -> scalar whose gradient is grad
 
-    @property
-    def n(self) -> int:
-        return self.mass_r.shape[0]
-
     def second_order_system(self) -> SecondOrderSystem:
         return SecondOrderSystem(mass=self.mass_r, damping=self.damping_r,
                                  grad=self.grad, hess=self.hess, force=self.force,
@@ -163,8 +159,11 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
     combination.  The potential is handled through the sparse potential map
     built here for the model's parameter; the damping matrix combines the
     approximated mass with the reduced equilibrium Hessian, which the map
-    reproduces exactly.
+    reproduces exactly.  A ``forcing`` needs its ``force_reconstructor``.
     """
+    if forcing is not None and force_reconstructor is None:
+        raise ValueError("a forcing needs a force_reconstructor: without one "
+                         "the model would integrate with zero force")
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[1]
     s_idx = sample_set.indices
@@ -198,7 +197,7 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
     def hess(q_r):
         return approx_reduced_hessian(pmap, model.tangent_stiffness_block, q_r)
 
-    if forcing is None or force_reconstructor is None:
+    if forcing is None:
         force = _zero_force(n)
     else:
         def force(t):

@@ -51,7 +51,7 @@ def greedy_sample_indices(residual_basis, m) -> SampleIndexSet:
     index.  Columns that vanish on the remaining rows fall back to plain
     largest-magnitude selection on the next column.
     """
-    basis = np.atleast_2d(np.asarray(residual_basis, dtype=float))
+    basis = np.asarray(residual_basis, dtype=float)
     if basis.ndim != 2:
         raise ValueError("residual basis must be a 2-D array")
     big_n, k = basis.shape

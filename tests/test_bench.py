@@ -177,20 +177,32 @@ class TestOfflineProducts:
         assert_same_products(loaded, offline)
         red = reduce_products(offline, 50.0)
         save_reduced(tmp_path / "reduced.lgrm", red)
-        assert_same_products(load_reduced(tmp_path / "reduced.lgrm"), red)
+        assert_same_products(load_reduced(tmp_path / "reduced.lgrm", offline),
+                             red)
 
     def test_reduced_products_round_trip(self, tiny_offline, tmp_path):
         red = reduce_products(tiny_offline, 50.0)
         path = tmp_path / "reduced.lgrm"
         save_reduced(path, red)
-        assert_same_products(load_reduced(path), red)
-        # Older archives also store each reconstructor's basis dimension.
+        assert_same_products(load_reduced(path, tiny_offline), red)
+        # Older archives also store each reconstructor's basis dimension
+        # and the sampling percentage.
         arrays = load_archive(path)
         for name, operator in red.reconstructors.items():
             arrays["reconstructors/%s/basis_dim" % name] = np.array(
                 float(operator.shape[1]))
+        arrays["percentage"] = np.array(50.0)
         save_archive(path, arrays)
-        assert_same_products(load_reduced(path), red)
+        assert_same_products(load_reduced(path, tiny_offline), red)
+
+    def test_reduced_archive_records_its_training_run(self, tiny_offline,
+                                                      tmp_path):
+        path = tmp_path / "reduced.lgrm"
+        save_reduced(path, reduce_products(tiny_offline, 50.0))
+        arrays = load_archive(path)
+        assert "percentage" not in arrays
+        assert np.array_equal(arrays["phi_singular_values"],
+                              tiny_offline.phi_singular_values)
 
     def test_training_archive_stores_no_masses(self, tiny_offline, tmp_path):
         """The masses are rebuilt from the training points, bit for bit."""
@@ -244,7 +256,7 @@ class TestOfflineProducts:
         save_archive(path, arrays)
         with pytest.raises(ValueError, match="archive has no entry "
                                              "'gappy_basis/sampled_operator'"):
-            load_reduced(path)
+            load_reduced(path, tiny_offline)
 
     def test_old_layout_training_archive_rejected(self, tiny_offline, tmp_path):
         """An archive that stores the modes as N x N matrices
@@ -640,6 +652,54 @@ class TestCli:
                          "--online-index", str(index)]) == 1
         err = capsys.readouterr().err
         assert "--online-index must be in [0, 1), got %d" % index in err
+
+    @pytest.mark.parametrize("change", [{"dt": 0.04}, {"bays": 3},
+                                        {"seed_train": 4}, None],
+                             ids=["dt", "bays", "seed_train", "unrecorded"])
+    def test_simulate_rejects_reduced_archive_of_other_training(
+            self, tmp_path, capsys, tiny_offline, change):
+        """A reduced archive left from an earlier training run, or written
+        before archives recorded their run, is not used.  The retrain at
+        dt 0.04 keeps n = 14, so its stale products would fit every shape."""
+        reduced_path = tmp_path / "reduced_p50.lgrm"
+        save_reduced(reduced_path, reduce_products(tiny_offline, 50.0))
+        if change is None:
+            offline = tiny_offline
+            arrays = load_archive(reduced_path)
+            arrays.pop("phi_singular_values", None)
+            save_archive(reduced_path, arrays)
+        else:
+            offline = run_offline(dataclasses.replace(tiny_offline.config,
+                                                      **change))
+        save_offline(tmp_path / "training.lgrm", offline)
+        assert cli_main(["simulate", "--out", str(tmp_path), "--percent", "50",
+                         "--variant", "sp_rbs"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert ("%s was not reduced from the current training archive; "
+                "rerun lagrom reduce" % reduced_path) in err
+
+    MU_TYPE_ERROR = "--mu must be a JSON list of numbers"
+
+    @pytest.mark.parametrize("mu, message", [
+        ('{"a": 1}', MU_TYPE_ERROR),
+        (json.dumps([True] + [0] * 15), MU_TYPE_ERROR),
+        (json.dumps(["0"] * 16), MU_TYPE_ERROR),
+        ("[[0]]", MU_TYPE_ERROR),
+        ("null", MU_TYPE_ERROR),
+        ("[0, 0", MU_TYPE_ERROR),
+        ("[1%s]" % ("0" * 400), MU_TYPE_ERROR),
+        (json.dumps([0] * 15), "parameter vector must have 16 components")],
+        ids=["object", "bool", "string", "nested", "null", "not-json",
+             "overflow", "length"])
+    def test_simulate_rejects_bad_mu(self, tmp_path, capsys, tiny_offline, mu,
+                                     message):
+        save_offline(tmp_path / "training.lgrm", tiny_offline)
+        assert cli_main(["simulate", "--out", str(tmp_path), "--percent", "50",
+                         "--variant", "galerkin", "--mu", mu]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lagrom simulate: ") and err.count("\n") == 1, err
+        assert message in err
 
     def test_compare_subcommand(self, tmp_path):
         cfg = ExperimentConfig(bays=2, dt=0.1, final_time=2.0,

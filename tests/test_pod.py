@@ -13,7 +13,7 @@ def projector(columns):
 class TestComputePodBasis:
     def test_single_snapshot_normalized(self):
         basis = compute_pod_basis(np.array([[3.0], [4.0]]), energy=1.0)
-        assert basis.n == 1
+        assert basis.columns.shape[1] == 1
         assert np.allclose(np.abs(basis.columns.ravel()), [0.6, 0.8])
 
     def test_one_dimensional_array_rejected(self):
@@ -23,14 +23,14 @@ class TestComputePodBasis:
 
     def test_rank_one_snapshots(self):
         basis = compute_pod_basis(np.array([[1.0, 1.0], [0.0, 0.0]]), energy=0.99)
-        assert basis.n == 1
+        assert basis.columns.shape[1] == 1
         assert np.allclose(np.abs(basis.columns.ravel()), [1.0, 0.0])
 
     def test_identity_snapshots_half_energy(self):
         # SVD of the 2x2 identity: both singular values are one, so the
         # first mode carries exactly half the energy.
         basis = compute_pod_basis(np.eye(2), energy=0.5)
-        assert basis.n == 1
+        assert basis.columns.shape[1] == 1
         assert np.allclose(basis.singular_values, [1.0, 1.0])
 
     def test_empty_errors(self):
@@ -44,7 +44,7 @@ class TestComputePodBasis:
     def test_zero_snapshots_dropped(self):
         snaps = np.column_stack([np.zeros(3), np.array([0.0, 2.0, 0.0])])
         basis = compute_pod_basis(snaps, energy=1.0)
-        assert basis.n == 1
+        assert basis.columns.shape[1] == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_snapshot_errors(self, bad):
@@ -61,14 +61,14 @@ class TestComputePodBasis:
         snaps = rng.normal(size=(30, 12))
         basis = compute_pod_basis(snaps, energy=0.999)
         gram = basis.columns.T @ basis.columns
-        assert np.abs(gram - np.eye(basis.n)).max() <= 1e-10
+        assert np.abs(gram - np.eye(basis.columns.shape[1])).max() <= 1e-10
 
     def test_tiny_singular_values_dropped_at_full_energy(self, rng):
         # Rank-2 snapshots: full energy must not keep noise modes.
         u = random_orthonormal(rng, 10, 2)
         snaps = u @ rng.normal(size=(2, 6))
         basis = compute_pod_basis(snaps, energy=1.0)
-        assert basis.n == 2
+        assert basis.columns.shape[1] == 2
 
 
 class TestPodDimension:
@@ -96,7 +96,7 @@ def test_projection_optimality(rng):
     snaps = rng.normal(size=(8, 5))
     normalized = snaps / np.linalg.norm(snaps, axis=0)
     basis = compute_pod_basis(snaps, energy=1.0)
-    for k in range(1, basis.n + 1):
+    for k in range(1, basis.columns.shape[1] + 1):
         pod_res = np.linalg.norm(
             normalized - projector(basis.columns[:, :k]) @ normalized)**2
         for _ in range(100):
@@ -117,6 +117,6 @@ def test_basis_dataclass_properties(rng):
     snaps = rng.normal(size=(7, 4))
     basis = compute_pod_basis(snaps, energy=0.9)
     assert isinstance(basis, PODBasis)
-    assert basis.columns.shape == (7, basis.n)
+    assert basis.columns.ndim == 2 and basis.columns.shape[0] == 7
     sv = basis.singular_values
     assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0)

@@ -228,7 +228,8 @@ class TestStructurePreserving:
         sample_set, product = sp_products(truss, basis, 12)
         system = build_structure_preserving(truss, basis, sample_set, product)
         assert np.array_equal(system.damping_r, np.zeros_like(system.damping_r))
-        assert np.array_equal(system.force(3.0), np.zeros(system.n))
+        assert np.array_equal(system.force(3.0),
+                              np.zeros(system.mass_r.shape[0]))
 
     def test_fixed_parameter_methods_agree(self, truss, basis):
         """Trained and evaluated at one parameter, both mass approximations
@@ -264,6 +265,14 @@ class TestStructurePreserving:
         with pytest.raises(TypeError, match="RBSMap or a MatrixGappyBasis"):
             build_structure_preserving(truss, basis, sample_set,
                                        truss.mass_dense())
+
+    def test_forcing_without_reconstructor_rejected(self, truss, forcing,
+                                                   basis):
+        sample_set, product = sp_products(truss, basis, 12)
+        with pytest.raises(ValueError, match="forcing needs a "
+                                             "force_reconstructor"):
+            build_structure_preserving(truss, basis, sample_set, product,
+                                       forcing=forcing)
 
     def test_smoke_integration_stable(self, truss, forcing, basis):
         sample_set, product = sp_products(truss, basis, 12)
@@ -314,8 +323,9 @@ class TestEnergyAndReconstruction:
     def test_reduced_energy_requires_potential(self, truss, basis):
         sample_set = SampleIndexSet(np.arange(10), truss.dof_count)
         system = build_collocation(truss, basis, sample_set)
+        zeros = np.zeros(system.mass_r.shape[0])
         with pytest.raises(ValueError, match="potential"):
-            reduced_total_energy(system, np.zeros(system.n), np.zeros(system.n))
+            reduced_total_energy(system, zeros, zeros)
 
     def test_sp_reduced_energy_bounded_conservative(self, truss, forcing, basis):
         sample_set, product = sp_products(truss, basis, 12)
