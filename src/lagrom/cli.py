@@ -20,6 +20,7 @@ from .bench import (ExperimentConfig, OnlineResult, load_offline, load_reduced,
                     run_online, save_offline, save_reduced, verify_timestep,
                     write_trajectory_csv)
 from .roms import VARIANTS
+from .spd_approx import rbs_relative_residual
 
 TRAINING_ARCHIVE = "training.lgrm"
 
@@ -62,8 +63,10 @@ def cmd_reduce(args) -> int:
     offline = load_offline(outdir / TRAINING_ARCHIVE)
     reduced = reduce_products(offline, args.percent)
     save_reduced(_reduced_path(outdir, args.percent), reduced)
-    print("reduced at %g%%: m=%d, rbs residual %.3e"
-          % (args.percent, reduced.sample_set.m, reduced.rbs_map.fit_residual))
+    print("reduced at %g%%: m=%d, rbs relative residual %.3e"
+          % (args.percent, reduced.sample_set.m,
+             rbs_relative_residual(reduced.rbs_map, offline.mass_snapshots,
+                                   offline.phi)))
     return 0
 
 

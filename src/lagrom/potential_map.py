@@ -3,7 +3,7 @@
 At each online parameter, a square factor is built from Cholesky factors of
 the reduced and sampled equilibrium Hessians so that the sparse congruence
 reproduces the reduced Hessian exactly at equilibrium.  Reduced gradients
-then cost only a handful of sampled gradient entries per evaluation.
+and Hessians then cost only the elements incident to the map's rows.
 """
 
 from dataclasses import dataclass
@@ -52,29 +52,17 @@ def build_potential_map(reduced_hessian, sampled_hessian,
     return SparsePotentialMap(rows=rows, factor=factor)
 
 
-def approx_reduced_gradient(pmap: SparsePotentialMap, sampled_gradient, q_r):
+def approx_reduced_gradient(kernel, q_r):
     """Reduced potential gradient through the sparse basis.
 
-    ``sampled_gradient(rows, dq_rows, dq_values)`` must return the requested
-    entries of the full potential gradient at the equilibrium configuration
-    displaced sparsely by ``dq``.  At ``q_r = 0`` the result is exactly zero.
+    ``kernel`` is the model's potential under the map, built once per
+    parameter (``model.potential_kernel(pmap.rows, pmap.factor)``).  At
+    ``q_r = 0`` the result is exactly zero.
     """
-    q_r = np.asarray(q_r, dtype=float)
-    rows = pmap.rows
-    dq = pmap.factor @ q_r
-    g = np.asarray(sampled_gradient(rows, rows, dq), dtype=float)
-    return pmap.factor.T @ g
+    return kernel.gradient(q_r)
 
 
-def approx_reduced_hessian(pmap: SparsePotentialMap, sampled_hessian_block, q_r):
-    """Reduced potential Hessian through the sparse basis (symmetric).
-
-    ``sampled_hessian_block(rows, cols, dq_rows, dq_values)`` must return
-    the requested block of the full Hessian at the sparsely displaced
-    configuration.
-    """
-    q_r = np.asarray(q_r, dtype=float)
-    rows = pmap.rows
-    dq = pmap.factor @ q_r
-    h = np.asarray(sampled_hessian_block(rows, rows, rows, dq), dtype=float)
-    return symmetrize(pmap.factor.T @ h @ pmap.factor)
+def approx_reduced_hessian(kernel, q_r):
+    """Reduced potential Hessian through the sparse basis, exactly
+    symmetric; ``kernel`` as for :func:`approx_reduced_gradient`."""
+    return symmetrize(kernel.hessian(q_r))

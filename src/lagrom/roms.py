@@ -188,14 +188,15 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
     rows = s_idx[:n]
     k0_sampled = model.tangent_stiffness_block(rows, rows, [], [])
     pmap = build_potential_map(k0_reduced, k0_sampled, rows)
+    kernel = model.potential_kernel(pmap.rows, pmap.factor)
 
     damping_r = alpha * mass_r + beta * k0_reduced
 
     def grad(q_r):
-        return approx_reduced_gradient(pmap, model.internal_force_rows, q_r)
+        return approx_reduced_gradient(kernel, q_r)
 
     def hess(q_r):
-        return approx_reduced_hessian(pmap, model.tangent_stiffness_block, q_r)
+        return approx_reduced_hessian(kernel, q_r)
 
     if forcing is None:
         force = _zero_force(n)
@@ -205,7 +206,7 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
                 force_reconstructor, model.external_force_rows(s_idx, t, forcing))
 
     def potential(q_r):
-        return model.potential_energy_sparse(pmap.rows, pmap.factor @ q_r)
+        return kernel.energy(q_r)
 
     return ReducedSystem(variant=variant, mass_r=mass_r, damping_r=damping_r,
                          grad=grad, hess=hess, force=force, phi=phi,

@@ -86,6 +86,20 @@ def _congruence_objective(z, sampled, reduced):
     return float(value), grad
 
 
+def _objective_scale(reduced):
+    """The fit objective at Z = 0: the reduced matrices' squared Frobenius
+    norms, summed."""
+    return max(sum(float(np.sum(r * r)) for r in reduced), 1e-300)
+
+
+def rbs_relative_residual(rbs_map: RBSMap, matrix_snapshots, phi) -> float:
+    """``sqrt(fit_residual / sum ||phi.T A phi||_F^2)`` over the snapshots
+    the map was fitted to: the relative residual ``rbs_fit`` logs."""
+    phi = np.asarray(phi, dtype=float)
+    reduced = [phi.T @ np.asarray(a, dtype=float) @ phi for a in matrix_snapshots]
+    return float(np.sqrt(rbs_map.fit_residual / _objective_scale(reduced)))
+
+
 def rbs_fit(matrix_snapshots, phi, sample_set) -> RBSMap:
     """Fit the dense factor of the sparse reduced basis over matrix snapshots.
 
@@ -108,7 +122,7 @@ def rbs_fit(matrix_snapshots, phi, sample_set) -> RBSMap:
         return value, grad.ravel()
 
     # Scale of the objective at Z = 0; used to recognize an exact fit.
-    obj_scale = max(sum(float(np.sum(r * r)) for r in reduced), 1e-300)
+    obj_scale = _objective_scale(reduced)
 
     f0, g0 = fun(z0.ravel())
     if f0 <= 1e-24 * obj_scale:

@@ -17,7 +17,9 @@ through an :class:`AssemblyPlan`.  The full assembly is the plan over all
 dofs; the sampled evaluators (selected rows/entries, sparse displacement
 arguments) use plans over their index sets, whose scatters are the full
 scatter filtered in its own order, so both agree bit for bit by
-construction.
+construction.  The structure-preserving potential evaluates a plan's
+elements through reduced maps instead (:class:`ReducedElementKernel`),
+sharing the plan's constants and strain core.
 """
 
 import functools
@@ -273,11 +275,16 @@ class AssemblyPlan:
 
     def strain(self, source):
         """Deformed edge vectors and Green--Lagrange strains."""
+        return self.deformation(source.take(self.topology.gather2)
+                                - source.take(self.topology.gather1))
+
+    def deformation(self, du):
+        """Deformed edge vectors and Green--Lagrange strains of the plan's
+        elements under the nodal displacement differences ``du``
+        (elements, 3), second node minus first."""
         # The squared-length difference is expanded analytically
         # (2 x.du + du.du); the naive |x+du|^2 - L^2 form loses ~8 digits to
         # cancellation at working strain levels.
-        du = (source.take(self.topology.gather2)
-              - source.take(self.topology.gather1))
         d = self.vec + du
         stretch = (2.0 * np.einsum("ij,ij->i", self.vec, du)
                    + np.einsum("ij,ij->i", du, du))
@@ -285,9 +292,12 @@ class AssemblyPlan:
             raise FloatingPointError("bar element length collapse")
         return d, stretch / self.two_length_sq
 
+    def strain_energy(self, strain) -> float:
+        return float(np.sum(0.5 * self.eal * strain**2))
+
     def energy(self, source) -> float:
         _, strain = self.strain(source)
-        return float(np.sum(0.5 * self.eal * strain**2))
+        return self.strain_energy(strain)
 
     def force(self, source) -> np.ndarray:
         d, strain = self.strain(source)
@@ -303,6 +313,57 @@ class AssemblyPlan:
     def mass(self, half=None) -> np.ndarray:
         return self.topology.matrix(_MASS_BLOCKS, half)(
             self.mass_coeff[:, None, None] * _EYE)
+
+
+class ReducedElementKernel:
+    """The potential under the displacement ``Z q_r`` as a function of the
+    reduced coordinates ``q_r``, with its gradient and Hessian in them.
+
+    ``Z`` is the (N, n) map that is ``factor`` on ``rows`` and zero
+    elsewhere.  Only the elements incident to ``rows`` (the plan's) leave
+    rest under ``Z``; the others carry no energy, force or stiffness.  Each
+    element's displacement difference is ``D_e q_r`` with the reduced map
+    ``D_e = Z[second-node dofs] - Z[first-node dofs]`` (3, n), built once,
+    so an evaluation is one product with ``D`` and one strain evaluation:
+    no N- or m-vector, scatter or plan lookup.
+    """
+
+    def __init__(self, plan, rows, factor):
+        topology = plan.topology
+        z = np.zeros((topology.dofs.size + 1, factor.shape[1]))
+        z[topology.source_pos[rows]] = factor
+        self.plan = plan
+        self.maps = z[topology.gather2] - z[topology.gather1]     # (E, 3, n)
+        self._flat = self.maps.reshape(-1, factor.shape[1])
+        # D_e^T D_e, one flattened (n, n) block per element.
+        self._gram = np.einsum("eki,ekj->eij", self.maps,
+                               self.maps).reshape(len(self.maps), -1)
+        self._ea_over_l3 = plan.ea_over_l / plan.length_sq
+
+    def _deformation(self, q_r):
+        du = (self._flat @ q_r).reshape(-1, 3)
+        return self.plan.deformation(du)
+
+    def energy(self, q_r) -> float:
+        _, strain = self._deformation(q_r)
+        return self.plan.strain_energy(strain)
+
+    def gradient(self, q_r) -> np.ndarray:
+        """``Z^T grad V(Z q_r)``; exactly zero at ``q_r = 0``."""
+        d, strain = self._deformation(q_r)
+        tension = (self.plan.ea_over_l * strain)[:, None] * d
+        return self._flat.T @ tension.reshape(-1)
+
+    def hessian(self, q_r) -> np.ndarray:
+        """``Z^T K(Z q_r) Z`` from the element blocks
+        ``k22 = EA/L (strain I + d d^T / L^2)``:
+        ``sum_e (EA/L strain)_e D_e^T D_e + G^T diag(EA/L^3) G`` with the
+        rows ``G_e = d_e^T D_e``."""
+        d, strain = self._deformation(q_r)
+        g = np.einsum("eki,ek->ei", self.maps, d)
+        n = g.shape[1]
+        return (((self.plan.ea_over_l * strain) @ self._gram).reshape(n, n)
+                + g.T @ (self._ea_over_l3[:, None] * g))
 
 
 class TrussModel:
@@ -410,6 +471,11 @@ class TrussModel:
         """
         plan = self._plan(dq_idx)
         return plan.energy(plan.sparse_source(dq_idx, dq_val))
+
+    def potential_kernel(self, rows, factor) -> ReducedElementKernel:
+        """The potential, gradient and Hessian in reduced coordinates under
+        the map that is ``factor`` (len(rows), n) on ``rows``."""
+        return ReducedElementKernel(self._plan(rows), rows, factor)
 
     def internal_force(self, q) -> np.ndarray:
         """Potential gradient at configuration ``q``."""

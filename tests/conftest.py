@@ -45,6 +45,32 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def sparse_map(big_n, rows, factor):
+    """The (N, n) map that is ``factor`` on ``rows`` and zero elsewhere."""
+    z = np.zeros((big_n, np.shape(factor)[1]))
+    z[np.asarray(rows, int)] = factor
+    return z
+
+
+class DenseKernel:
+    """The protocol of ``TrussModel.potential_kernel`` over full-space
+    callbacks: the potential, gradient and Hessian at ``z @ q_r``, in
+    reduced coordinates.  A callback a test does not need may be None."""
+
+    def __init__(self, z, energy, grad, hess):
+        self.z = z
+        self._energy, self._grad, self._hess = energy, grad, hess
+
+    def energy(self, q_r):
+        return self._energy(self.z @ q_r)
+
+    def gradient(self, q_r):
+        return self.z.T @ self._grad(self.z @ q_r)
+
+    def hessian(self, q_r):
+        return self.z.T @ self._hess(self.z @ q_r) @ self.z
+
+
 class QuadraticModel:
     """Linear mechanical system exposing the truss evaluator protocol.
 
@@ -80,23 +106,13 @@ class QuadraticModel:
         q = np.asarray(q, dtype=float)
         return 0.5 * float(q @ (self.stiffness @ q))
 
-    def potential_energy_sparse(self, dq_idx, dq_val):
-        idx = np.asarray(dq_idx, int)
-        val = np.asarray(dq_val, dtype=float)
-        block = self.stiffness[np.ix_(idx, idx)]
-        return 0.5 * float(val @ (block @ val))
+    def potential_kernel(self, rows, factor):
+        return DenseKernel(sparse_map(self.dof_count, rows, factor),
+                           self.potential_energy, self.internal_force,
+                           self.tangent_stiffness)
 
     def internal_force(self, q):
         return self.stiffness @ np.asarray(q, dtype=float)
-
-    def _scatter(self, dq_idx, dq_val):
-        q = np.zeros(self.dof_count)
-        q[np.asarray(dq_idx, int)] = dq_val
-        return q
-
-    def internal_force_rows(self, rows, dq_idx, dq_val):
-        q = self._scatter(dq_idx, dq_val)
-        return (self.stiffness @ q)[np.asarray(rows, int)]
 
     def internal_force_rows_dense(self, rows, q):
         return (self.stiffness @ np.asarray(q, dtype=float))[np.asarray(rows, int)]

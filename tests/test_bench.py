@@ -24,6 +24,7 @@ from lagrom.archive import load_archive, save_archive
 from lagrom.cli import main as cli_main
 from lagrom.midpoint import State
 from lagrom.roms import VARIANTS, integrate_full_model
+from lagrom.spd_approx import rbs_apply
 from lagrom.truss import TrussModel, build_truss
 
 
@@ -601,6 +602,29 @@ class TestCli:
 
         assert cli_main(["verify-dt", "--config", str(config_path),
                          "--horizon", "1.0"]) == 0
+
+    def test_reduce_prints_relative_rbs_residual(self, tmp_path, capsys,
+                                                 tiny_config):
+        """The printed RBS residual is relative to the reduced training
+        masses, as ``rbs_fit`` logs it and the benchmark reports it."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config.to_dict()))
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(config_path),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["reduce", "--out", str(out), "--percent", "50"]) == 0
+        printed = capsys.readouterr().out.split("rbs relative residual ")[1]
+        offline = load_offline(out / "training.lgrm")
+        reduced = load_reduced(out / "reduced_p50.lgrm", offline)
+        phi, idx = offline.phi, reduced.sample_set.indices
+        num = den = 0.0
+        for a in offline.mass_snapshots:
+            exact = phi.T @ a @ phi
+            approx = rbs_apply(reduced.rbs_map, a[np.ix_(idx, idx)])
+            num += float(np.sum((approx - exact) ** 2))
+            den += float(np.sum(exact ** 2))
+        assert float(printed) == pytest.approx(np.sqrt(num / den), rel=1e-3)
 
     def test_simulate_rejects_unknown_variant(self, tmp_path, capsys):
         # Rejected while parsing, before any archive is read or model built.

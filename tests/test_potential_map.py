@@ -1,27 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import lagrom.roms
+from lagrom.gappy import build_force_reconstructor
+from lagrom.midpoint import NewtonSettings, State
 from lagrom.potential_map import (approx_reduced_gradient,
                                   approx_reduced_hessian, build_potential_map)
-from lagrom.sampling import SampleIndexSet
+from lagrom.roms import build_structure_preserving, integrate_rom
+from lagrom.sampling import SampleIndexSet, greedy_sample_indices
+from lagrom.spd_approx import (build_matrix_gappy_basis, matrix_pod_modes,
+                               rbs_fit, symmetrize)
+from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
-from conftest import random_orthonormal, random_spd, stiefel_feasibility_search
-
-
-def dense_sampled_gradient(big_n, grad):
-    def evaluator(rows, dq_idx, dq_val):
-        q = np.zeros(big_n)
-        q[np.asarray(dq_idx, int)] = dq_val
-        return grad(q)[np.asarray(rows, int)]
-    return evaluator
+from conftest import (DenseKernel, random_orthonormal, random_spd,
+                      sparse_map, stiefel_feasibility_search)
 
 
-def dense_sampled_hessian(big_n, hess):
-    def evaluator(rows, cols, dq_idx, dq_val):
-        q = np.zeros(big_n)
-        q[np.asarray(dq_idx, int)] = dq_val
-        return hess(q)[np.ix_(np.asarray(rows, int), np.asarray(cols, int))]
-    return evaluator
+def dense_kernel(pmap, big_n, grad=None, hess=None):
+    return DenseKernel(sparse_map(big_n, pmap.rows, pmap.factor), None,
+                       grad, hess)
 
 
 class TestBuildPotentialMap:
@@ -88,17 +88,17 @@ class TestApproxReducedGradient:
 
     def test_zero_at_equilibrium(self, rng):
         h0, phi, pmap = self._setup(rng)
-        evaluator = dense_sampled_gradient(10, lambda q: h0 @ q)
-        out = approx_reduced_gradient(pmap, evaluator, np.zeros(3))
+        kernel = dense_kernel(pmap, 10, grad=lambda q: h0 @ q)
+        out = approx_reduced_gradient(kernel, np.zeros(3))
         assert np.array_equal(out, np.zeros(3))
 
     def test_quadratic_potential_reproduces_reduced_hessian(self, rng):
         h0, phi, pmap = self._setup(rng)
-        evaluator = dense_sampled_gradient(10, lambda q: h0 @ q)
+        kernel = dense_kernel(pmap, 10, grad=lambda q: h0 @ q)
         reduced = phi.T @ h0 @ phi
         for _ in range(5):
             q_r = rng.normal(size=3)
-            out = approx_reduced_gradient(pmap, evaluator, q_r)
+            out = approx_reduced_gradient(kernel, q_r)
             assert np.allclose(out, reduced @ q_r, atol=1e-10)
 
     def test_nonlinear_first_order_consistency(self, rng):
@@ -114,12 +114,12 @@ class TestApproxReducedGradient:
         s = SampleIndexSet(rng.permutation(big_n)[:6], big_n)
         first = s.indices[:3]
         pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], first)
-        evaluator = dense_sampled_gradient(big_n, grad)
+        kernel = dense_kernel(pmap, big_n, grad=grad)
         reduced = phi.T @ h0 @ phi
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         eps = 1e-6
-        out = approx_reduced_gradient(pmap, evaluator, eps * direction)
+        out = approx_reduced_gradient(kernel, eps * direction)
         assert np.linalg.norm(out - reduced @ (eps * direction)) <= 1e-8 * eps
 
 
@@ -132,8 +132,8 @@ class TestApproxReducedHessian:
         first = s.indices[:3]
         reduced = phi.T @ h0 @ phi
         pmap = build_potential_map(reduced, h0[np.ix_(first, first)], first)
-        evaluator = dense_sampled_hessian(big_n, lambda q: h0)
-        out = approx_reduced_hessian(pmap, evaluator, np.zeros(3))
+        kernel = dense_kernel(pmap, big_n, hess=lambda q: h0)
+        out = approx_reduced_hessian(kernel, np.zeros(3))
         assert np.linalg.norm(out - reduced) <= 1e-8 * np.linalg.norm(reduced)
 
     def test_symmetry_for_all_arguments(self, rng):
@@ -148,9 +148,9 @@ class TestApproxReducedHessian:
         s = SampleIndexSet(rng.permutation(big_n)[:5], big_n)
         first = s.indices[:3]
         pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], first)
-        evaluator = dense_sampled_hessian(big_n, hess)
+        kernel = dense_kernel(pmap, big_n, hess=hess)
         for _ in range(5):
-            out = approx_reduced_hessian(pmap, evaluator, rng.normal(size=3))
+            out = approx_reduced_hessian(kernel, rng.normal(size=3))
             assert np.array_equal(out, out.T)
 
     def test_matches_finite_differences_of_gradient(self, rng):
@@ -168,17 +168,160 @@ class TestApproxReducedHessian:
         s = SampleIndexSet(rng.permutation(big_n)[:6], big_n)
         first = s.indices[:3]
         pmap = build_potential_map(phi.T @ h0 @ phi, h0[np.ix_(first, first)], first)
-        g_eval = dense_sampled_gradient(big_n, grad)
-        h_eval = dense_sampled_hessian(big_n, hess)
+        kernel = dense_kernel(pmap, big_n, grad=grad, hess=hess)
         q_r = 0.3 * rng.normal(size=3)
-        out = approx_reduced_hessian(pmap, h_eval, q_r)
+        out = approx_reduced_hessian(kernel, q_r)
         h = 1e-5
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd = (approx_reduced_gradient(pmap, g_eval, q_r + e)
-                  - approx_reduced_gradient(pmap, g_eval, q_r - e)) / (2 * h)
+            fd = (approx_reduced_gradient(kernel, q_r + e)
+                  - approx_reduced_gradient(kernel, q_r - e)) / (2 * h)
             assert np.abs(fd - out[:, i]).max() <= 1e-5 * max(np.abs(out).max(), 1)
+
+
+BAYS = 20
+
+
+@pytest.fixture(scope="module")
+def truss20():
+    return build_truss(BAYS, np.random.default_rng(3).uniform(-0.5, 0.5, 16))
+
+
+@pytest.fixture(scope="module")
+def modal_basis(truss20):
+    """The lowest eight undeformed modes, orthonormalized."""
+    k0 = truss20.tangent_stiffness(np.zeros(truss20.dof_count))
+    _, modes = scipy.linalg.eigh(k0, truss20.mass_dense(),
+                                 subset_by_index=[0, 7])
+    return np.linalg.qr(modes)[0]
+
+
+@pytest.fixture(scope="module")
+def sampled_map(truss20, modal_basis):
+    """The potential map of a greedy sample set, as the SP builder forms it."""
+    phi = modal_basis
+    sample_set = greedy_sample_indices(phi, 2 * phi.shape[1])
+    rows = sample_set.indices[:phi.shape[1]]
+    k0 = truss20.tangent_stiffness(np.zeros(truss20.dof_count))
+    return build_potential_map(phi.T @ k0 @ phi,
+                               truss20.tangent_stiffness_block(rows, rows, [], []),
+                               rows)
+
+
+def displaced(pmap, rng, largest=0.5):
+    """Random reduced coordinates whose largest nodal displacement is
+    ``largest`` (bars are about 10 long), well into the nonlinear range."""
+    q_r = rng.normal(size=pmap.factor.shape[1])
+    return q_r * largest / np.abs(pmap.factor @ q_r).max()
+
+
+class TestReducedElementKernel:
+    """``TrussModel.potential_kernel`` against the sampled plan evaluators
+    it replaces in SP stepping, at 20 bays with a greedy sample set."""
+
+    def test_matches_sampled_evaluators(self, truss20, sampled_map):
+        pmap = sampled_map
+        rows, factor = pmap.rows, pmap.factor
+        kernel = truss20.potential_kernel(rows, factor)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            q_r = displaced(pmap, rng)
+            dq = factor @ q_r
+            energy = truss20.potential_energy_sparse(rows, dq)
+            grad = factor.T @ truss20.internal_force_rows(rows, rows, dq)
+            hess = factor.T @ truss20.tangent_stiffness_block(
+                rows, rows, rows, dq) @ factor
+            assert abs(kernel.energy(q_r) - energy) <= 1e-12 * abs(energy)
+            assert (np.linalg.norm(kernel.gradient(q_r) - grad)
+                    <= 1e-12 * np.linalg.norm(grad))
+            assert (np.linalg.norm(kernel.hessian(q_r) - hess)
+                    <= 1e-12 * np.linalg.norm(hess))
+
+    def test_exactly_zero_gradient_at_rest(self, truss20, sampled_map):
+        kernel = truss20.potential_kernel(sampled_map.rows, sampled_map.factor)
+        zero = np.zeros(sampled_map.factor.shape[1])
+        assert np.array_equal(approx_reduced_gradient(kernel, zero), zero)
+        assert kernel.energy(zero) == 0.0
+
+    def test_central_differences(self, truss20, sampled_map):
+        kernel = truss20.potential_kernel(sampled_map.rows, sampled_map.factor)
+        q_r = displaced(sampled_map, np.random.default_rng(1))
+        n = q_r.size
+        grad, hess = kernel.gradient(q_r), kernel.hessian(q_r)
+        h = 1e-6 * np.linalg.norm(q_r)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            fd_grad = (kernel.energy(q_r + e) - kernel.energy(q_r - e)) / (2 * h)
+            assert abs(fd_grad - grad[i]) <= 1e-6 * np.abs(grad).max()
+            fd_hess = (kernel.gradient(q_r + e) - kernel.gradient(q_r - e)) / (2 * h)
+            assert np.abs(fd_hess - hess[:, i]).max() <= 1e-6 * np.abs(hess).max()
+
+    def test_collapsed_bar_raises(self, truss20, sampled_map):
+        """Reduced coordinates that move a bar's second node onto its first."""
+        kernel = truss20.potential_kernel(sampled_map.rows, sampled_map.factor)
+        vec = kernel.plan.vec
+        solves = [np.linalg.lstsq(d_e, -x_e, rcond=None)[0]
+                  for d_e, x_e in zip(kernel.maps, vec)]
+        misses = [np.linalg.norm(d_e @ q + x_e) / np.linalg.norm(x_e)
+                  for d_e, q, x_e in zip(kernel.maps, solves, vec)]
+        q_r = solves[int(np.argmin(misses))]
+        assert min(misses) <= 1e-12
+        for evaluate in (kernel.energy, kernel.gradient, kernel.hessian):
+            with pytest.raises(FloatingPointError, match="collapse"):
+                evaluate(q_r)
+
+
+@pytest.mark.parametrize("method", ["rbs", "matrix_gappy"])
+def test_sp_trajectory_matches_sampled_evaluators(truss20, modal_basis, method,
+                                                  monkeypatch):
+    """A forced, damped SP model steps the same through the kernel as
+    through closures over the sampled plan evaluators it replaced."""
+    model, phi = truss20, modal_basis
+    sample_set = greedy_sample_indices(phi, 2 * phi.shape[1])
+    mass = [model.mass_dense()]
+    product = (rbs_fit(mass, phi, sample_set) if method == "rbs" else
+               build_matrix_gappy_basis(matrix_pod_modes(mass, 1.0), mass, phi,
+                                        sample_set))
+    forcing = ForcingConfig(nominal_amplitudes=(2 * 9.81, 2 * 9.81,
+                                                0.4 * 9.81, 0.4 * 9.81),
+                            omega0=fundamental_frequency(model), final_time=2.0)
+    force_basis = np.linalg.qr(model.load_patterns().T)[0]
+    maps = []
+
+    def keep_map(*args):
+        maps.append(build_potential_map(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(lagrom.roms, "build_potential_map", keep_map)
+    system = build_structure_preserving(
+        model, phi, sample_set, product, alpha=0.05, beta=2e-4,
+        force_reconstructor=build_force_reconstructor(phi, force_basis,
+                                                      sample_set),
+        forcing=forcing)
+    rows, factor = maps[0].rows, maps[0].factor
+    reference = dataclasses.replace(
+        system,
+        grad=lambda q_r: factor.T @ model.internal_force_rows(
+            rows, rows, factor @ q_r),
+        hess=lambda q_r: symmetrize(factor.T @ model.tangent_stiffness_block(
+            rows, rows, rows, factor @ q_r) @ factor),
+        potential=lambda q_r: model.potential_energy_sparse(rows, factor @ q_r))
+    state0 = State(q=phi.T @ model.initial_displacement(forcing),
+                   v=np.zeros(phi.shape[1]))
+    settings = NewtonSettings(rel_tol=1e-10)
+    # The loads start at a quarter of the forcing's final time, 0.5.
+    runs = [integrate_rom(rom, 0.02, 1.0, state0=state0, settings=settings,
+                          record_energy=True) for rom in (system, reference)]
+    kernel_run, sampled_run = runs
+    assert kernel_run.stable and kernel_run.n_steps == 50
+    assert np.array_equal(kernel_run.newton_iterations,
+                          sampled_run.newton_iterations)
+    assert (np.abs(kernel_run.q - sampled_run.q).max()
+            <= 1e-12 * np.abs(sampled_run.q).max())
+    assert (np.abs(kernel_run.energy - sampled_run.energy).max()
+            <= 1e-12 * np.abs(sampled_run.energy).max())
 
 
 def test_two_term_taylor_solvability_property(rng):

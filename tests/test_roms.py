@@ -402,6 +402,64 @@ def test_sp_stepping_makes_no_full_order_call(truss, forcing, basis, method,
     assert np.any(system.force(2.5) != 0.0)
 
 
+# Sample rows of one local pattern, the dofs of section 2, which carry a
+# load of each of the four groups; the map takes the first six.
+LOCAL_SAMPLES = np.arange(12, 24)
+
+
+def local_sp_system(bays, n=6):
+    """A forced, damped SP-RBS model on ``LOCAL_SAMPLES``, with a random
+    basis, whose reduced dimensions do not depend on ``bays``."""
+    rng = np.random.default_rng(0)
+    model = build_truss(bays, np.zeros(16))
+    phi = random_orthonormal(rng, model.dof_count, n)
+    sample_set = SampleIndexSet(LOCAL_SAMPLES, model.dof_count)
+    forcing = ForcingConfig(nominal_amplitudes=(2 * 9.81,) * 4, omega0=1.0,
+                            final_time=0.4)
+    force_basis = np.linalg.qr(model.load_patterns().T)[0]
+    system = build_structure_preserving(
+        model, phi, sample_set, rbs_fit([model.mass_dense()], phi, sample_set),
+        alpha=0.05, beta=2e-4,
+        force_reconstructor=build_force_reconstructor(phi, force_basis,
+                                                      sample_set),
+        forcing=forcing)
+    return model, system, State(q=1e-3 * rng.normal(size=n), v=np.zeros(n))
+
+
+def test_sp_kernel_touches_fixed_element_count():
+    """The SP potential kernel holds the elements incident to its rows
+    only: the same count at 20 and 40 bays for the same rows."""
+    rows = LOCAL_SAMPLES[:6]
+    shapes = [build_truss(bays, np.zeros(16)).potential_kernel(
+        rows, np.eye(rows.size)).maps.shape for bays in (20, 40)]
+    assert shapes[0] == shapes[1]
+    assert shapes[0][0] <= 2 * 16   # bays 2 and 3 meet at section 2
+
+
+def test_sp_stepping_memory_independent_of_dof_count():
+    """After the build, SP stepping allocates nothing that grows with N:
+    its traced peak at 80 bays is not above the one at 20 bays (an O(N)
+    float array at 80 bays would add 7.7 kB)."""
+    peaks = []
+    for bays in (20, 80):
+        _, system, state0 = local_sp_system(bays)
+
+        def run():
+            return integrate_rom(system, 0.05, 0.4, state0=state0,
+                                 record_energy=True)
+
+        run()
+        tracemalloc.start()
+        try:
+            traj = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.stable and traj.n_steps == 8
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 1024
+
+
 def test_structure_dichotomy(truss, rng):
     """Galerkin/SP reduced masses stay symmetric; collocation/gappy ones
     are measurably asymmetric for partial sampling."""
