@@ -10,7 +10,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-_GBSV, = scipy.linalg.get_lapack_funcs(("gbsv",), (np.zeros(1),))
+_GBTRF, _GBTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
+                                               (np.zeros(1),))
 
 
 class SymmetricBand:
@@ -23,15 +24,22 @@ class SymmetricBand:
     through a zero-copy ``scipy.sparse.dia_array`` view of the storage,
     which serves every N (LAPACK's ``dgbmv`` rejects ``N < 2 * half + 1``,
     trusses of up to three bays).
+
+    The storage is read-only: a band keeps its LU factor after the first
+    :meth:`solve` and its product view after the first product, so an
+    in-place edit would leave both stale.  Build a new band instead (as
+    :meth:`shifted` does).
     """
 
     __array_ufunc__ = None   # ndarray operands defer to the methods below
 
     def __init__(self, ab):
+        ab.flags.writeable = False
         self.ab = ab
         self.half = (ab.shape[0] - 1) // 2
         self.shape = (ab.shape[1], ab.shape[1])
         self._view = None
+        self._lu = None
 
     def __add__(self, other):
         if not isinstance(other, SymmetricBand):
@@ -68,18 +76,29 @@ class SymmetricBand:
         ab[self.half] += sigma
         return SymmetricBand(ab)
 
+    def entries(self, rows, cols) -> np.ndarray:
+        """The block ``A[rows][:, cols]``: the stored entries, and zeros
+        farther from the diagonal than the half-bandwidth."""
+        offset = self.half + rows[:, None] - cols[None, :]
+        inside = (offset >= 0) & (offset <= 2 * self.half)
+        return np.where(inside, self.ab[np.where(inside, offset, 0), cols], 0.0)
+
     def solve(self, b) -> np.ndarray:
-        """``A^{-1} b`` by banded LU with partial pivoting (LAPACK ``gbsv``).
+        """``A^{-1} b`` by banded LU with partial pivoting (LAPACK ``gbtrf``
+        once per band, then ``gbtrs``; together they are ``gbsv``).
 
         Raises ``numpy.linalg.LinAlgError`` when ``A`` is exactly singular.
         """
-        # gbsv keeps the LU factor in place: the band plus ``half`` rows for
-        # the fill-in of row interchanges.
-        work = np.zeros((3 * self.half + 1, self.shape[0]))
-        work[self.half:] = self.ab
-        _, _, x, info = _GBSV(self.half, self.half, work, b, overwrite_ab=True)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        if info < 0:
-            raise ValueError("illegal value in argument %d of gbsv" % -info)
-        return x
+        if self._lu is None:
+            # gbtrf factors in place: the band plus ``half`` rows for the
+            # fill-in of row interchanges, in Fortran order so that neither
+            # wrapper copies it.
+            work = np.zeros((3 * self.half + 1, self.shape[0]), order="F")
+            work[self.half:] = self.ab
+            lu, ipiv, info = _GBTRF(work, self.half, self.half,
+                                    overwrite_ab=True)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            self._lu = lu, ipiv
+        lu, ipiv = self._lu
+        return _GBTRS(lu, self.half, self.half, b, ipiv)[0]

@@ -11,7 +11,7 @@ potential, or on the squared residual norm for a system without one.
 Convergence is declared relative to the residual of the zero-acceleration
 predictor.  A Jacobian given as a :class:`~lagrom.band.SymmetricBand` (the
 full-order model) is solved by banded LU, a dense one (the reduced models)
-by dense LU.
+by dense LU (LAPACK ``gesv``).
 """
 
 import math
@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .band import SymmetricBand
 
@@ -31,6 +32,8 @@ MAX_BACKTRACKS = 40
 SHIFTS = (0.0, 1e-8, 1e-5, 1e-2, 1.0, 1e2)
 # Unconverged steps after which an integration stops and is flagged unstable.
 MAX_FAILED_STEPS = 3
+
+_GESV, = scipy.linalg.get_lapack_funcs(("gesv",), (np.zeros(1),))
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,14 @@ class SecondOrderSystem:
 # Globalized Newton
 # ---------------------------------------------------------------------------
 
+def _dense_solve(a, b):
+    """``a^{-1} b`` by LU with partial pivoting (LAPACK ``gesv``)."""
+    _, _, x, info = _GESV(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 def _descent_direction(jac, r, merit_grad):
     """First Levenberg direction ``-(J + tau I)^{-1} r`` along which the
     merit descends, or steepest descent; ``(None, 0.0)`` if the merit
@@ -130,7 +141,7 @@ def _descent_direction(jac, r, merit_grad):
                 direction = (jac.shifted(tau * scale) if tau else jac).solve(-r)
             else:
                 shifted = jac + tau * scale * np.eye(len(r)) if tau else jac
-                direction = np.linalg.solve(shifted, -r)
+                direction = _dense_solve(shifted, -r)
         except np.linalg.LinAlgError:
             continue
         slope = float(merit_grad @ direction)
@@ -188,7 +199,7 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
     settings = settings or NewtonSettings()
     x = np.array(x0, dtype=float)
     r = residual(x)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = math.sqrt(r @ r)
     ref = rnorm if reference_norm is None else float(reference_norm)
     target = settings.rel_tol * ref
 
@@ -210,7 +221,7 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
             return NewtonResult(x=x, iterations=it + 1, converged=False,
                                 reason="linesearch")
         x, r = accepted
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r @ r)
 
     converged = rnorm <= target
     return NewtonResult(x=x, iterations=settings.max_iters,

@@ -182,11 +182,11 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
 
     # Equilibrium Hessian blocks: the reduced one is the documented
     # parameter-amortized large-dimension step (O(N n) through the band),
-    # the sampled one is cheap.
+    # the sampled one is read off the same band.
     k0 = model.tangent_stiffness_band(np.zeros(model.dof_count))
     k0_reduced = phi.T @ (k0 @ phi)
     rows = s_idx[:n]
-    k0_sampled = model.tangent_stiffness_block(rows, rows, [], [])
+    k0_sampled = k0.entries(rows, rows)
     pmap = build_potential_map(k0_reduced, k0_sampled, rows)
     kernel = model.potential_kernel(pmap.rows, pmap.factor)
 

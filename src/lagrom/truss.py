@@ -56,8 +56,10 @@ _SIDE_FACES = ((0, 1), (1, 2), (2, 3), (3, 0))
 # Dof axis loaded along each corner chord line (load group).
 _LOAD_AXES = (1, 1, 2, 2)
 
-# Plan topologies kept across models (see _plan_topology).
+# Plan topologies kept across models (see _plan_topology), and the bay
+# counts whose element arrays are kept (see _bay_elements).
 PLAN_CACHE_SIZE = 256
+BAY_CACHE_SIZE = 16
 
 # Element-matrix node blocks ((row end, column end), weight) in the order
 # each full matrix scatter visits them; 0 is an element's first node, 1 its
@@ -125,11 +127,48 @@ def _element_dofs(elements, dof_count) -> np.ndarray:
     return np.where(nodes < 4, dof_count, 3 * (nodes - 4) + np.arange(3))
 
 
+@functools.lru_cache(maxsize=BAY_CACHE_SIZE)
+def _bay_elements(bays):
+    """``(element nodes, element dofs, half-bandwidth)`` of a bay count,
+    the arrays read-only: every model of the bay count shares them."""
+    dof_count = 12 * bays
+    nodes = _element_nodes(bays)
+    el_dofs = _element_dofs(nodes, dof_count)
+    # Largest |i - j| over the free dofs i, j of one element: the
+    # half-bandwidth of every assembled matrix (23 for two or more bays).
+    free = np.concatenate(el_dofs, axis=1)
+    clamped = free == dof_count
+    half = int(np.max(np.where(clamped, -1, free).max(axis=1)
+                      - np.where(clamped, dof_count, free).min(axis=1)))
+    nodes.flags.writeable = el_dofs.flags.writeable = False
+    return nodes, el_dofs, half
+
+
 def _incident_elements(el_dofs, dofs, dof_count) -> np.ndarray:
     """Ascending indices of the elements with a nodal dof among ``dofs``."""
     marked = np.zeros(dof_count + 1, dtype=bool)
     marked[dofs] = True
     return np.flatnonzero(marked[el_dofs].any(axis=(0, 2)))
+
+
+class _Recent:
+    """The last two results of a function of one array, keyed by the
+    array's bytes: a Newton iterate and its trial point, so a linesearch
+    that returns to the iterate, or accepts the trial, evaluates neither
+    again.  A hit returns the kept arrays themselves; callers do not write
+    into them."""
+
+    def __init__(self):
+        self._entries = ()   # ((key, value), ...), newest first
+
+    def get(self, x, compute):
+        key = x.tobytes()
+        for kept, value in self._entries:
+            if kept == key:
+                return value
+        value = compute()
+        self._entries = ((key, value),) + self._entries[:1]
+        return value
 
 
 def _positions(index, size) -> np.ndarray:
@@ -238,17 +277,23 @@ def _plan_topology(bays, rows_key, cols_key) -> PlanTopology:
     dof_count = 12 * bays
     rows, cols = (np.arange(dof_count) if key is None
                   else np.frombuffer(key, dtype=int) for key in (rows_key, cols_key))
-    return PlanTopology(_element_dofs(_element_nodes(bays), dof_count),
-                        dof_count, rows, cols)
+    return PlanTopology(_bay_elements(bays)[1], dof_count, rows, cols)
 
 
 class AssemblyPlan:
     """The full assembly restricted to a :class:`PlanTopology`'s output,
     with the element constants of one model: gather -> element kernel ->
-    one sparse product."""
+    one sparse product.
+
+    The plan keeps its last two strain evaluations and returns one for a
+    source with the same bytes (:meth:`strain`), so a Newton iterate's
+    Jacobian reuses the strains of its residual, and a residual those of a
+    merit evaluation at the same point.  The kept arrays are read-only.
+    """
 
     def __init__(self, topology, model):
         self.topology = topology
+        self._strains = _Recent()
         els = topology.elements
         self.vec = model.el_vec[els]
         self.length_sq = model.el_length_sq[els]
@@ -274,9 +319,11 @@ class AssemblyPlan:
         return source
 
     def strain(self, source):
-        """Deformed edge vectors and Green--Lagrange strains."""
-        return self.deformation(source.take(self.topology.gather2)
-                                - source.take(self.topology.gather1))
+        """Deformed edge vectors and Green--Lagrange strains; a kept result
+        is returned again for a source with the same bytes."""
+        return self._strains.get(source, lambda: self.deformation(
+            source.take(self.topology.gather2)
+            - source.take(self.topology.gather1)))
 
     def deformation(self, du):
         """Deformed edge vectors and Green--Lagrange strains of the plan's
@@ -290,7 +337,9 @@ class AssemblyPlan:
                    + np.einsum("ij,ij->i", du, du))
         if np.any(self.length_sq + stretch < self.collapse_sq):
             raise FloatingPointError("bar element length collapse")
-        return d, stretch / self.two_length_sq
+        strain = stretch / self.two_length_sq
+        d.flags.writeable = strain.flags.writeable = False
+        return d, strain
 
     def strain_energy(self, strain) -> float:
         return float(np.sum(0.5 * self.eal * strain**2))
@@ -325,7 +374,9 @@ class ReducedElementKernel:
     element's displacement difference is ``D_e q_r`` with the reduced map
     ``D_e = Z[second-node dofs] - Z[first-node dofs]`` (3, n), built once,
     so an evaluation is one product with ``D`` and one strain evaluation:
-    no N- or m-vector, scatter or plan lookup.
+    no N- or m-vector, scatter or plan lookup.  Like the plan, the kernel
+    keeps its last two strain evaluations, keyed by the bytes of ``q_r``,
+    so the Hessian at a Newton iterate reuses the gradient's.
     """
 
     def __init__(self, plan, rows, factor):
@@ -339,10 +390,12 @@ class ReducedElementKernel:
         self._gram = np.einsum("eki,ekj->eij", self.maps,
                                self.maps).reshape(len(self.maps), -1)
         self._ea_over_l3 = plan.ea_over_l / plan.length_sq
+        self._strains = _Recent()
 
     def _deformation(self, q_r):
-        du = (self._flat @ q_r).reshape(-1, 3)
-        return self.plan.deformation(du)
+        q_r = np.asarray(q_r, dtype=float)
+        return self._strains.get(q_r, lambda: self.plan.deformation(
+            (self._flat @ q_r).reshape(-1, 3)))
 
     def energy(self, q_r) -> float:
         _, strain = self._deformation(q_r)
@@ -372,8 +425,9 @@ class TrussModel:
     Construction is O(N).  Evaluators are pure in their arguments; each
     builds its :class:`AssemblyPlan` on first use and the model caches it
     by index set, so repeated queries on one sample set reuse it.  The
-    plan's topology comes from a cache shared by all models of the bay
-    count.
+    plan's topology and the element arrays come from caches shared by all
+    models of the bay count.  The mass band and the at-rest stiffness band
+    K(0) are assembled once per model, and K(0) is factored at most once.
     """
 
     def __init__(self, bays: int, mu):
@@ -393,17 +447,20 @@ class TrussModel:
         self._build_elements()
         self._plans = {}
         self._mass_band = None
+        self._rest_stiffness = None
 
     # -- geometry -----------------------------------------------------------
 
     def _build_geometry(self):
         bays = self.bays
         pitch = self.total_length / bays
+        # Node 4 * section + corner sits at (pitch * section, wy * width,
+        # wz * height) for the corner's (wy, wz).
+        corners = np.array(_CORNERS)
         coords = np.empty((4 * (bays + 1), 3))
-        for section in range(bays + 1):
-            for corner, (wy, wz) in enumerate(_CORNERS):
-                coords[4 * section + corner] = (
-                    pitch * section, wy * self.width, wz * self.height)
+        coords[:, 0] = pitch * np.repeat(np.arange(bays + 1), 4)
+        coords[:, 1] = np.tile(corners[:, 0] * self.width, bays + 1)
+        coords[:, 2] = np.tile(corners[:, 1] * self.height, bays + 1)
         self.node_coords = coords
         self.dof_count = 12 * bays
         # Section-0 nodes are clamped; free dofs are numbered from section 1,
@@ -417,7 +474,8 @@ class TrussModel:
             self._patterns[group, 3 * (4 * sections + group - 4) + axis] = 1.0
 
     def _build_elements(self):
-        self.elements = _element_nodes(self.bays)
+        self.elements, self.el_dofs, self.half_bandwidth = _bay_elements(
+            self.bays)
         self.el_vec = (self.node_coords[self.elements[:, 1]]
                        - self.node_coords[self.elements[:, 0]])
         # Squared lengths use the same contraction as the strain kernel so
@@ -427,15 +485,6 @@ class TrussModel:
         self.ea_over_l = self.modulus * self.area / self.el_length
         self.el_eal = self.modulus * self.area * self.el_length
         self.el_mass_coeff = self.density * self.area * self.el_length / 6.0
-
-        self.el_dofs = _element_dofs(self.elements, self.dof_count)
-        # Largest |i - j| over the free dofs i, j of one element: the
-        # half-bandwidth of every assembled matrix (23 for two or more bays).
-        free = np.concatenate(self.el_dofs, axis=1)
-        clamped = free == self.dof_count
-        self.half_bandwidth = int(np.max(
-            np.where(clamped, -1, free).max(axis=1)
-            - np.where(clamped, self.dof_count, free).min(axis=1)))
 
     def elements_for_dofs(self, dofs) -> np.ndarray:
         """Ascending indices of elements incident to any of the given dofs."""
@@ -499,10 +548,21 @@ class TrussModel:
 
     def tangent_stiffness_band(self, q) -> SymmetricBand:
         """Potential Hessian at ``q`` with half-bandwidth ``half_bandwidth``;
-        every entry equals the one of ``tangent_stiffness(q)``."""
+        every entry equals the one of ``tangent_stiffness(q)``.
+
+        The at-rest band (``q`` all zero) is kept for the model's lifetime,
+        so Rayleigh damping, the structure-preserving build and the first
+        Newton step of every static solve share one assembly and one LU.
+        """
         plan = self._plan()
-        return SymmetricBand(plan.stiffness(plan.dense_source(q),
-                                            self.half_bandwidth))
+        source = plan.dense_source(q)
+        at_rest = not source.any()
+        if at_rest and self._rest_stiffness is not None:
+            return self._rest_stiffness
+        band = SymmetricBand(plan.stiffness(source, self.half_bandwidth))
+        if at_rest:
+            self._rest_stiffness = band
+        return band
 
     def tangent_stiffness_block(self, rows, cols, dq_idx, dq_val) -> np.ndarray:
         """Selected Hessian block at equilibrium plus a sparse displacement."""

@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,27 @@ def test_hash_outputs_is_deterministic(workload):
             "sp_rbs/newton_iterations"} <= set(names)
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert run() == first
+
+
+def test_warm_process_repeats_fresh_digests(monkeypatch):
+    """Two rounds in one process print what a fresh process prints: the
+    caches kept by bay count (element arrays, plan topologies) carry
+    nothing from one query into the next."""
+    # The tool's loader prepends to sys.path and turns off bytecode writes.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("hash_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    workloads = tool.load_workloads()
+
+    def digests():
+        workload = workloads.WORKLOADS["study-20"]("tiny", 1)
+        workload.setup()
+        return ["%s %s" % (name, tool.digest(value)) for name, value
+                in tool.output_arrays(workload, workloads.VARIANTS)]
+
+    fresh = subprocess.run(
+        [sys.executable, str(TOOL), "study-20", "--size", "tiny"],
+        capture_output=True, text=True, check=True, timeout=300).stdout
+    assert digests() == digests() == fresh.splitlines()

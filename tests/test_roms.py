@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lagrom.truss
+
 from lagrom.gappy import build_force_reconstructor
-from lagrom.midpoint import NewtonSettings, State
+from lagrom.midpoint import NewtonSettings, State, midpoint_step
 from lagrom.pod import compute_pod_basis
 from lagrom.roms import (build_collocation, build_galerkin, build_gappy_rom,
                          build_structure_preserving, full_order_system,
@@ -434,6 +436,25 @@ def test_sp_kernel_touches_fixed_element_count():
         rows, np.eye(rows.size)).maps.shape for bays in (20, 40)]
     assert shapes[0] == shapes[1]
     assert shapes[0][0] <= 2 * 16   # bays 2 and 3 meet at section 2
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.2])
+def test_sp_step_evaluates_each_point_once(t0, monkeypatch):
+    """Gradient, Hessian and energy at one Newton point of an SP midpoint
+    step share one kernel strain evaluation (unforced and forced)."""
+    _, system, state0 = local_sp_system(20)
+    points = []
+    deformation = lagrom.truss.AssemblyPlan.deformation
+
+    def counted(plan, du):
+        points.append(du.tobytes())
+        return deformation(plan, du)
+
+    monkeypatch.setattr(lagrom.truss.AssemblyPlan, "deformation", counted)
+    _, _, result = midpoint_step(system.second_order_system(), state0.q,
+                                 state0.v, t0, 0.05)
+    assert result.converged and result.iterations >= 1
+    assert len(points) == len(set(points)) == result.iterations + 1
 
 
 def test_sp_stepping_memory_independent_of_dof_count():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import lagrom.band
 import lagrom.truss
 from lagrom.band import SymmetricBand
 from lagrom.truss import (ForcingConfig, build_truss, damping_band,
@@ -579,3 +580,149 @@ def test_evaluators_equal_sequential_scatter(data):
     assert np.array_equal(model.mass_dense(), mass)
     assert np.array_equal(model.mass_band().ab, band_of(mass, half))
     assert np.array_equal(model.mass_entries(rows, cols), mass[block])
+
+
+def _bits(array) -> bytes:
+    """Shape and bytes: equal only for arrays equal bit for bit, signed
+    zeros included."""
+    array = np.asarray(array)
+    return repr(array.shape).encode() + array.tobytes()
+
+
+@pytest.mark.parametrize("bays", [20, 40])
+def test_rest_band_entries_equal_sampled_block(bays):
+    """The at-rest block read off K(0)'s band equals the one its own plan
+    assembles, for rows both within and beyond the half-bandwidth."""
+    rng = np.random.default_rng(bays)
+    model = build_truss(bays, rng.uniform(-1.0, 1.0, 16))
+    rows = rng.choice(model.dof_count, size=24, replace=False)
+    gap = np.abs(rows[:, None] - rows[None, :])
+    assert np.any(gap > model.half_bandwidth)
+    k0 = model.tangent_stiffness_band(np.zeros(model.dof_count))
+    block = model.tangent_stiffness_block(rows, rows, [], [])
+    assert _bits(k0.entries(rows, rows)) == _bits(block)
+    assert np.any(block[gap <= model.half_bandwidth] != 0.0)
+
+
+def test_geometry_equals_node_loop():
+    model = build_truss(7, np.random.default_rng(4).uniform(-1.0, 1.0, 16))
+    pitch = model.total_length / model.bays
+    coords = np.empty((4 * (model.bays + 1), 3))
+    for section in range(model.bays + 1):
+        for corner, (wy, wz) in enumerate(lagrom.truss._CORNERS):
+            coords[4 * section + corner] = (
+                pitch * section, wy * model.width, wz * model.height)
+    assert _bits(model.node_coords) == _bits(coords)
+
+
+def test_models_with_one_bay_count_share_element_arrays():
+    rng = np.random.default_rng(5)
+    first, second = (build_truss(6, rng.uniform(-1.0, 1.0, 16))
+                     for _ in range(2))
+    assert first.elements is second.elements
+    assert first.el_dofs is second.el_dofs
+    assert first.half_bandwidth == second.half_bandwidth == 23
+    for array in (first.elements, first.el_dofs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
+def test_band_storage_is_read_only(model):
+    """A band keeps its LU factor and product view, so its storage cannot
+    change under them; ``shifted`` builds a new band."""
+    q = 0.01 * np.random.default_rng(6).normal(size=model.dof_count)
+    band = model.tangent_stiffness_band(q)
+    rhs = np.ones(model.dof_count)
+    x = band.solve(rhs)
+    with pytest.raises(ValueError, match="read-only"):
+        band.ab[band.half, 0] = 1.0
+    shifted = band.shifted(1.0)
+    assert np.array_equal(shifted.ab[band.half], band.ab[band.half] + 1.0)
+    # The kept factor solves as a fresh one does.
+    assert _bits(band.solve(rhs)) == _bits(x)
+    assert _bits(SymmetricBand(band.ab.copy()).solve(rhs)) == _bits(x)
+
+
+def test_at_rest_stiffness_assembled_once_per_model(model):
+    zero = np.zeros(model.dof_count)
+    k0 = model.tangent_stiffness_band(zero)
+    assert model.tangent_stiffness_band(zero.copy()) is k0
+    assert _bits(k0.ab) == _bits(build_truss(
+        model.bays, model.mu).tangent_stiffness_band(zero).ab)
+    assert model.tangent_stiffness_band(zero + 1e-3) is not k0
+
+
+def test_kept_strain_follows_the_argument():
+    """Evaluating at x, then y, then x returns what a fresh model returns
+    at each point, bit for bit."""
+    rng = np.random.default_rng(7)
+    mu = rng.uniform(-1.0, 1.0, 16)
+    model = build_truss(5, mu)
+    x, y = 0.02 * rng.normal(size=(2, model.dof_count))
+    evaluators = (
+        lambda m, q: m.internal_force(q),
+        lambda m, q: m.potential_energy(q),
+        lambda m, q: m.tangent_stiffness_band(q).ab,
+        lambda m, q: m.internal_force_rows_dense([3, 40], q))
+    for point in (x, y, x, y, y, x):
+        for evaluate in evaluators:
+            assert (_bits(evaluate(model, point))
+                    == _bits(evaluate(build_truss(5, mu), point)))
+    rows = np.arange(12, 18)
+    factor = rng.normal(size=(6, 4))
+    kernel = model.potential_kernel(rows, factor)
+    x_r, y_r = 0.01 * rng.normal(size=(2, 4))
+    for point in (x_r, y_r, x_r, y_r, y_r, x_r):
+        fresh = build_truss(5, mu).potential_kernel(rows, factor)
+        assert kernel.energy(point) == fresh.energy(point)
+        assert _bits(kernel.gradient(point)) == _bits(fresh.gradient(point))
+        assert _bits(kernel.hessian(point)) == _bits(fresh.hessian(point))
+    d, strain = model._plan().strain(model._plan().dense_source(x))
+    assert not (d.flags.writeable or strain.flags.writeable)
+
+
+def _count_deformations(monkeypatch):
+    """Record the displacement differences of every strain evaluation."""
+    points = []
+    deformation = lagrom.truss.AssemblyPlan.deformation
+
+    def counted(plan, du):
+        points.append(du.tobytes())
+        return deformation(plan, du)
+
+    monkeypatch.setattr(lagrom.truss.AssemblyPlan, "deformation", counted)
+    return points
+
+
+def test_static_solve_evaluates_each_point_once(monkeypatch):
+    """Residual, Jacobian and merit at one Newton point share its strains,
+    including the returns of a backtracking linesearch to its iterate."""
+    model = build_truss(20, np.random.default_rng(1).uniform(-1.0, 1.0, 16))
+    load = 2 * 9.81 * model.load_patterns()[0]
+    points = _count_deformations(monkeypatch)
+    model.static_displacement(load)
+    assert len(points) >= 10
+    assert len(points) == len(set(points))
+
+
+def test_initial_displacement_factors_rest_stiffness_once(monkeypatch):
+    """The first Newton step of each of the four static solves starts from
+    rest; they share one factorization of K(0)."""
+    rng = np.random.default_rng(2)
+    model = build_truss(20, rng.uniform(-1.0, 1.0, 16))
+    k0 = build_truss(20, model.mu).tangent_stiffness_band(
+        np.zeros(model.dof_count))
+    factored = []
+    gbtrf = lagrom.band._GBTRF
+
+    def counted(ab, kl, ku, **kwargs):
+        factored.append(ab[kl:].copy())
+        return gbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(lagrom.band, "_GBTRF", counted)
+    forcing = ForcingConfig(nominal_amplitudes=(2 * 9.81, 2 * 9.81,
+                                                0.4 * 9.81, 0.4 * 9.81),
+                            omega0=1.0)
+    model.initial_displacement(forcing)
+    assert sum(np.array_equal(ab, k0.ab) for ab in factored) == 1
+    assert len({ab.tobytes() for ab in factored}) == len(factored)
