@@ -83,6 +83,10 @@ class SymmetricBand:
         inside = (offset >= 0) & (offset <= 2 * self.half)
         return np.where(inside, self.ab[np.where(inside, offset, 0), cols], 0.0)
 
+    def release_factor(self):
+        """Drop the kept LU factor; a later :meth:`solve` factors again."""
+        self._lu = None
+
     def solve(self, b) -> np.ndarray:
         """``A^{-1} b`` by banded LU with partial pivoting (LAPACK ``gbtrf``
         once per band, then ``gbtrs``; together they are ``gbsv``).

@@ -46,7 +46,8 @@ FIXED_KEYS = ("nominal_forces", "energy_terms", "energy_matrix",
 # Newton tolerance of verify_timestep, tight enough to keep solver noise
 # below the Richardson differences (the config's is used if tighter).
 VERIFY_REL_TOL = 1e-10
-# Random-basis seed and timing repeats of sp_step_seconds.
+# Random-basis seed and timing repeats of sp_step_seconds and
+# galerkin_step_seconds.
 SP_STEP_SEED = 0
 SP_STEP_REPEATS = 3
 
@@ -585,6 +586,25 @@ def verify_timestep(config: ExperimentConfig, dt=None, horizon=None) -> dict:
 # Online cost scaling probe
 # ---------------------------------------------------------------------------
 
+def _random_basis(bays: int, n: int):
+    """A model at rest parameters, a seeded random orthonormal (N, n)
+    basis, and the generator that drew it."""
+    rng = np.random.default_rng(SP_STEP_SEED)
+    model = build_truss(bays, np.zeros(16))
+    phi = np.linalg.qr(rng.normal(size=(model.dof_count, n)))[0]
+    return model, phi, rng
+
+
+def _best_step_seconds(system, q_r0, steps, dt) -> float:
+    """Best per-step wall time of ``SP_STEP_REPEATS`` integrations."""
+    best = np.inf
+    for _ in range(SP_STEP_REPEATS):
+        traj = integrate_rom(system, dt, steps * dt,
+                             state0=State(q=q_r0.copy(), v=np.zeros_like(q_r0)))
+        best = min(best, traj.wall_time / traj.n_steps)
+    return best
+
+
 def sp_step_seconds(bays: int, n: int, m: int, steps: int = 200,
                     dt: float = 0.05) -> float:
     """Per-step online cost of the SP-RBS model at pinned (n, m).
@@ -593,22 +613,22 @@ def sp_step_seconds(bays: int, n: int, m: int, steps: int = 200,
     fixed while the truss size varies; returns the best of
     ``SP_STEP_REPEATS`` timing runs.
     """
-    rng = np.random.default_rng(SP_STEP_SEED)
-    model = build_truss(bays, np.zeros(16))
+    model, phi, rng = _random_basis(bays, n)
     big_n = model.dof_count
-    phi = np.linalg.qr(rng.normal(size=(big_n, n)))[0]
     indices = rng.permutation(big_n)[:m]
     sample_set = SampleIndexSet(indices, big_n)
     rbs_map = rbs_fit([model.mass_dense()], phi, sample_set)
     system = build_structure_preserving(model, phi, sample_set, rbs_map)
-    q_r0 = 1e-3 * rng.normal(size=n)
+    return _best_step_seconds(system, 1e-3 * rng.normal(size=n), steps, dt)
 
-    best = np.inf
-    for _ in range(SP_STEP_REPEATS):
-        traj = integrate_rom(system, dt, steps * dt,
-                             state0=State(q=q_r0.copy(), v=np.zeros(n)))
-        best = min(best, traj.wall_time / traj.n_steps)
-    return best
+
+def galerkin_step_seconds(bays: int, n: int, steps: int = 200,
+                          dt: float = 0.05) -> float:
+    """Per-step online cost of the Galerkin model on the seeded random
+    basis of :func:`sp_step_seconds`; the best of ``SP_STEP_REPEATS``."""
+    model, phi, rng = _random_basis(bays, n)
+    system = build_galerkin(model, phi)
+    return _best_step_seconds(system, 1e-3 * rng.normal(size=n), steps, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,17 @@ def _zero_force(n):
 
 def build_galerkin(model, phi, alpha=0.0, beta=0.0,
                    forcing=None) -> ReducedSystem:
-    """The full-order system projected onto span ``phi`` (no reduction)."""
+    """The full-order system projected onto span ``phi`` (no reduction).
+
+    The Hessian takes the cheaper exact form (``model.reduced_hessian``);
+    the residual, potential, mass, damping and force are the full-order
+    system's.
+    """
     phi = np.asarray(phi, dtype=float)
+    if (phi.ndim != 2 or phi.shape[0] != model.dof_count
+            or not np.all(np.isfinite(phi))):
+        raise ValueError("basis must be a finite array of shape (%d, n), "
+                         "got shape %s" % (model.dof_count, phi.shape))
     full = full_order_system(model, alpha, beta, forcing)
 
     # A congruence is symmetric; kill the product round-off so the
@@ -69,8 +78,7 @@ def build_galerkin(model, phi, alpha=0.0, beta=0.0,
     def grad(q_r):
         return phi.T @ full.grad(phi @ q_r)
 
-    def hess(q_r):
-        return phi.T @ (full.hess(phi @ q_r) @ phi)
+    hess = model.reduced_hessian(phi)
 
     def force(t):
         return phi.T @ full.force(t)

@@ -19,7 +19,8 @@ arguments) use plans over their index sets, whose scatters are the full
 scatter filtered in its own order, so both agree bit for bit by
 construction.  The structure-preserving potential evaluates a plan's
 elements through reduced maps instead (:class:`ReducedElementKernel`),
-sharing the plan's constants and strain core.
+sharing the plan's constants and strain core.  Reduced potential Hessians
+take whichever of their two exact forms is cheaper (:func:`hessian_form`).
 """
 
 import functools
@@ -60,6 +61,20 @@ _LOAD_AXES = (1, 1, 2, 2)
 # counts whose element arrays are kept (see _bay_elements).
 PLAN_CACHE_SIZE = 256
 BAY_CACHE_SIZE = 16
+
+# The two exact forms of a reduced potential Hessian (hessian_form), and
+# the cost model that picks one (hessian_costs): microseconds per call, per
+# band row assembled and per multiply-add, fitted to per-call times at one
+# BLAS thread on a 2-vCPU Xeon (README, notes on scale;
+# tools/hessian_forms.py measures them).
+ELEMENT_SUM = "element sum"
+CONGRUENCE = "congruence"
+ELEMENT_CALL_US = 10.0
+ELEMENT_MAC_US = 4.4e-4
+CONGRUENCE_CALL_US = 20.0
+BAND_ROW_US = 0.47
+BAND_MAC_US = 2e-4
+DENSE_MAC_US = 8e-5
 
 # Element-matrix node blocks ((row end, column end), weight) in the order
 # each full matrix scatter visits them; 0 is an element's first node, 1 its
@@ -352,16 +367,83 @@ class AssemblyPlan:
         d, strain = self.strain(source)
         return self.topology.vector((self.ea_over_l * strain)[:, None] * d)
 
-    def stiffness(self, source, half=None) -> np.ndarray:
-        d, strain = self.strain(source)
+    def element_stiffness(self, d, strain) -> np.ndarray:
+        """The second-node blocks ``k22 = EA/L (strain I + d d^T / L^2)``
+        (elements, 3, 3) of the deformation ``(d, strain)``."""
         outer = np.einsum("ik,il->ikl", d, d) / self.length_sq[:, None, None]
-        k22 = self.ea_over_l[:, None, None] * (strain[:, None, None] * _EYE
-                                               + outer)
-        return self.topology.matrix(_STIFFNESS_BLOCKS, half)(k22)
+        return self.ea_over_l[:, None, None] * (strain[:, None, None] * _EYE
+                                                + outer)
+
+    def stiffness(self, source, half=None) -> np.ndarray:
+        return self.topology.matrix(_STIFFNESS_BLOCKS, half)(
+            self.element_stiffness(*self.strain(source)))
 
     def mass(self, half=None) -> np.ndarray:
         return self.topology.matrix(_MASS_BLOCKS, half)(
             self.mass_coeff[:, None, None] * _EYE)
+
+
+def hessian_costs(elements, n, rows, half, dof_count):
+    """Estimated microseconds per call of the two exact forms of a reduced
+    potential Hessian ``Z^T K(Z q_r) Z``: ``(element sum, congruence)``.
+
+    ``elements`` bars leave rest under the (dof_count, n) map ``Z``, which
+    is nonzero on ``rows`` rows.  The element sum costs ``elements * n^2``
+    multiply-adds.  The congruence assembles the stiffness over the rows
+    and forms ``Z^T (K Z)``: over all dofs (``rows == dof_count``) a band of
+    half-bandwidth ``half``, assembled row by row and multiplied diagonal
+    by diagonal; over sampled rows a dense ``rows x rows`` block.  Each
+    estimate is a fixed cost per call plus these counts at measured rates.
+    """
+    element = ELEMENT_CALL_US + ELEMENT_MAC_US * elements * n * n
+    if rows == dof_count:
+        product = (BAND_ROW_US + BAND_MAC_US * (2 * half + 1) * n) * rows
+    else:
+        product = DENSE_MAC_US * rows * rows * n
+    congruence = CONGRUENCE_CALL_US + product + DENSE_MAC_US * rows * n * n
+    return element, congruence
+
+
+def hessian_form(elements, n, rows, half, dof_count) -> str:
+    """The cheaper exact form of a reduced potential Hessian by
+    :func:`hessian_costs`: :data:`ELEMENT_SUM` or :data:`CONGRUENCE`.
+
+    A basis as wide as the model (``n >= dof_count``) reduces nothing: its
+    congruence is the stiffness itself, and for the identity basis
+    reproduces it bit for bit, so it is always the congruence.
+    """
+    if n >= dof_count:
+        return CONGRUENCE
+    element, congruence = hessian_costs(elements, n, rows, half, dof_count)
+    return ELEMENT_SUM if element <= congruence else CONGRUENCE
+
+
+def _reduced_maps(topology, rows, basis) -> np.ndarray:
+    """``D_e = Z[second-node dofs] - Z[first-node dofs]`` (elements, 3, n)
+    for the map ``Z`` that is ``basis`` on ``rows`` and zero elsewhere."""
+    z = np.zeros((topology.dofs.size + 1, basis.shape[1]))
+    z[topology.source_pos[rows]] = basis
+    return z[topology.gather2] - z[topology.gather1]
+
+
+class _ElementSum:
+    """``Z^T K Z`` at a deformation of a plan's elements, from the element
+    blocks ``k22 = EA/L (strain I + d d^T / L^2)`` and the reduced maps
+    ``D_e`` of ``Z``: ``sum_e (EA/L strain)_e D_e^T D_e + G^T diag(EA/L^3) G``
+    with the rows ``G_e = d_e^T D_e``.  Keeps ``D_e^T D_e``, one flattened
+    (n, n) block per element."""
+
+    def __init__(self, plan, maps):
+        self.plan = plan
+        self.maps = maps
+        self._gram = np.einsum("eki,ekj->eij", maps, maps).reshape(len(maps), -1)
+        self._ea_over_l3 = plan.ea_over_l / plan.length_sq
+
+    def __call__(self, d, strain) -> np.ndarray:
+        g = np.einsum("eki,ek->ei", self.maps, d)
+        n = g.shape[1]
+        return (((self.plan.ea_over_l * strain) @ self._gram).reshape(n, n)
+                + g.T @ (self._ea_over_l3[:, None] * g))
 
 
 class ReducedElementKernel:
@@ -373,24 +455,29 @@ class ReducedElementKernel:
     rest under ``Z``; the others carry no energy, force or stiffness.  Each
     element's displacement difference is ``D_e q_r`` with the reduced map
     ``D_e = Z[second-node dofs] - Z[first-node dofs]`` (3, n), built once,
-    so an evaluation is one product with ``D`` and one strain evaluation:
-    no N- or m-vector, scatter or plan lookup.  Like the plan, the kernel
-    keeps its last two strain evaluations, keyed by the bytes of ``q_r``,
-    so the Hessian at a Newton iterate reuses the gradient's.
+    so an energy or gradient evaluation is one product with ``D`` and one
+    strain evaluation: no N- or m-vector, scatter or plan lookup.  Like
+    the plan, the kernel keeps its last two strain evaluations, keyed by
+    the bytes of ``q_r``, so the Hessian at a Newton iterate reuses the
+    gradient's.
+
+    The Hessian is the element sum (``block`` None) or the congruence
+    ``factor^T K_ss factor`` with the stiffness ``K_ss`` over ``rows`` x
+    ``rows``, which ``block`` scatters from the plan's element blocks.
     """
 
-    def __init__(self, plan, rows, factor):
-        topology = plan.topology
-        z = np.zeros((topology.dofs.size + 1, factor.shape[1]))
-        z[topology.source_pos[rows]] = factor
+    def __init__(self, plan, rows, factor, block=None):
         self.plan = plan
-        self.maps = z[topology.gather2] - z[topology.gather1]     # (E, 3, n)
+        self.maps = _reduced_maps(plan.topology, rows, factor)   # (E, 3, n)
         self._flat = self.maps.reshape(-1, factor.shape[1])
-        # D_e^T D_e, one flattened (n, n) block per element.
-        self._gram = np.einsum("eki,ekj->eij", self.maps,
-                               self.maps).reshape(len(self.maps), -1)
-        self._ea_over_l3 = plan.ea_over_l / plan.length_sq
         self._strains = _Recent()
+        if block is None:
+            self._hessian = _ElementSum(plan, self.maps)
+        else:
+            def congruence(d, strain):
+                k_ss = block(plan.element_stiffness(d, strain))
+                return factor.T @ (k_ss @ factor)
+            self._hessian = congruence
 
     def _deformation(self, q_r):
         q_r = np.asarray(q_r, dtype=float)
@@ -408,15 +495,8 @@ class ReducedElementKernel:
         return self._flat.T @ tension.reshape(-1)
 
     def hessian(self, q_r) -> np.ndarray:
-        """``Z^T K(Z q_r) Z`` from the element blocks
-        ``k22 = EA/L (strain I + d d^T / L^2)``:
-        ``sum_e (EA/L strain)_e D_e^T D_e + G^T diag(EA/L^3) G`` with the
-        rows ``G_e = d_e^T D_e``."""
-        d, strain = self._deformation(q_r)
-        g = np.einsum("eki,ek->ei", self.maps, d)
-        n = g.shape[1]
-        return (((self.plan.ea_over_l * strain) @ self._gram).reshape(n, n)
-                + g.T @ (self._ea_over_l3[:, None] * g))
+        """``Z^T K(Z q_r) Z`` by the kernel's form."""
+        return self._hessian(*self._deformation(q_r))
 
 
 class TrussModel:
@@ -427,7 +507,8 @@ class TrussModel:
     by index set, so repeated queries on one sample set reuse it.  The
     plan's topology and the element arrays come from caches shared by all
     models of the bay count.  The mass band and the at-rest stiffness band
-    K(0) are assembled once per model, and K(0) is factored at most once.
+    K(0) are assembled once per model; K(0) is factored once for the
+    initial condition, which releases the factor when it is done.
     """
 
     def __init__(self, bays: int, mu):
@@ -521,10 +602,42 @@ class TrussModel:
         plan = self._plan(dq_idx)
         return plan.energy(plan.sparse_source(dq_idx, dq_val))
 
-    def potential_kernel(self, rows, factor) -> ReducedElementKernel:
+    def potential_kernel(self, rows, factor, form=None) -> ReducedElementKernel:
         """The potential, gradient and Hessian in reduced coordinates under
-        the map that is ``factor`` (len(rows), n) on ``rows``."""
-        return ReducedElementKernel(self._plan(rows), rows, factor)
+        the map that is ``factor`` (len(rows), n) on ``rows``; the Hessian
+        by ``form``, by default the one :func:`hessian_form` picks."""
+        rows = np.asarray(rows, dtype=int)
+        plan = self._plan(rows)
+        if form is None:
+            form = hessian_form(plan.topology.elements.size, factor.shape[1],
+                                rows.size, self.half_bandwidth, self.dof_count)
+        block = None
+        if form == CONGRUENCE:
+            key = rows.tobytes()
+            block = _plan_topology(self.bays, key, key).matrix(_STIFFNESS_BLOCKS)
+        return ReducedElementKernel(plan, rows, factor, block)
+
+    def reduced_hessian(self, basis, form=None):
+        """``q_r -> basis^T K(basis q_r) basis`` for an (N, n) basis, by
+        ``form``, by default the one :func:`hessian_form` picks: the full
+        plan's element sum at the kept strains of ``basis q_r`` (those of
+        the internal force there), or the band's congruence."""
+        plan = self._plan()
+        if form is None:
+            form = hessian_form(plan.topology.elements.size, basis.shape[1],
+                                self.dof_count, self.half_bandwidth,
+                                self.dof_count)
+        if form == CONGRUENCE:
+            def hessian(q_r):
+                return basis.T @ (self.tangent_stiffness_band(basis @ q_r)
+                                  @ basis)
+        else:
+            element_sum = _ElementSum(plan, _reduced_maps(
+                plan.topology, np.arange(self.dof_count), basis))
+
+            def hessian(q_r):
+                return element_sum(*plan.strain(plan.dense_source(basis @ q_r)))
+        return hessian
 
     def internal_force(self, q) -> np.ndarray:
         """Potential gradient at configuration ``q``."""
@@ -634,6 +747,10 @@ class TrussModel:
                 continue
             load = amplitude * self._patterns[group]
             q += scale * self.static_displacement(load)
+        # Only these static solves factor K(0); keep the band, which
+        # Rayleigh damping and the SP build read, and drop its LU.
+        if self._rest_stiffness is not None:
+            self._rest_stiffness.release_factor()
         return q
 
     def static_displacement(self, load) -> np.ndarray:

@@ -111,6 +111,9 @@ class QuadraticModel:
                            self.potential_energy, self.internal_force,
                            self.tangent_stiffness)
 
+    def reduced_hessian(self, basis):
+        return lambda q_r: basis.T @ self.stiffness @ basis
+
     def internal_force(self, q):
         return self.stiffness @ np.asarray(q, dtype=float)
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from lagrom.bench import (ExperimentConfig, energy_drift, error_metric,
-                          online_points, reduce_products, run_offline,
-                          run_online, sp_step_seconds, verify_timestep)
+                          galerkin_step_seconds, online_points,
+                          reduce_products, run_offline, run_online,
+                          sp_step_seconds, verify_timestep)
 from lagrom.gappy import (apply_force_reconstructor, build_force_reconstructor,
                           gappy_error_bound)
 from lagrom.midpoint import (NewtonSettings, SecondOrderSystem, State,
@@ -429,6 +430,13 @@ def test_criterion_10_predictive_study():
     scaling = t_large / t_small
     all_ok &= scaling <= 1.5
     lines.append("per-step scaling x%.2f for 2x dofs" % scaling)
+    # Report only: per-step SP and Galerkin cost at the sizes this study
+    # reaches at 20 and 40 bays (20% sampling).
+    lines.append("per-step us sp/galerkin: " + ", ".join(
+        "%d bays n=%d %.0f/%.0f" % (
+            bays, n, 1e6 * sp_step_seconds(bays, n=n, m=m, dt=config.dt),
+            1e6 * galerkin_step_seconds(bays, n=n, dt=config.dt))
+        for bays, n, m in ((20, 36, 48), (40, 61, 96))))
 
     elapsed = time.time() - start
     all_ok &= elapsed < 30 * 60

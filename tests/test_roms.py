@@ -14,7 +14,8 @@ from lagrom.roms import (build_collocation, build_galerkin, build_gappy_rom,
                          reduced_total_energy, total_energy)
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
 from lagrom.spd_approx import build_matrix_gappy_basis, matrix_pod_modes, rbs_fit
-from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
+from lagrom.truss import (CONGRUENCE, ELEMENT_SUM, ForcingConfig, build_truss,
+                          fundamental_frequency, hessian_form)
 
 from conftest import QuadraticModel, random_orthonormal, random_spd
 
@@ -75,6 +76,16 @@ class TestGalerkin:
         assert np.array_equal(rom.newton_iterations, full.newton_iterations)
         for ours, theirs in ((rom.q, full.q), (rom.v, full.v)):
             assert np.abs(ours - theirs).max() <= 1e-11 * np.abs(theirs).max()
+
+    @pytest.mark.parametrize("phi", [np.ones(24), np.ones((24, 3, 1)),
+                                     np.ones((23, 3)), np.ones((3, 24)),
+                                     np.full((24, 3), np.nan),
+                                     np.full((24, 3), np.inf)],
+                             ids=["1d", "3d", "rows", "transposed", "nan", "inf"])
+    def test_misshapen_or_nonfinite_basis_rejected(self, truss, phi):
+        with pytest.raises(ValueError, match=r"\(24, n\).*%s" % (
+                str(phi.shape).replace("(", r"\(").replace(")", r"\)"))):
+            build_galerkin(truss, phi)
 
     def test_reduced_mass_symmetric_positive(self, truss, basis):
         system = build_galerkin(truss, basis)
@@ -455,6 +466,107 @@ def test_sp_step_evaluates_each_point_once(t0, monkeypatch):
                                  state0.v, t0, 0.05)
     assert result.converged and result.iterations >= 1
     assert len(points) == len(set(points)) == result.iterations + 1
+
+
+# Rows of the calibration table of truss.hessian_form (README, notes on
+# scale): kernel, bays, n, bars E and the form that measured faster.
+HESSIAN_TABLE = (("galerkin", 20, 13, 320, ELEMENT_SUM),
+                 ("galerkin", 40, 13, 640, ELEMENT_SUM),
+                 ("galerkin", 20, 36, 320, ELEMENT_SUM),
+                 ("galerkin", 40, 61, 640, CONGRUENCE),
+                 ("sp", 20, 9, 70, ELEMENT_SUM),
+                 ("sp", 20, 13, 99, ELEMENT_SUM),
+                 ("sp", 20, 36, 180, CONGRUENCE),
+                 ("sp", 40, 61, 367, CONGRUENCE))
+
+
+@pytest.mark.parametrize("kernel, bays, n, elements, faster", HESSIAN_TABLE)
+def test_hessian_form_picks_the_faster_form(kernel, bays, n, elements, faster):
+    """Galerkin's congruence is over all dofs, SP's over its n rows."""
+    dofs = 12 * bays
+    rows = dofs if kernel == "galerkin" else n
+    assert hessian_form(elements, n, rows, 23, dofs) == faster
+
+
+@pytest.mark.parametrize("bays", [1, 2, 20])
+def test_identity_basis_takes_the_band(bays):
+    """A basis as wide as the model gets the full band's congruence, which
+    the element sum would otherwise win at a few bays."""
+    model = build_truss(bays, np.zeros(16))
+    dofs = model.dof_count
+    assert hessian_form(len(model.elements), dofs, dofs, model.half_bandwidth,
+                        dofs) == CONGRUENCE
+    assert hessian_form(len(model.elements), dofs - 1, dofs,
+                        model.half_bandwidth, dofs) == (
+        ELEMENT_SUM if bays <= 2 else CONGRUENCE)
+
+
+@pytest.mark.parametrize("bays, n", [(20, 13), (20, 36), (40, 13), (40, 61)])
+def test_galerkin_hessian_is_the_band_congruence(bays, n):
+    """Both forms, and the one the Galerkin model takes, equal
+    ``phi^T K(phi q_r) phi`` in the nonlinear range."""
+    rng = np.random.default_rng(bays + n)
+    model = build_truss(bays, rng.uniform(-0.5, 0.5, 16))
+    phi = random_orthonormal(rng, model.dof_count, n)
+    system = build_galerkin(model, phi)
+    for _ in range(3):
+        q_r = rng.normal(size=n)
+        q_r *= 0.5 / np.abs(phi @ q_r).max()   # bars are about 10 long
+        reference = phi.T @ (model.tangent_stiffness(phi @ q_r) @ phi)
+        model.internal_force(phi @ q_r)          # as a Newton residual does
+        for hess in (system.hess, model.reduced_hessian(phi, ELEMENT_SUM),
+                     model.reduced_hessian(phi, CONGRUENCE)):
+            assert (np.linalg.norm(hess(q_r) - reference)
+                    <= 1e-12 * np.linalg.norm(reference))
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.2])
+def test_galerkin_step_evaluates_each_point_once(t0, monkeypatch):
+    """The Galerkin Hessian at a Newton point reads the strains of the
+    residual there: one full-plan strain evaluation per distinct point."""
+    model = build_truss(20, np.zeros(16))
+    rng = np.random.default_rng(0)
+    phi = random_orthonormal(rng, model.dof_count, 13)
+    forcing = ForcingConfig(nominal_amplitudes=(2 * 9.81,) * 4, omega0=1.0,
+                            final_time=0.4)
+    system = build_galerkin(model, phi, alpha=0.05, beta=2e-4, forcing=forcing)
+    points = []
+    deformation = lagrom.truss.AssemblyPlan.deformation
+
+    def counted(plan, du):
+        points.append(du.tobytes())
+        return deformation(plan, du)
+
+    monkeypatch.setattr(lagrom.truss.AssemblyPlan, "deformation", counted)
+    _, _, result = midpoint_step(system.second_order_system(),
+                                 1e-3 * rng.normal(size=13), np.zeros(13), t0,
+                                 0.05)
+    assert result.converged and result.iterations >= 1
+    assert len(points) == len(set(points)) == result.iterations + 1
+
+
+def test_sp_model_at_criterion_10_size_holds_no_element_gram():
+    """At 40 bays and n = 61 the SP Hessian is the n x n congruence: the
+    built model keeps less than one (E, n^2) array of its E bars."""
+    rng = np.random.default_rng(0)
+    model = build_truss(40, np.zeros(16))
+    n, m = 61, 96
+    phi = random_orthonormal(rng, model.dof_count, n)
+    sample_set = SampleIndexSet(rng.permutation(model.dof_count)[:m],
+                                model.dof_count)
+    product = rbs_fit([model.mass_dense()], phi, sample_set)
+    model.tangent_stiffness_band(np.zeros(model.dof_count))
+    tracemalloc.start()
+    try:
+        system = build_structure_preserving(model, phi, sample_set, product)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    elements = model._plan(sample_set.indices[:n]).topology.elements.size
+    assert elements > 300
+    assert held < elements * n * n * 8 / 4
+    q_r = 1e-3 * rng.normal(size=n)
+    assert np.all(np.isfinite(system.hess(q_r)))
 
 
 def test_sp_stepping_memory_independent_of_dof_count():

@@ -707,11 +707,13 @@ def test_static_solve_evaluates_each_point_once(monkeypatch):
 
 def test_initial_displacement_factors_rest_stiffness_once(monkeypatch):
     """The first Newton step of each of the four static solves starts from
-    rest; they share one factorization of K(0)."""
+    rest; they share one factorization of K(0), which is released when the
+    initial condition is done, while the K(0) band stays."""
     rng = np.random.default_rng(2)
     model = build_truss(20, rng.uniform(-1.0, 1.0, 16))
-    k0 = build_truss(20, model.mu).tangent_stiffness_band(
-        np.zeros(model.dof_count))
+    zero = np.zeros(model.dof_count)
+    k0 = build_truss(20, model.mu).tangent_stiffness_band(zero)
+    kept = model.tangent_stiffness_band(zero)
     factored = []
     gbtrf = lagrom.band._GBTRF
 
@@ -726,3 +728,6 @@ def test_initial_displacement_factors_rest_stiffness_once(monkeypatch):
     model.initial_displacement(forcing)
     assert sum(np.array_equal(ab, k0.ab) for ab in factored) == 1
     assert len({ab.tobytes() for ab in factored}) == len(factored)
+    assert model.tangent_stiffness_band(zero) is kept
+    kept.solve(np.ones(model.dof_count))
+    assert sum(np.array_equal(ab, k0.ab) for ab in factored) == 2
