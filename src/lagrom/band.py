@@ -6,12 +6,23 @@ number of dofs, so every full-order operator is held as a band: O(N)
 storage, O(N) products and O(N) factorizations in place of N x N ones.
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse._sparsetools import dia_matvec, dia_matvecs
 
 _GBTRF, _GBTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
                                                (np.zeros(1),))
+
+
+@functools.cache
+def _diagonal_offsets(half) -> np.ndarray:
+    """Offset of each storage row's diagonal, read-only: ``half - row``."""
+    offsets = half - np.arange(2 * half + 1)
+    offsets.flags.writeable = False
+    return offsets
 
 
 class SymmetricBand:
@@ -20,14 +31,15 @@ class SymmetricBand:
     ``ab`` has shape ``(2 * half + 1, N)`` and holds entry ``(i, j)`` at
     ``ab[half + i - j, j]``; both triangles are stored, as LAPACK's general
     band routines read them.  Sums and scalar multiples act elementwise on
-    the storage, so they equal the dense ones entry for entry.  Products go
-    through a zero-copy ``scipy.sparse.dia_array`` view of the storage,
-    which serves every N (LAPACK's ``dgbmv`` rejects ``N < 2 * half + 1``,
-    trusses of up to three bays).
+    the storage, so they equal the dense ones entry for entry.  Products
+    call scipy's diagonal-storage kernels (``dia_matvec``/``dia_matvecs``)
+    on the storage itself, which serve every N (LAPACK's ``dgbmv`` rejects
+    ``N < 2 * half + 1``, trusses of up to three bays) and sum each entry
+    in the order ``scipy.sparse.dia_array`` does, diagonal by diagonal.
 
     The storage is read-only: a band keeps its LU factor after the first
-    :meth:`solve` and its product view after the first product, so an
-    in-place edit would leave both stale.  Build a new band instead (as
+    :meth:`solve` and its :attr:`sparse` view once made, so an in-place
+    edit would leave both stale.  Build a new band instead (as
     :meth:`shifted` does).
     """
 
@@ -57,14 +69,31 @@ class SymmetricBand:
     def sparse(self) -> scipy.sparse.dia_array:
         """Zero-copy ``dia_array`` view of the storage."""
         if self._view is None:
-            offsets = self.half - np.arange(2 * self.half + 1)
-            self._view = scipy.sparse.dia_array((self.ab, offsets),
-                                                shape=self.shape)
+            self._view = scipy.sparse.dia_array(
+                (self.ab, _diagonal_offsets(self.half)), shape=self.shape)
         return self._view
 
     def __matmul__(self, x) -> np.ndarray:
-        """Product with a vector ``(N,)`` or a matrix ``(N, k)``."""
-        return self.sparse @ x
+        """Product with a float vector ``(N,)`` or matrix ``(N, k)``.
+
+        The kernels read ``x`` without bounds checks, so its shape and dtype
+        are checked here and a mismatch raises ``ValueError``.
+        """
+        x = np.asarray(x)
+        n, rows = self.shape[0], self.ab.shape[0]
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ValueError("operand of shape %s does not match a band of "
+                             "shape %s" % (x.shape, self.shape))
+        if x.dtype.kind != "f":
+            raise ValueError("operand must be floating point, got %s" % x.dtype)
+        offsets = _diagonal_offsets(self.half)
+        if x.ndim == 1:
+            y = np.zeros(n)
+            dia_matvec(n, n, rows, n, offsets, self.ab, x, y)
+        else:
+            y = np.zeros((n, x.shape[1]))
+            dia_matvecs(n, n, rows, n, offsets, self.ab, x.shape[1], x, y)
+        return y
 
     def toarray(self) -> np.ndarray:
         """The dense matrix."""

@@ -134,7 +134,8 @@ def _descent_direction(jac, r, merit_grad):
     gradient vanishes.  Returns ``(direction, slope)``."""
     band = isinstance(jac, SymmetricBand)
     diag = jac.ab[jac.half] if band else np.diagonal(jac)
-    scale = max(float(np.mean(np.abs(diag))), 1e-300)
+    # The mean |diagonal|, without np.mean's per-call overhead.
+    scale = max(float(np.abs(diag).sum() / diag.size), 1e-300)
     for tau in SHIFTS:
         try:
             if band:
@@ -163,7 +164,7 @@ def _linesearch(residual, merit, x, r, direction, slope):
     merit0 = None
     for k in range(MAX_BACKTRACKS):
         step = 0.5**k
-        trial = x + step * direction
+        trial = x + (step * direction if k else direction)
         try:
             r_trial = residual(trial) if k == 0 or merit is None else None
             if k == 0 and float(r_trial @ r_trial) <= (1.0 - 2.0 * ARMIJO_C1) * rr:
@@ -243,24 +244,39 @@ def midpoint_step(system: SecondOrderSystem, q0, v0, t0, dt,
     ``0.5 a.(M + 0.5 dt C) a + a.C v0 + (4/dt^2) V(q_mid(a)) - f.a``, which
     Newton then minimizes.
     """
-    settings = settings or NewtonSettings()
+    return _step(system, system.mass + 0.5 * dt * system.damping, q0, v0, t0,
+                 dt, settings or NewtonSettings())
+
+
+def _plus_scaled(a, scalar, b):
+    """``a + scalar * b`` for two dense arrays or two bands, in one new
+    array: the bits of the two-operation form, without its temporary."""
+    band = isinstance(a, SymmetricBand)
+    out = np.multiply(scalar, b.ab if band else b)
+    np.add(a.ab if band else a, out, out=out)
+    return SymmetricBand(out) if band else out
+
+
+def _step(system, linear_part, q0, v0, t0, dt, settings):
+    """:func:`midpoint_step` with its Newton matrix's constant part
+    ``linear_part = M + 0.5 dt C`` given, so a run of steps forms it once."""
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     t_mid = t0 + 0.5 * dt
     f_mid = np.asarray(system.force(t_mid), dtype=float)
 
+    q_mid0 = q0 + 0.5 * dt * v0   # the midpoint at zero acceleration
+
     def q_mid(a):
-        return q0 + 0.5 * dt * v0 + 0.25 * dt * dt * a
+        return q_mid0 + 0.25 * dt * dt * a
 
     def residual(a):
         v_mid = v0 + 0.5 * dt * a
         return (system.mass @ a + system.damping @ v_mid
                 + system.grad(q_mid(a)) - f_mid)
 
-    linear_part = system.mass + 0.5 * dt * system.damping
-
     def jacobian(a):
-        return linear_part + 0.25 * dt * dt * system.hess(q_mid(a))
+        return _plus_scaled(linear_part, 0.25 * dt * dt, system.hess(q_mid(a)))
 
     merit = None
     if system.potential is not None:
@@ -305,11 +321,12 @@ def implicit_midpoint_solve(system: SecondOrderSystem, state0: State, dt, t_end,
     iters = np.zeros(n_steps, dtype=int)
 
     start = time.perf_counter()
+    linear_part = system.mass + 0.5 * dt * system.damping
     failures = []
     stopped_at = n_steps
     for k in range(n_steps):
-        q[k + 1], v[k + 1], result = midpoint_step(
-            system, q[k], v[k], times[k], dt, settings)
+        q[k + 1], v[k + 1], result = _step(
+            system, linear_part, q[k], v[k], times[k], dt, settings)
         iters[k] = result.iterations
         if not result.converged:
             failures.append(result.reason)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .band import SymmetricBand
 from .midpoint import NewtonSettings, newton
@@ -86,6 +87,9 @@ _STIFFNESS_BLOCKS = (((1, 1), 1.0), ((0, 0), 1.0), ((1, 0), -1.0),
                      ((0, 1), -1.0))
 _MASS_BLOCKS = (((0, 0), 2.0), ((1, 1), 2.0), ((0, 1), 1.0), ((1, 0), 1.0))
 _EYE = np.eye(3)
+# Row and column of the entries of a 3 x 3 block, in row-major order.
+_OUTER_ROWS = np.repeat(np.arange(3), 3)
+_OUTER_COLS = np.tile(np.arange(3), 3)
 
 
 def validate_parameters(mu) -> np.ndarray:
@@ -199,27 +203,45 @@ class _Scatter:
     ``dst`` has one leading axis per weight and then the shape of the
     values; the term at ``(b, *i)`` adds ``weights[b] * values[i]`` to the
     flat output entry ``dst[b, *i]``, or nowhere where that is negative.
-    The operator has one row per output entry that receives a term, and
-    each row lists its terms in the order a sequential scatter visits them
-    (a stable sort by destination), so every entry sums the same terms in
-    the same order; products with weights of +-1 are exact.
+    The operator is a CSR matrix (``indptr``, ``indices``, ``data``) whose
+    rows list their terms in the order a sequential scatter visits them (a
+    stable sort by destination), so every entry sums the same terms in the
+    same order; products with weights of +-1 are exact.  scipy's
+    ``csr_matvec`` kernel forms the product straight from these arrays.
+
+    A vector or band output (``every_slot``) has one operator row per
+    output entry, so the product is the output.  A dense matrix output has
+    one row per entry that receives a term, at the flat positions ``dest``:
+    one row per entry would give a full N x N assembly N^2 rows.
     """
 
-    def __init__(self, dst, weights, shape):
+    def __init__(self, dst, weights, shape, every_slot):
         dst = dst.reshape(len(weights), -1)
-        n_values = dst.shape[1]
+        self.n_values = dst.shape[1]
         src = np.flatnonzero(dst.ravel() >= 0)
         src = src[np.argsort(dst.ravel()[src], kind="stable")]
-        self.dest, starts = np.unique(dst.ravel()[src], return_index=True)
-        self.operator = scipy.sparse.csr_array(
-            (np.asarray(weights)[src // n_values], src % n_values,
-             np.append(starts, src.size)),
-            shape=(self.dest.size, n_values))
+        targets = dst.ravel()[src]
+        if every_slot:
+            self.dest = None
+            self.indptr = np.searchsorted(targets, np.arange(np.prod(shape) + 1))
+        else:
+            self.dest, starts = np.unique(targets, return_index=True)
+            self.indptr = np.append(starts, src.size)
+        self.indices = src % self.n_values
+        self.data = np.asarray(weights, dtype=float)[src // self.n_values]
         self.shape = shape
 
     def __call__(self, values) -> np.ndarray:
+        values = values.reshape(-1)
+        if values.size != self.n_values:
+            raise ValueError("scatter takes %d values, got %d"
+                             % (self.n_values, values.size))
         out = np.zeros(self.shape)
-        out.reshape(-1)[self.dest] = self.operator @ values.reshape(-1)
+        sums = out.reshape(-1) if self.dest is None else np.zeros(self.dest.size)
+        csr_matvec(sums.size, self.n_values, self.indptr, self.indices,
+                   self.data, values, sums)
+        if self.dest is not None:
+            out.reshape(-1)[self.dest] = sums
         return out
 
 
@@ -251,11 +273,17 @@ class PlanTopology:
         # Nodal forces (elements, 3): plus at the second node, then minus at
         # the first.
         self.vector = _Scatter(self._row_pos[self._local[::-1]], (1.0, -1.0),
-                               self.shape[:1])
+                               self.shape[:1], every_slot=True)
         self._matrix = {}
 
     def matrix(self, blocks, half=None) -> _Scatter:
-        """Scatter of element blocks (elements, 3, 3) into rows x cols; cached.
+        """Scatter of element blocks into rows x cols; cached.
+
+        The blocks come component-major, (3, 3, elements), as
+        :meth:`AssemblyPlan.element_stiffness` forms them.  A dof is one
+        component of one node, so the terms that one weight adds to one
+        entry share their components and differ in the element only: the
+        scatter's stable sort still visits them in element order.
 
         ``blocks`` lists ``((row end, column end), weight)`` pairs.  With
         ``half`` given the output is LAPACK band storage of that upper and
@@ -266,8 +294,10 @@ class PlanTopology:
         key = (blocks, half)
         if key not in self._matrix:
             ends = np.array([end for end, _ in blocks])
-            row = self._row_pos[self._local[ends[:, 0]]][..., :, None]
-            col = self._col_pos[self._local[ends[:, 1]]][..., None, :]
+            # (blocks, 3, elements) -> (blocks, 3, 3, elements)
+            row = self._row_pos[self._local[ends[:, 0]]].transpose(0, 2, 1)
+            col = self._col_pos[self._local[ends[:, 1]]].transpose(0, 2, 1)
+            row, col = row[:, :, None, :], col[:, None, :, :]
             kept = (row >= 0) & (col >= 0)
             if half is None:
                 dst, shape = row * self.shape[1] + col, self.shape
@@ -277,7 +307,8 @@ class PlanTopology:
                 dst = (half + row - col) * self.shape[1] + col
                 shape = (2 * half + 1, self.shape[1])
             self._matrix[key] = _Scatter(np.where(kept, dst, -1),
-                                         [weight for _, weight in blocks], shape)
+                                         [weight for _, weight in blocks], shape,
+                                         every_slot=half is not None)
         return self._matrix[key]
 
 
@@ -324,7 +355,12 @@ class AssemblyPlan:
         if q.shape != (topology.dof_count,):
             raise ValueError("configuration must have %d entries"
                              % topology.dof_count)
-        return np.append(q[topology.dofs], 0.0)
+        source = np.empty(topology.dofs.size + 1)
+        # One pass into the source; "clip" (the indices are in range) does
+        # not buffer the output as "raise" does.
+        q.take(topology.dofs, out=source[:-1], mode="clip")
+        source[-1] = 0.0
+        return source
 
     def sparse_source(self, dq_idx, dq_val) -> np.ndarray:
         """Source for a displacement that is zero off the dofs ``dq_idx``."""
@@ -350,7 +386,7 @@ class AssemblyPlan:
         d = self.vec + du
         stretch = (2.0 * np.einsum("ij,ij->i", self.vec, du)
                    + np.einsum("ij,ij->i", du, du))
-        if np.any(self.length_sq + stretch < self.collapse_sq):
+        if (self.length_sq + stretch < self.collapse_sq).any():
             raise FloatingPointError("bar element length collapse")
         strain = stretch / self.two_length_sq
         d.flags.writeable = strain.flags.writeable = False
@@ -369,10 +405,19 @@ class AssemblyPlan:
 
     def element_stiffness(self, d, strain) -> np.ndarray:
         """The second-node blocks ``k22 = EA/L (strain I + d d^T / L^2)``
-        (elements, 3, 3) of the deformation ``(d, strain)``."""
-        outer = np.einsum("ik,il->ikl", d, d) / self.length_sq[:, None, None]
-        return self.ea_over_l[:, None, None] * (strain[:, None, None] * _EYE
-                                                + outer)
+        of the deformation ``(d, strain)``, component-major: (3, 3,
+        elements).  One buffer takes the outer product, the division by
+        L^2, the strain on the diagonal and the factor EA/L in turn, each
+        a loop over the elements.  Off the diagonal this skips adding
+        ``strain * 0``, which can change only the sign of an exact zero;
+        every scatter sum starts at +0 and so assembles the same bits."""
+        d = d.T
+        k = d.take(_OUTER_ROWS, axis=0)
+        k *= d.take(_OUTER_COLS, axis=0)
+        k /= self.length_sq
+        k[::4] += strain
+        k *= self.ea_over_l
+        return k.reshape(3, 3, -1)
 
     def stiffness(self, source, half=None) -> np.ndarray:
         return self.topology.matrix(_STIFFNESS_BLOCKS, half)(
@@ -380,7 +425,7 @@ class AssemblyPlan:
 
     def mass(self, half=None) -> np.ndarray:
         return self.topology.matrix(_MASS_BLOCKS, half)(
-            self.mass_coeff[:, None, None] * _EYE)
+            _EYE[:, :, None] * self.mass_coeff)
 
 
 def hessian_costs(elements, n, rows, half, dof_count):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from lagrom.band import SymmetricBand
 from lagrom.midpoint import (NewtonSettings, SecondOrderSystem, State,
                              implicit_midpoint_solve, midpoint_step, newton,
                              richardson_estimate)
+from lagrom.roms import full_order_system
+from lagrom.truss import ForcingConfig, build_truss
 
 
 def harmonic_oscillator(k=1.0):
@@ -143,6 +146,33 @@ class TestMidpointStep:
 
 
 class TestImplicitMidpointSolve:
+    def test_solve_equals_step_loop_with_one_band_sum(self, monkeypatch):
+        """A banded, damped, forced run equals a loop of ``midpoint_step``
+        bit for bit, and forms the band sum ``M + dt/2 C`` once, where the
+        loop forms it once per step."""
+        model = build_truss(3, np.random.default_rng(4).uniform(-1, 1, 16))
+        forcing = ForcingConfig(nominal_amplitudes=(2 * 9.81,) * 4,
+                                omega0=1.0, final_time=0.4)
+        system = full_order_system(model, 0.05, 2e-4, forcing)
+        state = State(np.zeros(model.dof_count), np.zeros(model.dof_count))
+        sums = []
+        add = SymmetricBand.__add__
+
+        def counted(band, other):
+            sums.append(other)
+            return add(band, other)
+
+        monkeypatch.setattr(SymmetricBand, "__add__", counted)
+        traj = implicit_midpoint_solve(system, state, 0.05, 0.4)
+        assert len(sums) == 1 and traj.stable
+        q, v = state.q, state.v
+        for k in range(traj.n_steps):
+            q, v, result = midpoint_step(system, q, v, traj.times[k], 0.05)
+            assert result.iterations == traj.newton_iterations[k]
+            assert q.tobytes() == traj.q[k + 1].tobytes()
+            assert v.tobytes() == traj.v[k + 1].tobytes()
+        assert len(sums) == 1 + traj.n_steps
+
     def test_zero_everything_stays_zero(self):
         traj = implicit_midpoint_solve(harmonic_oscillator(),
                                        State(np.zeros(1), np.zeros(1)), 0.1, 2.0)

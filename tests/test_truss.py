@@ -473,8 +473,9 @@ def test_band_assembly_caches_band_scatters_only():
     arrays = [value for value in vars(topology).values()
               if isinstance(value, np.ndarray)]
     for scatter in (topology.vector, *topology._matrix.values()):
-        arrays += [scatter.dest, scatter.operator.indices,
-                   scatter.operator.indptr, scatter.operator.data]
+        arrays += [scatter.indices, scatter.indptr, scatter.data]
+        if scatter.dest is not None:
+            arrays.append(scatter.dest)
     assert max(array.size for array in arrays) < model.dof_count**2
 
 
