@@ -56,6 +56,11 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value, least: int) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
 def _check_percentage(p):
     if not (_is_number(p) and 0 < p <= 100):   # false for NaN
         raise ValueError("sampling percentages must lie in (0, 100]: %r" % (p,))
@@ -105,8 +110,7 @@ class ExperimentConfig:
         for name, least in (("bays", 1), ("n_train", 1), ("n_online", 1),
                             ("seed_train", 0), ("seed_online", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                               and value >= least):
+            if not _is_integer(value, least):
                 raise ValueError("%s must be an integer of at least %d: %r"
                                  % (name, least, value))
         if not 0 <= self.energy_state <= 1:
@@ -147,13 +151,23 @@ class ExperimentConfig:
 
 
 def lhs_points(n: int, seed: int = 0) -> np.ndarray:
-    """Latin hypercube training points on the unit parameter box."""
-    if n < 1:
-        raise ValueError("need at least one point")
-    from scipy.stats import qmc   # imported here: scipy.stats is slow to load
+    """Latin hypercube training points on the parameter box [-1, 1]^16.
 
-    sampler = qmc.LatinHypercube(d=PARAMETER_COUNT, seed=seed)
-    return qmc.scale(sampler.random(n), -1.0, 1.0)
+    The stream of ``qmc.scale(qmc.LatinHypercube(d=16, seed=seed)
+    .random(n), -1, 1)`` (SciPy 1.17), byte for byte, without loading
+    ``scipy.stats``: one jitter draw, then one in-place shuffle of
+    ``1..n`` per dimension, each stratum ``(k - u) / n``.
+    """
+    for name, value, least in (("n", n, 1), ("seed", seed, 0)):
+        if not _is_integer(value, least):
+            raise ValueError("%s must be an integer of at least %d: %r"
+                             % (name, least, value))
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(n, PARAMETER_COUNT))
+    perms = np.tile(np.arange(1, n + 1), (PARAMETER_COUNT, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - jitter) / n * 2.0 + -1.0
 
 
 def _apply_conservative(mu: np.ndarray) -> np.ndarray:

@@ -403,7 +403,10 @@ def test_criterion_10_predictive_study():
         hfms.append(hfm)
 
     all_ok = True
-    lines = ["n=%d" % offline.n]
+    # Report only: the nominal eigensolve behind the forcing frequency and
+    # the damping of every run, in full (its round-off follows the BLAS).
+    lines = ["n=%d" % offline.n, "omega0 %r alpha %r beta %r"
+             % (offline.omega0, offline.alpha, offline.beta)]
     for pct in config.sampling_percentages:
         reduced = reduce_products(offline, pct)
         for j, mu in enumerate(mus):

@@ -92,6 +92,31 @@ class TestLhsPoints:
         assert np.array_equal(lhs_points(6, seed=9), lhs_points(6, seed=9))
         assert not np.array_equal(lhs_points(6, seed=9), lhs_points(6, seed=10))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 9, 10, 2**40 + 17])
+    def test_scipy_latin_hypercube_stream(self, seed):
+        """The training set is SciPy's ``LatinHypercube(seed=)`` stream,
+        byte for byte, at every seed the suite and the benchmark use."""
+        qmc = pytest.importorskip("scipy.stats").qmc
+        for n in (1, 2, 3, 6, 48):
+            expected = qmc.scale(
+                qmc.LatinHypercube(d=16, seed=seed).random(n), -1.0, 1.0)
+            got = lhs_points(n, seed=seed)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (n, seed)
+
+    @pytest.mark.parametrize("n, seed, name", [
+        (0, 0, "n"), (-1, 0, "n"), (2.5, 0, "n"), (2.0, 0, "n"),
+        (True, 0, "n"), ("3", 0, "n"), (np.float64(3), 0, "n"),
+        (3, -1, "seed"), (3, 1.0, "seed"), (3, True, "seed"), (3, None, "seed")])
+    def test_bad_arguments_fail_fast(self, n, seed, name):
+        with pytest.raises(ValueError, match="^%s must be an integer of at "
+                                             "least [01]: " % name):
+            lhs_points(n, seed=seed)
+
+    def test_numpy_integer_arguments(self):
+        assert np.array_equal(lhs_points(np.int64(3), seed=np.uint8(5)),
+                              lhs_points(3, seed=5))
+
 
 class TestErrorMetric:
     def test_identical_series(self, rng):
@@ -739,17 +764,30 @@ class TestCli:
 
 
 def test_import_does_not_load_scipy_stats():
-    """``scipy.stats`` and ``scipy.optimize`` (slow to import) load only
-    when LHS points are drawn or a fit runs."""
+    """``scipy.stats`` never loads, and ``scipy.optimize`` (slow to import)
+    loads only when a fit runs: not on import, not for the parameter
+    points, not in the offline stage."""
     src = str(Path(lagrom.bench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, lagrom; "
-         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    script = "\n".join([
+        "import sys",
+        "import lagrom",
+        "from lagrom.bench import (ExperimentConfig, online_points,",
+        "                          run_offline, training_points)",
+        "loaded = lambda: [m for m in ('scipy.stats', 'scipy.optimize')",
+        "                  if m in sys.modules]",
+        "print(loaded())",
+        "config = ExperimentConfig(bays=2, dt=0.05, final_time=0.5, n_train=2,",
+        "                          n_online=2, seed_train=1)",
+        "training_points(config)",
+        "online_points(config)",
+        "run_offline(config)",
+        "print(loaded())",
+    ])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_tracer_targets_are_own_attributes():
