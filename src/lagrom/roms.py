@@ -51,6 +51,20 @@ def _zero_force(n):
     return lambda t: zero
 
 
+def _checked_basis(model, phi, sample_set=None) -> np.ndarray:
+    """``phi`` as a float array, once it is a finite (N, n) basis of the
+    model and ``sample_set`` (if given) samples the model's N dofs."""
+    phi = np.asarray(phi, dtype=float)
+    if (phi.ndim != 2 or phi.shape[0] != model.dof_count
+            or not np.all(np.isfinite(phi))):
+        raise ValueError("basis must be a finite array of shape (%d, n), "
+                         "got shape %s" % (model.dof_count, phi.shape))
+    if sample_set is not None and sample_set.ambient_dim != model.dof_count:
+        raise ValueError("sample set over %d dofs for a model of %d dofs"
+                         % (sample_set.ambient_dim, model.dof_count))
+    return phi
+
+
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -59,15 +73,11 @@ def build_galerkin(model, phi, alpha=0.0, beta=0.0,
                    forcing=None) -> ReducedSystem:
     """The full-order system projected onto span ``phi`` (no reduction).
 
-    The Hessian takes the cheaper exact form (``model.reduced_hessian``);
-    the residual, potential, mass, damping and force are the full-order
-    system's.
+    The Hessian takes the exact form its basis width picks
+    (``model.reduced_hessian``); the residual, potential, mass, damping and
+    force are the full-order system's.
     """
-    phi = np.asarray(phi, dtype=float)
-    if (phi.ndim != 2 or phi.shape[0] != model.dof_count
-            or not np.all(np.isfinite(phi))):
-        raise ValueError("basis must be a finite array of shape (%d, n), "
-                         "got shape %s" % (model.dof_count, phi.shape))
+    phi = _checked_basis(model, phi)
     full = full_order_system(model, alpha, beta, forcing)
 
     # A congruence is symmetric; kill the product round-off so the
@@ -96,9 +106,9 @@ def _sampled_projection(variant, model, phi, sample_set, ops, alpha, beta,
     """Project the sampled rows of every equation term through its operator.
 
     ``ops`` maps ``mass``, ``damping``, ``potential`` and ``force`` to an
-    (n, m) matrix applied to that term's sampled rows.
+    (n, m) matrix applied to that term's sampled rows; ``phi`` is checked
+    (:func:`_checked_basis`).
     """
-    phi = np.asarray(phi, dtype=float)
     s_idx = sample_set.indices
 
     # The sampled rows of M and of the Rayleigh damping alpha M + beta K(0).
@@ -135,7 +145,8 @@ def build_collocation(model, phi, sample_set, alpha=0.0, beta=0.0,
     breaks the symmetry of the reduced mass and damping matrices whenever
     the sampling is partial.
     """
-    test_basis = np.asarray(phi, dtype=float)[sample_set.indices, :].T
+    phi = _checked_basis(model, phi, sample_set)
+    test_basis = phi[sample_set.indices, :].T
     ops = dict.fromkeys(("mass", "damping", "potential", "force"), test_basis)
     return _sampled_projection("collocation", model, phi, sample_set, ops,
                                alpha, beta, forcing)
@@ -149,6 +160,7 @@ def build_gappy_rom(model, phi, reconstructors, sample_set, alpha=0.0,
     and ``force`` to (n, m) operators of ``build_force_reconstructor`` on
     the shared sample set.
     """
+    phi = _checked_basis(model, phi, sample_set)
     return _sampled_projection("gappy_pod", model, phi, sample_set,
                                reconstructors, alpha, beta, forcing)
 
@@ -172,7 +184,7 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
     if forcing is not None and force_reconstructor is None:
         raise ValueError("a forcing needs a force_reconstructor: without one "
                          "the model would integrate with zero force")
-    phi = np.asarray(phi, dtype=float)
+    phi = _checked_basis(model, phi, sample_set)
     n = phi.shape[1]
     s_idx = sample_set.indices
 

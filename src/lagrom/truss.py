@@ -20,7 +20,8 @@ scatter filtered in its own order, so both agree bit for bit by
 construction.  The structure-preserving potential evaluates a plan's
 elements through reduced maps instead (:class:`ReducedElementKernel`),
 sharing the plan's constants and strain core.  Reduced potential Hessians
-take whichever of their two exact forms is cheaper (:func:`hessian_form`).
+take one of their two exact forms by the width of their basis
+(:func:`hessian_form`).
 """
 
 import functools
@@ -63,19 +64,18 @@ _LOAD_AXES = (1, 1, 2, 2)
 PLAN_CACHE_SIZE = 256
 BAY_CACHE_SIZE = 16
 
-# The two exact forms of a reduced potential Hessian (hessian_form), and
-# the cost model that picks one (hessian_costs): microseconds per call, per
-# band row assembled and per multiply-add, fitted to per-call times at one
-# BLAS thread on a 2-vCPU Xeon (README, notes on scale;
-# tools/hessian_forms.py measures them).
+# The two exact forms of a reduced potential Hessian (hessian_form).  Each
+# kernel takes the element sum up to a basis width and the congruence
+# beyond it.  The crossover is a width at every bay count: Galerkin's bars
+# and dofs both grow by 16 and 12 per bay, and the SP kernel's bars are
+# those touching its n rows, whatever the bay count (README, notes on
+# scale; tools/hessian_forms.py times both forms).  Galerkin's width is its
+# crossover at one BLAS thread; SP's lies above its crossover (n = 9-11)
+# and keeps the element sum at the benchmark's widths, 9 and 13.
 ELEMENT_SUM = "element sum"
 CONGRUENCE = "congruence"
-ELEMENT_CALL_US = 10.0
-ELEMENT_MAC_US = 4.4e-4
-CONGRUENCE_CALL_US = 20.0
-BAND_ROW_US = 0.47
-BAND_MAC_US = 2e-4
-DENSE_MAC_US = 8e-5
+GALERKIN_ELEMENT_SUM_MAX_N = 30
+SP_ELEMENT_SUM_MAX_N = 13
 
 # Element-matrix node blocks ((row end, column end), weight) in the order
 # each full matrix scatter visits them; 0 is an element's first node, 1 its
@@ -428,39 +428,22 @@ class AssemblyPlan:
             _EYE[:, :, None] * self.mass_coeff)
 
 
-def hessian_costs(elements, n, rows, half, dof_count):
-    """Estimated microseconds per call of the two exact forms of a reduced
-    potential Hessian ``Z^T K(Z q_r) Z``: ``(element sum, congruence)``.
+def hessian_form(n, dof_count=None) -> str:
+    """The form a reduced potential Hessian over an ``n``-wide map takes by
+    default: :data:`ELEMENT_SUM` up to its kernel's width, :data:`CONGRUENCE`
+    beyond it.
 
-    ``elements`` bars leave rest under the (dof_count, n) map ``Z``, which
-    is nonzero on ``rows`` rows.  The element sum costs ``elements * n^2``
-    multiply-adds.  The congruence assembles the stiffness over the rows
-    and forms ``Z^T (K Z)``: over all dofs (``rows == dof_count``) a band of
-    half-bandwidth ``half``, assembled row by row and multiplied diagonal
-    by diagonal; over sampled rows a dense ``rows x rows`` block.  Each
-    estimate is a fixed cost per call plus these counts at measured rates.
+    Galerkin's map is a basis over all ``dof_count`` dofs.  A basis as wide
+    as the model (``n >= dof_count``) reduces nothing: its congruence is the
+    stiffness itself, and for the identity basis reproduces it bit for bit,
+    so it always takes the congruence.  The SP kernel's map (``dof_count``
+    None) lives on its n sampled rows.
     """
-    element = ELEMENT_CALL_US + ELEMENT_MAC_US * elements * n * n
-    if rows == dof_count:
-        product = (BAND_ROW_US + BAND_MAC_US * (2 * half + 1) * n) * rows
+    if dof_count is None:
+        max_n = SP_ELEMENT_SUM_MAX_N
     else:
-        product = DENSE_MAC_US * rows * rows * n
-    congruence = CONGRUENCE_CALL_US + product + DENSE_MAC_US * rows * n * n
-    return element, congruence
-
-
-def hessian_form(elements, n, rows, half, dof_count) -> str:
-    """The cheaper exact form of a reduced potential Hessian by
-    :func:`hessian_costs`: :data:`ELEMENT_SUM` or :data:`CONGRUENCE`.
-
-    A basis as wide as the model (``n >= dof_count``) reduces nothing: its
-    congruence is the stiffness itself, and for the identity basis
-    reproduces it bit for bit, so it is always the congruence.
-    """
-    if n >= dof_count:
-        return CONGRUENCE
-    element, congruence = hessian_costs(elements, n, rows, half, dof_count)
-    return ELEMENT_SUM if element <= congruence else CONGRUENCE
+        max_n = min(GALERKIN_ELEMENT_SUM_MAX_N, dof_count - 1)
+    return ELEMENT_SUM if n <= max_n else CONGRUENCE
 
 
 def _reduced_maps(topology, rows, basis) -> np.ndarray:
@@ -654,8 +637,7 @@ class TrussModel:
         rows = np.asarray(rows, dtype=int)
         plan = self._plan(rows)
         if form is None:
-            form = hessian_form(plan.topology.elements.size, factor.shape[1],
-                                rows.size, self.half_bandwidth, self.dof_count)
+            form = hessian_form(factor.shape[1])
         block = None
         if form == CONGRUENCE:
             key = rows.tobytes()
@@ -669,9 +651,7 @@ class TrussModel:
         the internal force there), or the band's congruence."""
         plan = self._plan()
         if form is None:
-            form = hessian_form(plan.topology.elements.size, basis.shape[1],
-                                self.dof_count, self.half_bandwidth,
-                                self.dof_count)
+            form = hessian_form(basis.shape[1], self.dof_count)
         if form == CONGRUENCE:
             def hessian(q_r):
                 return basis.T @ (self.tangent_stiffness_band(basis @ q_r)

@@ -52,6 +52,50 @@ def sp_products(truss, phi, m, method="rbs"):
     return sample_set, product
 
 
+# Bases no builder accepts for the 24-dof truss.
+BAD_BASES = (np.ones(24), np.ones((24, 3, 1)), np.ones((23, 3)), np.ones((3, 24)),
+             np.full((24, 3), np.nan), np.full((24, 3), np.inf))
+BAD_BASIS_IDS = ("1d", "3d", "rows", "transposed", "nan", "inf")
+SAMPLED_BUILDERS = ("collocation", "gappy_pod", "sp_rbs")
+
+
+def build_on(builder, truss, basis, phi, sample_set):
+    """Build ``builder``'s model of ``phi`` on ``sample_set``, from offline
+    products fitted to the valid ``basis`` on that set's indices."""
+    if builder == "galerkin":
+        return build_galerkin(truss, phi)
+    if builder == "collocation":
+        return build_collocation(truss, phi, sample_set)
+    fit_set = SampleIndexSet(sample_set.indices, truss.dof_count)
+    if builder == "gappy_pod":
+        recs = dict.fromkeys(("mass", "damping", "potential", "force"),
+                             build_force_reconstructor(basis, basis, fit_set))
+        return build_gappy_rom(truss, phi, recs, sample_set)
+    product = rbs_fit([truss.mass_dense()], basis, fit_set)
+    return build_structure_preserving(truss, phi, sample_set, product)
+
+
+def assert_basis_rejected(builder, truss, basis, phi):
+    with pytest.raises(ValueError, match=r"\(24, n\).*%s" % (
+            str(phi.shape).replace("(", r"\(").replace(")", r"\)"))):
+        build_on(builder, truss, basis, phi, SampleIndexSet(np.arange(24), 24))
+
+
+@pytest.mark.parametrize("phi", BAD_BASES, ids=BAD_BASIS_IDS)
+@pytest.mark.parametrize("builder", SAMPLED_BUILDERS)
+def test_sampled_builder_rejects_misshapen_or_nonfinite_basis(truss, basis,
+                                                              builder, phi):
+    assert_basis_rejected(builder, truss, basis, phi)
+
+
+@pytest.mark.parametrize("builder", SAMPLED_BUILDERS)
+def test_sample_set_of_another_model_rejected(truss, basis, builder):
+    """A sample set drawn for a 48-dof truss does not sample this one."""
+    with pytest.raises(ValueError, match="sample set over 48 dofs for a "
+                                         "model of 24 dofs"):
+        build_on(builder, truss, basis, basis, SampleIndexSet(np.arange(24), 48))
+
+
 class TestGalerkin:
     def test_identity_basis_reproduces_full_model(self, truss, forcing):
         n = truss.dof_count
@@ -77,15 +121,9 @@ class TestGalerkin:
         for ours, theirs in ((rom.q, full.q), (rom.v, full.v)):
             assert np.abs(ours - theirs).max() <= 1e-11 * np.abs(theirs).max()
 
-    @pytest.mark.parametrize("phi", [np.ones(24), np.ones((24, 3, 1)),
-                                     np.ones((23, 3)), np.ones((3, 24)),
-                                     np.full((24, 3), np.nan),
-                                     np.full((24, 3), np.inf)],
-                             ids=["1d", "3d", "rows", "transposed", "nan", "inf"])
-    def test_misshapen_or_nonfinite_basis_rejected(self, truss, phi):
-        with pytest.raises(ValueError, match=r"\(24, n\).*%s" % (
-                str(phi.shape).replace("(", r"\(").replace(")", r"\)"))):
-            build_galerkin(truss, phi)
+    @pytest.mark.parametrize("phi", BAD_BASES, ids=BAD_BASIS_IDS)
+    def test_misshapen_or_nonfinite_basis_rejected(self, truss, basis, phi):
+        assert_basis_rejected("galerkin", truss, basis, phi)
 
     def test_reduced_mass_symmetric_positive(self, truss, basis):
         system = build_galerkin(truss, basis)
@@ -468,36 +506,52 @@ def test_sp_step_evaluates_each_point_once(t0, monkeypatch):
     assert len(points) == len(set(points)) == result.iterations + 1
 
 
-# Rows of the calibration table of truss.hessian_form (README, notes on
-# scale): kernel, bays, n, bars E and the form that measured faster.
-HESSIAN_TABLE = (("galerkin", 20, 13, 320, ELEMENT_SUM),
-                 ("galerkin", 40, 13, 640, ELEMENT_SUM),
-                 ("galerkin", 20, 36, 320, ELEMENT_SUM),
-                 ("galerkin", 40, 61, 640, CONGRUENCE),
-                 ("sp", 20, 9, 70, ELEMENT_SUM),
-                 ("sp", 20, 13, 99, ELEMENT_SUM),
-                 ("sp", 20, 36, 180, CONGRUENCE),
-                 ("sp", 40, 61, 367, CONGRUENCE))
+def taken_form(hess, forms, q_r):
+    """The one of ``forms`` (form -> Hessian) whose value at ``q_r`` the
+    Hessian ``hess`` reproduces bit for bit."""
+    value = hess(q_r)
+    taken = [form for form, each in forms.items()
+             if np.array_equal(each(q_r), value)]
+    assert len(taken) == 1
+    return taken[0]
 
 
-@pytest.mark.parametrize("kernel, bays, n, elements, faster", HESSIAN_TABLE)
-def test_hessian_form_picks_the_faster_form(kernel, bays, n, elements, faster):
-    """Galerkin's congruence is over all dofs, SP's over its n rows."""
-    dofs = 12 * bays
-    rows = dofs if kernel == "galerkin" else n
-    assert hessian_form(elements, n, rows, 23, dofs) == faster
+@pytest.mark.parametrize("bays", [20, 40, 80])
+def test_hessian_form_follows_basis_width(bays):
+    """Each kernel takes the element sum up to its width and the congruence
+    beyond it, at every bay count; the models built take that form."""
+    model = build_truss(bays, np.zeros(16))
+    dofs = model.dof_count
+    assert [hessian_form(n, dofs) for n in (1, 13, 30, 31, 36, 61)] == (
+        [ELEMENT_SUM] * 3 + [CONGRUENCE] * 3)
+    assert [hessian_form(n) for n in (1, 9, 13, 14, 16, 61)] == (
+        [ELEMENT_SUM] * 3 + [CONGRUENCE] * 3)
+    rng = np.random.default_rng(bays)
+    forms = (ELEMENT_SUM, CONGRUENCE)
+    for n in (30, 31):
+        phi = random_orthonormal(rng, dofs, n)
+        q_r = 1e-3 * rng.normal(size=n)
+        model.internal_force(phi @ q_r)          # as a Newton residual does
+        hessians = {form: model.reduced_hessian(phi, form) for form in forms}
+        assert taken_form(model.reduced_hessian(phi), hessians,
+                          q_r) == hessian_form(n, dofs)
+    for n in (13, 14):
+        rows = rng.permutation(dofs)[:n]
+        factor = rng.normal(size=(n, n))
+        q_r = 1e-3 * rng.normal(size=n)
+        hessians = {form: model.potential_kernel(rows, factor, form).hessian
+                    for form in forms}
+        assert taken_form(model.potential_kernel(rows, factor).hessian,
+                          hessians, q_r) == hessian_form(n)
 
 
 @pytest.mark.parametrize("bays", [1, 2, 20])
 def test_identity_basis_takes_the_band(bays):
     """A basis as wide as the model gets the full band's congruence, which
     the element sum would otherwise win at a few bays."""
-    model = build_truss(bays, np.zeros(16))
-    dofs = model.dof_count
-    assert hessian_form(len(model.elements), dofs, dofs, model.half_bandwidth,
-                        dofs) == CONGRUENCE
-    assert hessian_form(len(model.elements), dofs - 1, dofs,
-                        model.half_bandwidth, dofs) == (
+    dofs = build_truss(bays, np.zeros(16)).dof_count
+    assert hessian_form(dofs, dofs) == CONGRUENCE
+    assert hessian_form(dofs - 1, dofs) == (
         ELEMENT_SUM if bays <= 2 else CONGRUENCE)
 
 
