@@ -516,6 +516,33 @@ def taken_form(hess, forms, q_r):
     return taken[0]
 
 
+# Rows timed when the two forms were first calibrated: kernel, bays, n, the
+# bars E the kernel's maps touch, and the form that measured faster.
+# Galerkin at (20 bays, n = 36) was retimed for the width rule; there the
+# congruence is the faster form (README, reduced Hessians).
+HESSIAN_TABLE = (("galerkin", 20, 13, 320, ELEMENT_SUM),
+                 ("galerkin", 40, 13, 640, ELEMENT_SUM),
+                 ("galerkin", 20, 36, 320, CONGRUENCE),
+                 ("galerkin", 40, 61, 640, CONGRUENCE),
+                 ("sp", 20, 9, 70, ELEMENT_SUM),
+                 ("sp", 20, 13, 99, ELEMENT_SUM),
+                 ("sp", 20, 36, 180, CONGRUENCE),
+                 ("sp", 40, 61, 367, CONGRUENCE))
+
+
+@pytest.mark.parametrize("kernel, bays, n, elements, faster", HESSIAN_TABLE)
+def test_hessian_form_picks_the_faster_form(kernel, bays, n, elements, faster):
+    """The width rule takes each timed row's faster form from n alone;
+    Galerkin's maps touch every bar, SP's a subset of them."""
+    bars = len(build_truss(bays, np.zeros(16)).elements)
+    if kernel == "galerkin":
+        assert elements == bars
+        assert hessian_form(n, 12 * bays) == faster
+    else:
+        assert elements < bars
+        assert hessian_form(n) == faster
+
+
 @pytest.mark.parametrize("bays", [20, 40, 80])
 def test_hessian_form_follows_basis_width(bays):
     """Each kernel takes the element sum up to its width and the congruence
