@@ -187,6 +187,9 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
     phi = _checked_basis(model, phi, sample_set)
     n = phi.shape[1]
     s_idx = sample_set.indices
+    if sample_set.m < n:
+        raise ValueError("sample set of m = %d dofs for a basis of n = %d: "
+                         "the potential map needs m >= n" % (sample_set.m, n))
 
     sampled_mass = model.mass_entries(s_idx, s_idx)
     if isinstance(mass_product, RBSMap):

@@ -19,8 +19,9 @@ arguments) use plans over their index sets, whose scatters are the full
 scatter filtered in its own order, so both agree bit for bit by
 construction.  The structure-preserving potential evaluates a plan's
 elements through reduced maps instead (:class:`ReducedElementKernel`),
-sharing the plan's constants and strain core.  Reduced potential Hessians
-take one of their two exact forms by the width of their basis
+sharing the plan's constants and strain core; its Hessian is the
+congruence of the plan's stiffness block.  Galerkin's reduced Hessian
+takes one of its two exact forms by the width of its basis
 (:func:`hessian_form`).
 """
 
@@ -64,18 +65,15 @@ _LOAD_AXES = (1, 1, 2, 2)
 PLAN_CACHE_SIZE = 256
 BAY_CACHE_SIZE = 16
 
-# The two exact forms of a reduced potential Hessian (hessian_form).  Each
-# kernel takes the element sum up to a basis width and the congruence
-# beyond it.  The crossover is a width at every bay count: Galerkin's bars
-# and dofs both grow by 16 and 12 per bay, and the SP kernel's bars are
-# those touching its n rows, whatever the bay count (README, notes on
-# scale; tools/hessian_forms.py times both forms).  Galerkin's width is its
-# crossover at one BLAS thread; SP's lies above its crossover (n = 9-11)
-# and keeps the element sum at the benchmark's widths, 9 and 13.
+# The two exact forms of Galerkin's reduced potential Hessian
+# (hessian_form): the element sum up to a basis width, the band congruence
+# beyond it.  The crossover is a width at every bay count, since the bars
+# and dofs both grow by 16 and 12 per bay; the width is the crossover at one
+# BLAS thread (README, notes on scale; tools/hessian_forms.py times both
+# forms).  The SP kernel always takes the congruence of its n x n block.
 ELEMENT_SUM = "element sum"
 CONGRUENCE = "congruence"
 GALERKIN_ELEMENT_SUM_MAX_N = 30
-SP_ELEMENT_SUM_MAX_N = 13
 
 # Element-matrix node blocks ((row end, column end), weight) in the order
 # each full matrix scatter visits them; 0 is an element's first node, 1 its
@@ -428,21 +426,16 @@ class AssemblyPlan:
             _EYE[:, :, None] * self.mass_coeff)
 
 
-def hessian_form(n, dof_count=None) -> str:
-    """The form a reduced potential Hessian over an ``n``-wide map takes by
-    default: :data:`ELEMENT_SUM` up to its kernel's width, :data:`CONGRUENCE`
-    beyond it.
+def hessian_form(n, dof_count) -> str:
+    """The form Galerkin's reduced potential Hessian over an (N, n) basis
+    takes by default: :data:`ELEMENT_SUM` up to
+    :data:`GALERKIN_ELEMENT_SUM_MAX_N`, :data:`CONGRUENCE` beyond it.
 
-    Galerkin's map is a basis over all ``dof_count`` dofs.  A basis as wide
-    as the model (``n >= dof_count``) reduces nothing: its congruence is the
-    stiffness itself, and for the identity basis reproduces it bit for bit,
-    so it always takes the congruence.  The SP kernel's map (``dof_count``
-    None) lives on its n sampled rows.
+    A basis as wide as the model (``n >= dof_count``) reduces nothing: its
+    congruence is the stiffness itself, and for the identity basis
+    reproduces it bit for bit, so it always takes the congruence.
     """
-    if dof_count is None:
-        max_n = SP_ELEMENT_SUM_MAX_N
-    else:
-        max_n = min(GALERKIN_ELEMENT_SUM_MAX_N, dof_count - 1)
+    max_n = min(GALERKIN_ELEMENT_SUM_MAX_N, dof_count - 1)
     return ELEMENT_SUM if n <= max_n else CONGRUENCE
 
 
@@ -452,26 +445,6 @@ def _reduced_maps(topology, rows, basis) -> np.ndarray:
     z = np.zeros((topology.dofs.size + 1, basis.shape[1]))
     z[topology.source_pos[rows]] = basis
     return z[topology.gather2] - z[topology.gather1]
-
-
-class _ElementSum:
-    """``Z^T K Z`` at a deformation of a plan's elements, from the element
-    blocks ``k22 = EA/L (strain I + d d^T / L^2)`` and the reduced maps
-    ``D_e`` of ``Z``: ``sum_e (EA/L strain)_e D_e^T D_e + G^T diag(EA/L^3) G``
-    with the rows ``G_e = d_e^T D_e``.  Keeps ``D_e^T D_e``, one flattened
-    (n, n) block per element."""
-
-    def __init__(self, plan, maps):
-        self.plan = plan
-        self.maps = maps
-        self._gram = np.einsum("eki,ekj->eij", maps, maps).reshape(len(maps), -1)
-        self._ea_over_l3 = plan.ea_over_l / plan.length_sq
-
-    def __call__(self, d, strain) -> np.ndarray:
-        g = np.einsum("eki,ek->ei", self.maps, d)
-        n = g.shape[1]
-        return (((self.plan.ea_over_l * strain) @ self._gram).reshape(n, n)
-                + g.T @ (self._ea_over_l3[:, None] * g))
 
 
 class ReducedElementKernel:
@@ -489,23 +462,19 @@ class ReducedElementKernel:
     the bytes of ``q_r``, so the Hessian at a Newton iterate reuses the
     gradient's.
 
-    The Hessian is the element sum (``block`` None) or the congruence
-    ``factor^T K_ss factor`` with the stiffness ``K_ss`` over ``rows`` x
-    ``rows``, which ``block`` scatters from the plan's element blocks.
+    ``plan`` is the plan over ``rows`` x ``rows``.  The Hessian is the
+    congruence ``factor^T K_ss factor`` with the stiffness block ``K_ss``
+    that the plan's scatter assembles from its element blocks.
     """
 
-    def __init__(self, plan, rows, factor, block=None):
+    def __init__(self, plan, rows, factor):
         self.plan = plan
-        self.maps = _reduced_maps(plan.topology, rows, factor)   # (E, 3, n)
-        self._flat = self.maps.reshape(-1, factor.shape[1])
+        self.factor = factor
+        # D_e for every element, flattened to (3 E, n).
+        self._flat = _reduced_maps(plan.topology, rows, factor).reshape(
+            -1, factor.shape[1])
+        self._block = plan.topology.matrix(_STIFFNESS_BLOCKS)
         self._strains = _Recent()
-        if block is None:
-            self._hessian = _ElementSum(plan, self.maps)
-        else:
-            def congruence(d, strain):
-                k_ss = block(plan.element_stiffness(d, strain))
-                return factor.T @ (k_ss @ factor)
-            self._hessian = congruence
 
     def _deformation(self, q_r):
         q_r = np.asarray(q_r, dtype=float)
@@ -523,8 +492,9 @@ class ReducedElementKernel:
         return self._flat.T @ tension.reshape(-1)
 
     def hessian(self, q_r) -> np.ndarray:
-        """``Z^T K(Z q_r) Z`` by the kernel's form."""
-        return self._hessian(*self._deformation(q_r))
+        """``Z^T K(Z q_r) Z = factor^T K_ss(Z q_r) factor``."""
+        k_ss = self._block(self.plan.element_stiffness(*self._deformation(q_r)))
+        return self.factor.T @ (k_ss @ self.factor)
 
 
 class TrussModel:
@@ -630,38 +600,40 @@ class TrussModel:
         plan = self._plan(dq_idx)
         return plan.energy(plan.sparse_source(dq_idx, dq_val))
 
-    def potential_kernel(self, rows, factor, form=None) -> ReducedElementKernel:
+    def potential_kernel(self, rows, factor) -> ReducedElementKernel:
         """The potential, gradient and Hessian in reduced coordinates under
-        the map that is ``factor`` (len(rows), n) on ``rows``; the Hessian
-        by ``form``, by default the one :func:`hessian_form` picks."""
+        the map that is ``factor`` (len(rows), n) on ``rows``."""
         rows = np.asarray(rows, dtype=int)
-        plan = self._plan(rows)
-        if form is None:
-            form = hessian_form(factor.shape[1])
-        block = None
-        if form == CONGRUENCE:
-            key = rows.tobytes()
-            block = _plan_topology(self.bays, key, key).matrix(_STIFFNESS_BLOCKS)
-        return ReducedElementKernel(plan, rows, factor, block)
+        return ReducedElementKernel(self._plan(rows, rows), rows, factor)
 
     def reduced_hessian(self, basis, form=None):
         """``q_r -> basis^T K(basis q_r) basis`` for an (N, n) basis, by
-        ``form``, by default the one :func:`hessian_form` picks: the full
-        plan's element sum at the kept strains of ``basis q_r`` (those of
-        the internal force there), or the band's congruence."""
-        plan = self._plan()
-        if form is None:
-            form = hessian_form(basis.shape[1], self.dof_count)
-        if form == CONGRUENCE:
-            def hessian(q_r):
-                return basis.T @ (self.tangent_stiffness_band(basis @ q_r)
-                                  @ basis)
-        else:
-            element_sum = _ElementSum(plan, _reduced_maps(
-                plan.topology, np.arange(self.dof_count), basis))
+        ``form``, by default the one :func:`hessian_form` picks: the band's
+        congruence, or the full plan's element sum at the kept strains of
+        ``basis q_r`` (those of the internal force there).
 
-            def hessian(q_r):
-                return element_sum(*plan.strain(plan.dense_source(basis @ q_r)))
+        The element sum reads the blocks ``k22 = EA/L (strain I + d d^T /
+        L^2)`` through the reduced maps ``D_e`` of ``basis``: ``sum_e (EA/L
+        strain)_e D_e^T D_e + G^T diag(EA/L^3) G`` with the rows ``G_e =
+        d_e^T D_e``.  It keeps ``D_e^T D_e``, one flattened (n, n) block per
+        element.
+        """
+        n = basis.shape[1]
+        if form is None:
+            form = hessian_form(n, self.dof_count)
+        if form == CONGRUENCE:
+            return lambda q_r: basis.T @ (self.tangent_stiffness_band(basis @ q_r)
+                                          @ basis)
+        plan = self._plan()
+        maps = _reduced_maps(plan.topology, np.arange(self.dof_count), basis)
+        gram = np.einsum("eki,ekj->eij", maps, maps).reshape(len(maps), -1)
+        ea_over_l3 = plan.ea_over_l / plan.length_sq
+
+        def hessian(q_r):
+            d, strain = plan.strain(plan.dense_source(basis @ q_r))
+            g = np.einsum("eki,ek->ei", maps, d)
+            return (((plan.ea_over_l * strain) @ gram).reshape(n, n)
+                    + g.T @ (ea_over_l3[:, None] * g))
         return hessian
 
     def internal_force(self, q) -> np.ndarray:

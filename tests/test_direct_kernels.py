@@ -189,11 +189,12 @@ def test_scatters_equal_replaced_scatter(bays, deformed):
     assert _bits(sparse.stiffness(source)) == _bits(stiffness)
 
 
-@pytest.mark.parametrize("bays, n", [(20, 36), (40, 61)])
+@pytest.mark.parametrize("bays, n", [(20, 9), (20, 13), (20, 36), (40, 61)])
 def test_congruence_hessians_equal_replaced_path(bays, n):
     """The SP congruence ``F^T K_ss F`` and the Galerkin congruence
-    ``phi^T (K phi)`` at the criterion-10 sizes equal the replaced element
-    kernel, scatter and band product bit for bit."""
+    ``phi^T (K phi)`` at the benchmark widths (n = 9, 13) and the
+    criterion-10 sizes equal the replaced element kernel, scatter and band
+    product bit for bit."""
     rng = np.random.default_rng(bays + n)
     model = build_truss(bays, rng.uniform(-0.5, 0.5, 16))
     dofs = model.dof_count
@@ -201,7 +202,7 @@ def test_congruence_hessians_equal_replaced_path(bays, n):
     rows = rng.permutation(dofs)[:n]
     k0 = model.tangent_stiffness_band(np.zeros(dofs))
     pmap = build_potential_map(phi.T @ (k0 @ phi), k0.entries(rows, rows), rows)
-    kernel = model.potential_kernel(rows, pmap.factor, CONGRUENCE)
+    kernel = model.potential_kernel(rows, pmap.factor)
     key = rows.tobytes()
     block_topology = lagrom.truss._plan_topology(bays, key, key)
     galerkin = model.reduced_hessian(phi, CONGRUENCE)
