@@ -133,16 +133,18 @@ def _descent_direction(jac, r, merit_grad):
     merit descends, or steepest descent; ``(None, 0.0)`` if the merit
     gradient vanishes.  Returns ``(direction, slope)``."""
     band = isinstance(jac, SymmetricBand)
-    diag = jac.ab[jac.half] if band else np.diagonal(jac)
-    # The mean |diagonal|, without np.mean's per-call overhead.
-    scale = max(float(np.abs(diag).sum() / diag.size), 1e-300)
+    neg_r = -r     # both solvers copy the right-hand side
+    scale = None   # the mean |diagonal|, formed once a shift is tried
     for tau in SHIFTS:
         try:
-            if band:
-                direction = (jac.shifted(tau * scale) if tau else jac).solve(-r)
+            if not tau:
+                direction = jac.solve(neg_r) if band else _dense_solve(jac, neg_r)
             else:
-                shifted = jac + tau * scale * np.eye(len(r)) if tau else jac
-                direction = _dense_solve(shifted, -r)
+                if scale is None:
+                    diag = jac.ab[jac.half] if band else np.diagonal(jac)
+                    scale = max(float(np.abs(diag).sum() / diag.size), 1e-300)
+                direction = (jac.shifted(tau * scale).solve(neg_r) if band else
+                             _dense_solve(jac + tau * scale * np.eye(len(r)), neg_r))
         except np.linalg.LinAlgError:
             continue
         slope = float(merit_grad @ direction)
@@ -152,25 +154,26 @@ def _descent_direction(jac, r, merit_grad):
     return (-merit_grad, slope) if slope < 0.0 else (None, 0.0)
 
 
-def _linesearch(residual, merit, x, r, direction, slope):
-    """Accepted ``(x, r)`` along ``direction``, or None.
+def _linesearch(residual, merit, x, rr, direction, slope, trial, r_trial):
+    """Accepted ``(x, r)`` along ``direction``, or None, once the full step
+    ``trial = x + direction`` has failed :func:`newton`'s residual test;
+    ``r_trial`` is its residual, None if it raised.
 
-    The full step is taken when it cuts ``||r||^2`` by the factor
-    ``1 - 2 c1`` (for an exact Newton direction, Armijo on ``0.5 ||r||^2``);
-    otherwise steps 1, 1/2, 1/4, ... are tried under Armijo on the merit.
-    A ``FloatingPointError`` at a trial point rejects that step.
+    Steps 1, 1/2, 1/4, ... are tried under Armijo on the merit (on ``0.5
+    ||r||^2`` without one; ``rr`` is ``||r||^2`` at ``x``).  A
+    ``FloatingPointError`` at a trial point rejects that step.
     """
-    rr = float(r @ r)
-    merit0 = None
+    merit0 = 0.5 * rr if merit is None else None
     for k in range(MAX_BACKTRACKS):
         step = 0.5**k
-        trial = x + (step * direction if k else direction)
         try:
-            r_trial = residual(trial) if k == 0 or merit is None else None
-            if k == 0 and float(r_trial @ r_trial) <= (1.0 - 2.0 * ARMIJO_C1) * rr:
-                return trial, r_trial
+            if k:
+                trial = x + step * direction
+                r_trial = residual(trial) if merit is None else None
+            elif r_trial is None:   # the full step raised
+                continue
             if merit is None:
-                value, merit0 = 0.5 * float(r_trial @ r_trial), 0.5 * rr
+                value = 0.5 * float(r_trial @ r_trial)
             else:
                 value = float(merit(trial))
                 if merit0 is None:
@@ -178,9 +181,7 @@ def _linesearch(residual, merit, x, r, direction, slope):
         except FloatingPointError:
             continue
         if value <= merit0 + ARMIJO_C1 * step * slope:
-            if r_trial is None:
-                r_trial = residual(trial)
-            return trial, r_trial
+            return trial, residual(trial) if r_trial is None else r_trial
     return None
 
 
@@ -196,16 +197,21 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
     initial residual norm).  Non-convergence is reported through the result, not raised; a
     non-finite residual at an iterate ends the iteration at once.  One
     Jacobian is assembled per iteration, none at trial points.
+
+    The full step is taken when it cuts ``||r||^2`` by the factor ``1 - 2
+    c1`` (for an exact Newton direction, Armijo on ``0.5 ||r||^2``);
+    otherwise :func:`_linesearch` backtracks from it.
     """
     settings = settings or NewtonSettings()
     x = np.array(x0, dtype=float)
     r = residual(x)
-    rnorm = math.sqrt(r @ r)
+    rr = float(r @ r)
+    rnorm = math.sqrt(rr)
     ref = rnorm if reference_norm is None else float(reference_norm)
     target = settings.rel_tol * ref
 
     for it in range(settings.max_iters):
-        if not np.isfinite(rnorm):
+        if not math.isfinite(rnorm):
             return NewtonResult(x=x, iterations=it, converged=False,
                                 reason="nonfinite")
         if rnorm <= target:
@@ -217,12 +223,23 @@ def newton(residual, jacobian, x0, settings: NewtonSettings | None = None,
         if direction is None:
             return NewtonResult(x=x, iterations=it, converged=False,
                                 reason="stationary")
-        accepted = _linesearch(residual, merit, x, r, direction, slope)
-        if accepted is None:
-            return NewtonResult(x=x, iterations=it + 1, converged=False,
-                                reason="linesearch")
-        x, r = accepted
-        rnorm = math.sqrt(r @ r)
+        trial = x + direction
+        try:
+            r_trial = residual(trial)
+            rr_trial = float(r_trial @ r_trial)
+        except FloatingPointError:
+            r_trial, rr_trial = None, math.nan
+        if rr_trial <= (1.0 - 2.0 * ARMIJO_C1) * rr:
+            x, r, rr = trial, r_trial, rr_trial
+        else:
+            accepted = _linesearch(residual, merit, x, rr, direction, slope,
+                                   trial, r_trial)
+            if accepted is None:
+                return NewtonResult(x=x, iterations=it + 1, converged=False,
+                                    reason="linesearch")
+            x, r = accepted
+            rr = float(r @ r)
+        rnorm = math.sqrt(rr)
 
     converged = rnorm <= target
     return NewtonResult(x=x, iterations=settings.max_iters,
@@ -262,29 +279,30 @@ def _step(system, linear_part, q0, v0, t0, dt, settings):
     ``linear_part = M + 0.5 dt C`` given, so a run of steps forms it once."""
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    t_mid = t0 + 0.5 * dt
-    f_mid = np.asarray(system.force(t_mid), dtype=float)
-
-    q_mid0 = q0 + 0.5 * dt * v0   # the midpoint at zero acceleration
-
-    def q_mid(a):
-        return q_mid0 + 0.25 * dt * dt * a
+    f_mid = np.asarray(system.force(t0 + 0.5 * dt), dtype=float)
+    mass, damping, grad, hess = (system.mass, system.damping, system.grad,
+                                 system.hess)
+    half_dt = 0.5 * dt
+    h = 0.25 * dt * dt           # d q_mid / d a
+    q_mid0 = q0 + half_dt * v0   # the midpoint at zero acceleration
 
     def residual(a):
-        v_mid = v0 + 0.5 * dt * a
-        return (system.mass @ a + system.damping @ v_mid
-                + system.grad(q_mid(a)) - f_mid)
+        return (mass @ a + damping @ (v0 + half_dt * a)
+                + grad(q_mid0 + h * a) - f_mid)
 
     def jacobian(a):
-        return _plus_scaled(linear_part, 0.25 * dt * dt, system.hess(q_mid(a)))
+        return _plus_scaled(linear_part, h, hess(q_mid0 + h * a))
 
     merit = None
     if system.potential is not None:
+        potential, quarter_dt = system.potential, 0.25 * dt
+        v_weight = 4.0 / (dt * dt)
+
         def merit(a):
             # 0.5 a.(M + 0.5 dt C) a + a.C v0 + (4/dt^2) V(q_mid(a)) - f.a
-            return (float(a @ (0.5 * (system.mass @ a)
-                               + system.damping @ (0.25 * dt * a + v0)))
-                    + 4.0 / (dt * dt) * system.potential(q_mid(a))
+            return (float(a @ (0.5 * (mass @ a)
+                               + damping @ (quarter_dt * a + v0)))
+                    + v_weight * potential(q_mid0 + h * a)
                     - float(f_mid @ a))
 
     # The reference residual is the one at the first iterate, zero.

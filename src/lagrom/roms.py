@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gappy import apply_force_reconstructor
 from .midpoint import (NewtonSettings, SecondOrderSystem, State, Trajectory,
                        implicit_midpoint_solve)
-from .potential_map import (build_potential_map, approx_reduced_gradient,
+from .potential_map import build_potential_map
+# Not called here: the models evaluate their kernel and reduced loads
+# directly.  Kept as names of this module, where perfbench's tracer
+# patches them.
+from .gappy import apply_force_reconstructor  # noqa: F401
+from .potential_map import (approx_reduced_gradient,  # noqa: F401
                             approx_reduced_hessian)
 from .spd_approx import (MatrixGappyBasis, RBSMap, gappy_matrix_assemble,
                          gappy_matrix_coeffs, rbs_apply, symmetrize)
@@ -38,7 +42,9 @@ class ReducedSystem:
     force: object                 # t -> (n,) reduced external force
     phi: np.ndarray
     qoi_weights: np.ndarray       # tip displacement is q_r @ qoi_weights
-    potential: object = None      # q_r -> scalar whose gradient is grad
+    # q_r -> scalar whose gradient is grad; coordinates stacked in rows
+    # (T, n) -> their (T,) values.
+    potential: object = None
 
     def second_order_system(self) -> SecondOrderSystem:
         return SecondOrderSystem(mass=self.mass_r, damping=self.damping_r,
@@ -49,6 +55,31 @@ class ReducedSystem:
 def _zero_force(n):
     zero = np.zeros(n)
     return lambda t: zero
+
+
+def _reduced_force(model, forcing, loads_r):
+    """``t -> loads_r @ model.force_components(t)``.
+
+    Every reduced force is linear in the model's load components, so its
+    reduced loads ``loads_r`` (n, components), the images of the load
+    patterns, are formed once at build; a step costs one small product.
+    """
+    if forcing is None:
+        return _zero_force(loads_r.shape[0])
+
+    def force(t):
+        return loads_r @ model.force_components(t, forcing)
+    return force
+
+
+def _checked_operator(name, operator, n, m) -> np.ndarray:
+    """``operator`` as a float array, once it is (n, m): it maps the m
+    sampled values of a term to the n reduced coordinates."""
+    operator = np.asarray(operator, dtype=float)
+    if operator.shape != (n, m):
+        raise ValueError("%s operator of shape %s, expected (n, m) = (%d, %d)"
+                         % (name, operator.shape, n, m))
+    return operator
 
 
 def _checked_basis(model, phi, sample_set=None) -> np.ndarray:
@@ -89,12 +120,10 @@ def build_galerkin(model, phi, alpha=0.0, beta=0.0,
         return phi.T @ full.grad(phi @ q_r)
 
     hess = model.reduced_hessian(phi)
-
-    def force(t):
-        return phi.T @ full.force(t)
+    force = _reduced_force(model, forcing, phi.T @ model.load_patterns().T)
 
     def potential(q_r):
-        return full.potential(phi @ q_r)
+        return full.potential(phi @ q_r if np.ndim(q_r) == 1 else q_r @ phi.T)
 
     return ReducedSystem(variant="galerkin", mass_r=mass_r, damping_r=damping_r,
                          grad=grad, hess=hess, force=force, phi=phi,
@@ -126,11 +155,8 @@ def _sampled_projection(variant, model, phi, sample_set, ops, alpha, beta,
         rows = model.tangent_stiffness_rows_dense(s_idx, phi @ q_r)
         return ops["potential"] @ (rows @ phi)
 
-    if forcing is None:
-        force = _zero_force(phi.shape[1])
-    else:
-        def force(t):
-            return ops["force"] @ model.external_force_rows(s_idx, t, forcing)
+    force = _reduced_force(model, forcing,
+                           ops["force"] @ model.load_patterns()[:, s_idx].T)
 
     return ReducedSystem(variant=variant, mass_r=mass_r, damping_r=damping_r,
                          grad=grad, hess=hess, force=force, phi=phi,
@@ -161,8 +187,12 @@ def build_gappy_rom(model, phi, reconstructors, sample_set, alpha=0.0,
     the shared sample set.
     """
     phi = _checked_basis(model, phi, sample_set)
-    return _sampled_projection("gappy_pod", model, phi, sample_set,
-                               reconstructors, alpha, beta, forcing)
+    shape = phi.shape[1], sample_set.m
+    ops = {term: _checked_operator(term + " reconstructor",
+                                   reconstructors[term], *shape)
+           for term in ("mass", "damping", "potential", "force")}
+    return _sampled_projection("gappy_pod", model, phi, sample_set, ops,
+                               alpha, beta, forcing)
 
 
 def build_structure_preserving(model, phi, sample_set, mass_product,
@@ -190,6 +220,9 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
     if sample_set.m < n:
         raise ValueError("sample set of m = %d dofs for a basis of n = %d: "
                          "the potential map needs m >= n" % (sample_set.m, n))
+    if force_reconstructor is not None:
+        force_reconstructor = _checked_operator(
+            "force reconstructor", force_reconstructor, n, sample_set.m)
 
     sampled_mass = model.mass_entries(s_idx, s_idx)
     if isinstance(mass_product, RBSMap):
@@ -215,25 +248,15 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
 
     damping_r = alpha * mass_r + beta * k0_reduced
 
-    def grad(q_r):
-        return approx_reduced_gradient(kernel, q_r)
-
     def hess(q_r):
-        return approx_reduced_hessian(kernel, q_r)
+        return symmetrize(kernel.hessian(q_r))
 
-    if forcing is None:
-        force = _zero_force(n)
-    else:
-        def force(t):
-            return apply_force_reconstructor(
-                force_reconstructor, model.external_force_rows(s_idx, t, forcing))
-
-    def potential(q_r):
-        return kernel.energy(q_r)
+    force = (_zero_force(n) if forcing is None else _reduced_force(
+        model, forcing, force_reconstructor @ model.load_patterns()[:, s_idx].T))
 
     return ReducedSystem(variant=variant, mass_r=mass_r, damping_r=damping_r,
-                         grad=grad, hess=hess, force=force, phi=phi,
-                         qoi_weights=phi[model.tip_dof], potential=potential)
+                         grad=kernel.gradient, hess=hess, force=force, phi=phi,
+                         qoi_weights=phi[model.tip_dof], potential=kernel.energy)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +271,7 @@ def integrate_rom(system: ReducedSystem, dt, t_end, state0: State,
                                    t_end, settings)
     traj.quantity = traj.q @ system.qoi_weights
     if record_energy and system.potential is not None:
-        traj.energy = np.array([reduced_total_energy(system, q, v)
-                                for q, v in zip(traj.q, traj.v)])
+        traj.energy = reduced_total_energy(system, traj.q, traj.v)
     return traj
 
 
@@ -287,10 +309,12 @@ def total_energy(model, q, v) -> float:
     return 0.5 * float(v @ (model.mass_band() @ v)) + model.potential_energy(q)
 
 
-def reduced_total_energy(system: ReducedSystem, q_r, v_r) -> float:
-    """Hamiltonian of a reduced model through its approximated ingredients."""
+def reduced_total_energy(system: ReducedSystem, q_r, v_r):
+    """Hamiltonian of a reduced model through its approximated ingredients,
+    at one state or, for states stacked in rows (T, n), the (T,) values."""
     if system.potential is None:
         raise ValueError("variant %r carries no potential-energy evaluator"
                          % system.variant)
     v_r = np.asarray(v_r, dtype=float)
-    return 0.5 * float(v_r @ (system.mass_r @ v_r)) + float(system.potential(q_r))
+    kinetic = 0.5 * np.sum(v_r * (v_r @ system.mass_r.T), axis=-1)
+    return kinetic + system.potential(np.asarray(q_r, dtype=float))

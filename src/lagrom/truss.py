@@ -377,21 +377,25 @@ class AssemblyPlan:
     def deformation(self, du):
         """Deformed edge vectors and Green--Lagrange strains of the plan's
         elements under the nodal displacement differences ``du``
-        (elements, 3), second node minus first."""
+        (elements, 3), second node minus first, or of displacements
+        stacked along leading axes (..., elements, 3)."""
         # The squared-length difference is expanded analytically
         # (2 x.du + du.du); the naive |x+du|^2 - L^2 form loses ~8 digits to
         # cancellation at working strain levels.
         d = self.vec + du
-        stretch = (2.0 * np.einsum("ij,ij->i", self.vec, du)
-                   + np.einsum("ij,ij->i", du, du))
+        stretch = (2.0 * np.einsum("...ij,...ij->...i", self.vec, du)
+                   + np.einsum("...ij,...ij->...i", du, du))
         if (self.length_sq + stretch < self.collapse_sq).any():
             raise FloatingPointError("bar element length collapse")
         strain = stretch / self.two_length_sq
         d.flags.writeable = strain.flags.writeable = False
         return d, strain
 
-    def strain_energy(self, strain) -> float:
-        return float(np.sum(0.5 * self.eal * strain**2))
+    def strain_energy(self, strain):
+        """Energy of the strains (elements,), or the energies of strains
+        stacked along leading axes."""
+        energy = np.sum(0.5 * self.eal * strain**2, axis=-1)
+        return float(energy) if energy.ndim == 0 else energy
 
     def energy(self, source) -> float:
         _, strain = self.strain(source)
@@ -481,8 +485,15 @@ class ReducedElementKernel:
         return self._strains.get(q_r, lambda: self.plan.deformation(
             (self._flat @ q_r).reshape(-1, 3)))
 
-    def energy(self, q_r) -> float:
-        _, strain = self._deformation(q_r)
+    def energy(self, q_r):
+        """``V(Z q_r)``; for coordinates stacked in rows (T, n), the (T,)
+        energies from one product with ``D``."""
+        q_r = np.asarray(q_r, dtype=float)
+        if q_r.ndim == 1:
+            _, strain = self._deformation(q_r)
+        else:
+            _, strain = self.plan.deformation(
+                (q_r @ self._flat.T).reshape(len(q_r), -1, 3))
         return self.plan.strain_energy(strain)
 
     def gradient(self, q_r) -> np.ndarray:
@@ -587,9 +598,22 @@ class TrussModel:
 
     # -- potential energy and derivatives --------------------------------------
 
-    def potential_energy(self, q) -> float:
+    def potential_energy(self, q):
+        """``V(q)``; for configurations stacked in rows (T, N), the (T,)
+        energies from one gather and one strain evaluation."""
         plan = self._plan()
-        return plan.energy(plan.dense_source(q))
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            return plan.energy(plan.dense_source(q))
+        topology = plan.topology
+        if q.ndim != 2 or q.shape[1] != self.dof_count:
+            raise ValueError("configurations must have %d entries"
+                             % self.dof_count)
+        source = np.zeros((len(q), topology.dofs.size + 1))
+        source[:, :-1] = q[:, topology.dofs]
+        _, strain = plan.deformation(source[:, topology.gather2]
+                                     - source[:, topology.gather1])
+        return plan.strain_energy(strain)
 
     def potential_energy_sparse(self, dq_idx, dq_val) -> float:
         """Exact potential at equilibrium plus a sparse displacement.
@@ -717,7 +741,9 @@ class TrussModel:
         """
         return self._patterns
 
-    def _force_components(self, t: float, forcing: ForcingConfig):
+    def force_components(self, t: float, forcing: ForcingConfig) -> np.ndarray:
+        """The four load-group magnitudes at time ``t``: the external force
+        is ``force_components(t) @ load_patterns()``, zero before onset."""
         onset = forcing.final_time / 4.0
         if t < onset:
             return np.zeros(4)
@@ -727,11 +753,11 @@ class TrussModel:
         return amplitudes * np.sin(freqs * (t - onset))
 
     def external_force(self, t: float, forcing: ForcingConfig) -> np.ndarray:
-        comps = self._force_components(t, forcing)
+        comps = self.force_components(t, forcing)
         return comps @ self._patterns
 
     def external_force_rows(self, rows, t: float, forcing: ForcingConfig) -> np.ndarray:
-        comps = self._force_components(t, forcing)
+        comps = self.force_components(t, forcing)
         return comps @ self._patterns[:, np.asarray(rows, dtype=int)]
 
     def initial_displacement(self, forcing: ForcingConfig) -> np.ndarray:

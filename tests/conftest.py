@@ -134,11 +134,14 @@ class QuadraticModel:
 
     # -- forcing ---------------------------------------------------------------
 
+    def load_patterns(self):
+        return self.force_pattern[None, :]
+
+    def force_components(self, t, forcing=None):
+        return np.array([np.sin(1.3 * t)])
+
     def external_force(self, t, forcing=None):
         return np.sin(1.3 * t) * self.force_pattern
-
-    def external_force_rows(self, rows, t, forcing=None):
-        return np.sin(1.3 * t) * self.force_pattern[np.asarray(rows, int)]
 
     def tip_displacement(self, q):
         return float(np.asarray(q)[self.tip_dof])

@@ -272,6 +272,21 @@ class TestReducedElementKernel:
         for evaluate in (kernel.energy, kernel.gradient, kernel.hessian):
             with pytest.raises(FloatingPointError, match="collapse"):
                 evaluate(q_r)
+        with pytest.raises(FloatingPointError, match="collapse"):
+            kernel.energy(np.stack([np.zeros_like(q_r), q_r]))
+
+    def test_stacked_energies_equal_each_state(self, truss20, sampled_map):
+        """The energies of coordinates stacked in rows are those of each
+        row, to the round-off of one product with ``D`` for all rows."""
+        kernel = truss20.potential_kernel(sampled_map.rows, sampled_map.factor)
+        rng = np.random.default_rng(2)
+        states = np.stack([displaced(sampled_map, rng) for _ in range(7)])
+        energies = kernel.energy(states)
+        each = np.array([kernel.energy(q_r) for q_r in states])
+        assert energies.shape == (7,)
+        assert np.abs(energies - each).max() <= 1e-14 * np.abs(each).max()
+        assert np.array_equal(kernel.energy(np.zeros((2, states.shape[1]))),
+                              np.zeros(2))
 
 
 @pytest.mark.parametrize("bays, n", [(20, 9), (20, 13), (20, 36), (40, 61)])
@@ -322,13 +337,20 @@ def test_sp_trajectory_matches_sampled_evaluators(truss20, modal_basis, method,
                                                       sample_set),
         forcing=forcing)
     rows, factor = maps[0].rows, maps[0].factor
+
+    def sampled_energy(q_r):
+        # The energy record passes every state at once, stacked in rows.
+        if np.ndim(q_r) == 2:
+            return np.array([sampled_energy(q) for q in q_r])
+        return model.potential_energy_sparse(rows, factor @ q_r)
+
     reference = dataclasses.replace(
         system,
         grad=lambda q_r: factor.T @ model.internal_force_rows(
             rows, rows, factor @ q_r),
         hess=lambda q_r: symmetrize(factor.T @ model.tangent_stiffness_block(
             rows, rows, rows, factor @ q_r) @ factor),
-        potential=lambda q_r: model.potential_energy_sparse(rows, factor @ q_r))
+        potential=sampled_energy)
     state0 = State(q=phi.T @ model.initial_displacement(forcing),
                    v=np.zeros(phi.shape[1]))
     settings = NewtonSettings(rel_tol=1e-10)

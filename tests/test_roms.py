@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,77 @@ def test_sample_set_of_another_model_rejected(truss, basis, builder):
     with pytest.raises(ValueError, match="sample set over 48 dofs for a "
                                          "model of 24 dofs"):
         build_on(builder, truss, basis, basis, SampleIndexSet(np.arange(24), 48))
+
+
+def test_misshapen_sampled_operator_rejected(truss, basis):
+    """A term operator that is not (n, m) fails at build and names both
+    shapes: the force reconstructor of SP and each gappy POD term."""
+    sample_set = greedy_sample_indices(basis, 12)
+    n, m = basis.shape[1], sample_set.m
+    good = np.zeros((n, m))
+    product = rbs_fit([truss.mass_dense()], basis, sample_set)
+    for shape in ((n, m - 1), (n - 1, m), (m, n), (n * m,)):
+        expected = r"operator of shape %s, expected \(n, m\) = \(%d, %d\)" % (
+            re.escape(str(shape)), n, m)
+        with pytest.raises(ValueError, match="force reconstructor " + expected):
+            build_structure_preserving(truss, basis, sample_set, product,
+                                       force_reconstructor=np.zeros(shape))
+        for term in ("mass", "damping", "potential", "force"):
+            recs = dict.fromkeys(("mass", "damping", "potential", "force"), good)
+            recs[term] = np.zeros(shape)
+            with pytest.raises(ValueError, match=term + " reconstructor " + expected):
+                build_gappy_rom(truss, basis, recs, sample_set)
+
+
+def replaced_force(model, phi, operator, sample_set, forcing):
+    """The reduced force as the builders formed it from the sampled rows of
+    the full load (Galerkin: the projection of the full load)."""
+    if operator is None:
+        return lambda t: phi.T @ model.external_force(t, forcing)
+    return lambda t: operator @ model.external_force_rows(sample_set.indices,
+                                                          t, forcing)
+
+
+@pytest.mark.parametrize("amplitudes", ["on", "off"])
+@pytest.mark.parametrize("variant", ["galerkin", "collocation", "gappy_pod",
+                                     "sp_rbs"])
+def test_reduced_loads_equal_sampled_row_force(truss, forcing, basis, variant,
+                                               amplitudes):
+    """Each variant's force from its reduced loads equals the replaced
+    sampled-row form to round-off: zero before the load onset at t = 2,
+    and zero throughout with every force amplitude switched off."""
+    mu = np.zeros(16)
+    if amplitudes == "off":
+        mu[8:12] = -2.0
+    model = build_truss(truss.bays, mu)
+    sample_set = greedy_sample_indices(basis, 12)
+    force_basis = np.linalg.qr(model.load_patterns().T)[0]
+    operator = build_force_reconstructor(basis, force_basis, sample_set)
+    if variant == "galerkin":
+        system = build_galerkin(model, basis, forcing=forcing)
+        operator = None
+    elif variant == "collocation":
+        system = build_collocation(model, basis, sample_set, forcing=forcing)
+        operator = basis[sample_set.indices].T
+    elif variant == "gappy_pod":
+        recs = dict.fromkeys(("mass", "damping", "potential", "force"), operator)
+        system = build_gappy_rom(model, basis, recs, sample_set,
+                                 forcing=forcing)
+    else:
+        system = build_structure_preserving(
+            model, basis, sample_set,
+            rbs_fit([model.mass_dense()], basis, sample_set),
+            force_reconstructor=operator, forcing=forcing)
+    expected = replaced_force(model, basis, operator, sample_set, forcing)
+    for t in (0.0, 1.9, 2.5, 5.5, 7.9):
+        value, reference = system.force(t), expected(t)
+        assert value.shape == (basis.shape[1],)
+        if t < 2.0 or amplitudes == "off":
+            assert not reference.any() and not value.any()
+        else:
+            assert np.abs(reference).max() > 0.0
+            assert (np.abs(value - reference).max()
+                    <= 1e-14 * np.abs(reference).max())
 
 
 class TestGalerkin:
@@ -214,14 +286,17 @@ class TestGappyRom:
         assert asym / np.linalg.norm(rom.mass_r) > 1e-6
 
     def test_force_term_is_reconstructor_output(self, truss, forcing, basis, rng):
+        """The force is the force reconstructor applied to the sampled
+        load, up to the round-off of forming the reduced loads first."""
         from lagrom.gappy import apply_force_reconstructor
         sample_set = greedy_sample_indices(basis, 10)
         recs = self._reconstructors(truss, basis, sample_set, rng)
         rom = build_gappy_rom(truss, basis, recs, sample_set, forcing=forcing)
         t = 5.5
         sampled = truss.external_force(t, forcing)[sample_set.indices]
-        assert np.array_equal(rom.force(t),
-                              apply_force_reconstructor(recs["force"], sampled))
+        expected = apply_force_reconstructor(recs["force"], sampled)
+        assert (np.abs(rom.force(t) - expected).max()
+                <= 1e-14 * np.abs(expected).max())
 
 
 def test_sampled_projections_build_no_full_matrices(truss, forcing, basis,

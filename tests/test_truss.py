@@ -199,6 +199,18 @@ class TestPotential:
                                                  - model.node_coords[node])
         with pytest.raises(FloatingPointError, match="collapse"):
             model.potential_energy(q)
+        with pytest.raises(FloatingPointError, match="collapse"):
+            model.potential_energy(np.stack([np.zeros_like(q), q]))
+
+    def test_stacked_potential_energies_equal_each_state(self, model):
+        rng = np.random.default_rng(5)
+        states = 0.05 * rng.normal(size=(6, model.dof_count))
+        energies = model.potential_energy(states)
+        each = np.array([model.potential_energy(q) for q in states])
+        assert energies.shape == (6,)
+        assert np.abs(energies - each).max() <= 1e-14 * np.abs(each).max()
+        with pytest.raises(ValueError, match="%d entries" % model.dof_count):
+            model.potential_energy(states[:, 1:])
 
 
 class TestSampledEvaluators:

@@ -11,7 +11,14 @@ Two source trees give the same outputs when their lines are equal::
 
     python tools/hash_outputs.py study-20 --size bench --seed 1 > a.txt
 
-It writes no file.
+To see by how much two trees differ, save one tree's arrays and compare
+the other's against them; each line is then ``<name> same`` (the digest
+would be equal) or ``<name> <max |diff| / max |saved value|>``::
+
+    python tools/hash_outputs.py study-20 --save a.npz          # tree A
+    python tools/hash_outputs.py study-20 --against a.npz       # tree B
+
+Without ``--save`` it writes no file.
 """
 
 import argparse
@@ -62,17 +69,49 @@ def output_arrays(workload, variants):
                 yield "%s/%s" % (label, name), getattr(traj, name)
 
 
+def compare(value, saved) -> str:
+    """``same`` when the two arrays have one digest, else the max absolute
+    difference over the max absolute saved value (or why they cannot be
+    compared)."""
+    if saved is None:
+        return "not saved"
+    value = np.asarray(value, dtype=float)
+    saved = np.asarray(saved, dtype=float)
+    if digest(value) == digest(saved):
+        return "same"
+    if value.shape != saved.shape:
+        return "shape %s, saved %s" % (value.shape, saved.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return "%.2e" % (np.max(np.abs(value - saved)) / np.max(np.abs(saved)))
+
+
 def main(argv=None) -> None:
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--size", choices=("tiny", "bench", "full"), default="bench")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--save", metavar="FILE.npz",
+                        help="also write the hashed arrays to this file")
+    parser.add_argument("--against", metavar="FILE.npz",
+                        help="compare each array with the one saved in this "
+                             "file instead of printing its digest")
     args = parser.parse_args(argv)
     workload = workloads.WORKLOADS[args.workload](args.size, args.seed)
     workload.setup()
+    saved = {}
+    if args.against:
+        with np.load(args.against) as data:
+            saved = {name: data[name] for name in data.files}
+    arrays = {}
     for name, value in output_arrays(workload, workloads.VARIANTS):
-        print(name, digest(value))
+        arrays[name] = value
+        print(name, compare(value, saved.pop(name, None)) if args.against
+              else digest(value))
+    for name in saved:
+        print(name, "not produced")
+    if args.save:
+        np.savez(args.save, **arrays)
 
 
 if __name__ == "__main__":
