@@ -25,7 +25,7 @@ from .potential_map import (approx_reduced_gradient,  # noqa: F401
                             approx_reduced_hessian)
 from .spd_approx import (MatrixGappyBasis, RBSMap, gappy_matrix_assemble,
                          gappy_matrix_coeffs, rbs_apply, symmetrize)
-from .truss import damping_band
+from .truss import ELEMENT_SUM, damping_band, hessian_form
 
 VARIANTS = ("galerkin", "collocation", "gappy_pod", "sp_rbs", "sp_matrix_gappy")
 
@@ -104,9 +104,11 @@ def build_galerkin(model, phi, alpha=0.0, beta=0.0,
                    forcing=None) -> ReducedSystem:
     """The full-order system projected onto span ``phi`` (no reduction).
 
-    The Hessian takes the exact form its basis width picks
-    (``model.reduced_hessian``); the residual, potential, mass, damping and
-    force are the full-order system's.
+    The potential, gradient and Hessian are the reduced element kernel over
+    every bar (``model.potential_kernel(None, phi)``) up to the width where
+    :func:`truss.hessian_form` picks the element sum, and the projected
+    full-order system's beyond it, with the band congruence: the one form
+    that reproduces the full model bit for bit for the identity basis.
     """
     phi = _checked_basis(model, phi)
     full = full_order_system(model, alpha, beta, forcing)
@@ -115,15 +117,20 @@ def build_galerkin(model, phi, alpha=0.0, beta=0.0,
     # structural dichotomy against sampled variants is exact.
     mass_r = symmetrize(phi.T @ (full.mass @ phi))
     damping_r = symmetrize(phi.T @ (full.damping @ phi))
-
-    def grad(q_r):
-        return phi.T @ full.grad(phi @ q_r)
-
-    hess = model.reduced_hessian(phi)
     force = _reduced_force(model, forcing, phi.T @ model.load_patterns().T)
 
-    def potential(q_r):
-        return full.potential(phi @ q_r if np.ndim(q_r) == 1 else q_r @ phi.T)
+    if hessian_form(phi.shape[1], model.dof_count) == ELEMENT_SUM:
+        kernel = model.potential_kernel(None, phi)
+        grad, hess, potential = kernel.gradient, kernel.hessian, kernel.energy
+    else:
+        def grad(q_r):
+            return phi.T @ full.grad(phi @ q_r)
+
+        def hess(q_r):
+            return phi.T @ (full.hess(phi @ q_r) @ phi)
+
+        def potential(q_r):
+            return full.potential(phi @ q_r if np.ndim(q_r) == 1 else q_r @ phi.T)
 
     return ReducedSystem(variant="galerkin", mass_r=mass_r, damping_r=damping_r,
                          grad=grad, hess=hess, force=force, phi=phi,
@@ -224,17 +231,20 @@ def build_structure_preserving(model, phi, sample_set, mass_product,
         force_reconstructor = _checked_operator(
             "force reconstructor", force_reconstructor, n, sample_set.m)
 
-    sampled_mass = model.mass_entries(s_idx, s_idx)
     if isinstance(mass_product, RBSMap):
-        variant = "sp_rbs"
-        mass_r = rbs_apply(mass_product, sampled_mass)
+        variant, reduced = "sp_rbs", (mass_product.factor.shape[1],) * 2
     elif isinstance(mass_product, MatrixGappyBasis):
-        variant = "sp_matrix_gappy"
-        coeffs = gappy_matrix_coeffs(sampled_mass, mass_product)
-        mass_r = gappy_matrix_assemble(coeffs, mass_product)
+        variant, reduced = "sp_matrix_gappy", mass_product.reduced_basis.shape[1:]
     else:
         raise TypeError("mass product must be an RBSMap or a MatrixGappyBasis, "
                         "got %s" % type(mass_product).__name__)
+    if reduced != (n, n):
+        raise ValueError("%s mass product of reduced size %s for a basis of "
+                         "n = %d" % (type(mass_product).__name__, reduced, n))
+    sampled_mass = model.mass_entries(s_idx, s_idx)
+    mass_r = (rbs_apply(mass_product, sampled_mass) if variant == "sp_rbs"
+              else gappy_matrix_assemble(
+                  gappy_matrix_coeffs(sampled_mass, mass_product), mass_product))
 
     # Equilibrium Hessian blocks: the reduced one is the documented
     # parameter-amortized large-dimension step (O(N n) through the band),

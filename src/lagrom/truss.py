@@ -17,12 +17,11 @@ through an :class:`AssemblyPlan`.  The full assembly is the plan over all
 dofs; the sampled evaluators (selected rows/entries, sparse displacement
 arguments) use plans over their index sets, whose scatters are the full
 scatter filtered in its own order, so both agree bit for bit by
-construction.  The structure-preserving potential evaluates a plan's
-elements through reduced maps instead (:class:`ReducedElementKernel`),
-sharing the plan's constants and strain core; its Hessian is the
-congruence of the plan's stiffness block.  Galerkin's reduced Hessian
-takes one of its two exact forms by the width of its basis
-(:func:`hessian_form`).
+construction.  A potential under a reduced map (Galerkin's basis, the
+structure-preserving sparse map) evaluates a plan's elements through
+reduced maps instead (:class:`ReducedElementKernel`), sharing the plan's
+constants and strain core; its Hessian takes one of two exact forms, the
+one :func:`hessian_form` picks from the map's width and row count.
 """
 
 import functools
@@ -65,12 +64,12 @@ _LOAD_AXES = (1, 1, 2, 2)
 PLAN_CACHE_SIZE = 256
 BAY_CACHE_SIZE = 16
 
-# The two exact forms of Galerkin's reduced potential Hessian
-# (hessian_form): the element sum up to a basis width, the band congruence
-# beyond it.  The crossover is a width at every bay count, since the bars
-# and dofs both grow by 16 and 12 per bay; the width is the crossover at one
-# BLAS thread (README, notes on scale; tools/hessian_forms.py times both
-# forms).  The SP kernel always takes the congruence of its n x n block.
+# The two exact forms of a reduced potential Hessian (hessian_form): the
+# element sum up to a map width, the congruence beyond it.  The width is
+# Galerkin's crossover at one BLAS thread, a width at every bay count since
+# the bars and dofs both grow by 16 and 12 per bay (README, notes on scale;
+# tools/hessian_forms.py times both forms).  The SP map is as wide as its
+# rows, so the rule gives it the congruence of its n x n block.
 ELEMENT_SUM = "element sum"
 CONGRUENCE = "congruence"
 GALERKIN_ELEMENT_SUM_MAX_N = 30
@@ -430,25 +429,15 @@ class AssemblyPlan:
             _EYE[:, :, None] * self.mass_coeff)
 
 
-def hessian_form(n, dof_count) -> str:
-    """The form Galerkin's reduced potential Hessian over an (N, n) basis
-    takes by default: :data:`ELEMENT_SUM` up to
-    :data:`GALERKIN_ELEMENT_SUM_MAX_N`, :data:`CONGRUENCE` beyond it.
-
-    A basis as wide as the model (``n >= dof_count``) reduces nothing: its
-    congruence is the stiffness itself, and for the identity basis
-    reproduces it bit for bit, so it always takes the congruence.
-    """
-    max_n = min(GALERKIN_ELEMENT_SUM_MAX_N, dof_count - 1)
+def hessian_form(n, row_count) -> str:
+    """The form of the reduced potential Hessian ``Z^T K(Z q_r) Z`` for a
+    map ``Z`` of n columns on ``row_count`` rows: :data:`ELEMENT_SUM` up
+    to :data:`GALERKIN_ELEMENT_SUM_MAX_N`, :data:`CONGRUENCE` beyond it
+    and for every map as wide as its rows, which reduces nothing there:
+    the SP map, square on its rows, and the identity Galerkin basis, whose
+    band congruence reproduces the full model bit for bit."""
+    max_n = min(GALERKIN_ELEMENT_SUM_MAX_N, row_count - 1)
     return ELEMENT_SUM if n <= max_n else CONGRUENCE
-
-
-def _reduced_maps(topology, rows, basis) -> np.ndarray:
-    """``D_e = Z[second-node dofs] - Z[first-node dofs]`` (elements, 3, n)
-    for the map ``Z`` that is ``basis`` on ``rows`` and zero elsewhere."""
-    z = np.zeros((topology.dofs.size + 1, basis.shape[1]))
-    z[topology.source_pos[rows]] = basis
-    return z[topology.gather2] - z[topology.gather1]
 
 
 class ReducedElementKernel:
@@ -466,19 +455,29 @@ class ReducedElementKernel:
     the bytes of ``q_r``, so the Hessian at a Newton iterate reuses the
     gradient's.
 
-    ``plan`` is the plan over ``rows`` x ``rows``.  The Hessian is the
-    congruence ``factor^T K_ss factor`` with the stiffness block ``K_ss``
-    that the plan's scatter assembles from its element blocks.
+    ``plan`` is the plan over ``rows`` x ``rows``.  The Hessian takes the
+    exact form ``form``, fixed at construction: the :data:`ELEMENT_SUM`
+    ``sum_e (EA/L strain)_e D_e^T D_e + G^T diag(EA/L^3) G`` with the rows
+    ``G_e = d_e^T D_e``, keeping one flattened ``D_e^T D_e`` per element,
+    or the :data:`CONGRUENCE` ``factor^T K_rows factor`` of the stiffness
+    block that the plan's scatter assembles from its element blocks.
     """
 
-    def __init__(self, plan, rows, factor):
-        self.plan = plan
-        self.factor = factor
-        # D_e for every element, flattened to (3 E, n).
-        self._flat = _reduced_maps(plan.topology, rows, factor).reshape(
-            -1, factor.shape[1])
-        self._block = plan.topology.matrix(_STIFFNESS_BLOCKS)
+    def __init__(self, plan, rows, factor, form):
+        self.plan, self.factor, self.form = plan, factor, form
+        # Z on the plan's compact source (a zero row for clamped dofs), then
+        # D_e (elements, 3, n), also flattened to (3 E, n).
+        z = np.zeros((plan.topology.dofs.size + 1, factor.shape[1]))
+        z[plan.topology.source_pos[rows]] = factor
+        self._maps = z[plan.topology.gather2] - z[plan.topology.gather1]
+        self._flat = self._maps.reshape(-1, factor.shape[1])
         self._strains = _Recent()
+        if form == ELEMENT_SUM:
+            self._gram = np.einsum("eki,ekj->eij", self._maps,
+                                   self._maps).reshape(len(self._maps), -1)
+            self._ea_over_l3 = plan.ea_over_l / plan.length_sq
+        else:
+            self._block = plan.topology.matrix(_STIFFNESS_BLOCKS)
 
     def _deformation(self, q_r):
         q_r = np.asarray(q_r, dtype=float)
@@ -503,9 +502,15 @@ class ReducedElementKernel:
         return self._flat.T @ tension.reshape(-1)
 
     def hessian(self, q_r) -> np.ndarray:
-        """``Z^T K(Z q_r) Z = factor^T K_ss(Z q_r) factor``."""
-        k_ss = self._block(self.plan.element_stiffness(*self._deformation(q_r)))
-        return self.factor.T @ (k_ss @ self.factor)
+        """``Z^T K(Z q_r) Z`` in the kernel's form."""
+        d, strain = self._deformation(q_r)
+        if self.form == CONGRUENCE:
+            k_rows = self._block(self.plan.element_stiffness(d, strain))
+            return self.factor.T @ (k_rows @ self.factor)
+        n = self.factor.shape[1]
+        g = np.einsum("eki,ek->ei", self._maps, d)
+        return (((self.plan.ea_over_l * strain) @ self._gram).reshape(n, n)
+                + g.T @ (self._ea_over_l3[:, None] * g))
 
 
 class TrussModel:
@@ -626,39 +631,18 @@ class TrussModel:
 
     def potential_kernel(self, rows, factor) -> ReducedElementKernel:
         """The potential, gradient and Hessian in reduced coordinates under
-        the map that is ``factor`` (len(rows), n) on ``rows``."""
-        rows = np.asarray(rows, dtype=int)
-        return ReducedElementKernel(self._plan(rows, rows), rows, factor)
-
-    def reduced_hessian(self, basis, form=None):
-        """``q_r -> basis^T K(basis q_r) basis`` for an (N, n) basis, by
-        ``form``, by default the one :func:`hessian_form` picks: the band's
-        congruence, or the full plan's element sum at the kept strains of
-        ``basis q_r`` (those of the internal force there).
-
-        The element sum reads the blocks ``k22 = EA/L (strain I + d d^T /
-        L^2)`` through the reduced maps ``D_e`` of ``basis``: ``sum_e (EA/L
-        strain)_e D_e^T D_e + G^T diag(EA/L^3) G`` with the rows ``G_e =
-        d_e^T D_e``.  It keeps ``D_e^T D_e``, one flattened (n, n) block per
-        element.
-        """
-        n = basis.shape[1]
-        if form is None:
-            form = hessian_form(n, self.dof_count)
-        if form == CONGRUENCE:
-            return lambda q_r: basis.T @ (self.tangent_stiffness_band(basis @ q_r)
-                                          @ basis)
-        plan = self._plan()
-        maps = _reduced_maps(plan.topology, np.arange(self.dof_count), basis)
-        gram = np.einsum("eki,ekj->eij", maps, maps).reshape(len(maps), -1)
-        ea_over_l3 = plan.ea_over_l / plan.length_sq
-
-        def hessian(q_r):
-            d, strain = plan.strain(plan.dense_source(basis @ q_r))
-            g = np.einsum("eki,ek->ei", maps, d)
-            return (((plan.ea_over_l * strain) @ gram).reshape(n, n)
-                    + g.T @ (ea_over_l3[:, None] * g))
-        return hessian
+        the map that is ``factor`` (len(rows), n) on ``rows`` (``None``:
+        every dof, on the full plan), in the form :func:`hessian_form`
+        picks.  Over every dof that must be the element sum: a wider map
+        takes the band congruence of the projected full-order system."""
+        every_dof = rows is None
+        rows = np.arange(self.dof_count) if every_dof else np.asarray(rows, int)
+        form = hessian_form(factor.shape[1], rows.size)
+        if every_dof and form == CONGRUENCE:
+            raise ValueError("a map of n = %d over every dof takes the band "
+                             "congruence" % factor.shape[1])
+        plan = self._plan() if every_dof else self._plan(rows, rows)
+        return ReducedElementKernel(plan, rows, factor, form)
 
     def internal_force(self, q) -> np.ndarray:
         """Potential gradient at configuration ``q``."""

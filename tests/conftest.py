@@ -46,9 +46,10 @@ def rng():
 
 
 def sparse_map(big_n, rows, factor):
-    """The (N, n) map that is ``factor`` on ``rows`` and zero elsewhere."""
+    """The (N, n) map that is ``factor`` on ``rows`` and zero elsewhere;
+    ``rows=None`` means every dof."""
     z = np.zeros((big_n, np.shape(factor)[1]))
-    z[np.asarray(rows, int)] = factor
+    z[slice(None) if rows is None else np.asarray(rows, int)] = factor
     return z
 
 
@@ -110,9 +111,6 @@ class QuadraticModel:
         return DenseKernel(sparse_map(self.dof_count, rows, factor),
                            self.potential_energy, self.internal_force,
                            self.tangent_stiffness)
-
-    def reduced_hessian(self, basis):
-        return lambda q_r: basis.T @ self.stiffness @ basis
 
     def internal_force(self, q):
         return self.stiffness @ np.asarray(q, dtype=float)

@@ -400,6 +400,19 @@ class TestStructurePreserving:
             build_structure_preserving(truss, basis, sample_set,
                                        truss.mass_dense())
 
+    @pytest.mark.parametrize("method, name", [("rbs", "RBSMap"),
+                                              ("matrix_gappy",
+                                               "MatrixGappyBasis")])
+    def test_mass_product_of_another_width_rejected(self, truss, basis,
+                                                    method, name):
+        """A product fitted to a 6-column basis, passed with 5 columns."""
+        sample_set, product = sp_products(truss, basis[:, :6], 12, method)
+        with pytest.raises(ValueError, match=re.escape(
+                "%s mass product of reduced size (6, 6) for a basis of n = 5"
+                % name)):
+            build_structure_preserving(truss, basis[:, :5], sample_set,
+                                       product)
+
     def test_forcing_without_reconstructor_rejected(self, truss, forcing,
                                                    basis):
         sample_set, product = sp_products(truss, basis, 12)
@@ -576,6 +589,20 @@ def test_sp_kernel_touches_fixed_element_count():
     assert shapes[0][0] <= 3 * 2 * 16   # bays 2 and 3 meet at section 2
 
 
+def test_galerkin_kernel_lives_on_the_full_plan():
+    """A Galerkin model of the element-sum width evaluates its potential on
+    the model's one full plan, not on a second plan over every dof."""
+    model = build_truss(20, np.zeros(16))
+    dofs = model.dof_count
+    phi = random_orthonormal(np.random.default_rng(0), dofs, 30)
+    system = build_galerkin(model, phi, alpha=0.05, beta=2e-4)
+    q_r = 1e-3 * phi[model.tip_dof]
+    for evaluate in (system.grad, system.hess, system.potential):
+        evaluate(q_r)
+    assert list(model._plans.values()) == [model._plan()]
+    assert (np.arange(dofs).tobytes(),) * 2 not in model._plans
+
+
 @pytest.mark.parametrize("t0", [0.0, 0.2])
 def test_sp_step_evaluates_each_point_once(t0, monkeypatch):
     """Gradient, Hessian and energy at one Newton point of an SP midpoint
@@ -593,6 +620,16 @@ def test_sp_step_evaluates_each_point_once(t0, monkeypatch):
                                  state0.v, t0, 0.05)
     assert result.converged and result.iterations >= 1
     assert len(points) == len(set(points)) == result.iterations + 1
+
+
+def galerkin_forms(model, phi):
+    """Both exact forms of ``phi^T K(phi q_r) phi``: the element sum of the
+    reduced element kernel over every bar, and the band congruence."""
+    kernel = lagrom.truss.ReducedElementKernel(
+        model._plan(), np.arange(model.dof_count), phi, ELEMENT_SUM)
+    return {ELEMENT_SUM: kernel.hessian,
+            CONGRUENCE: lambda q_r: phi.T @ (
+                model.tangent_stiffness_band(phi @ q_r) @ phi)}
 
 
 def taken_form(hess, forms, q_r):
@@ -633,13 +670,11 @@ def test_hessian_form_follows_basis_width(bays):
     assert [hessian_form(n, dofs) for n in (1, 13, 30, 31, 36, 61)] == (
         [ELEMENT_SUM] * 3 + [CONGRUENCE] * 3)
     rng = np.random.default_rng(bays)
-    forms = (ELEMENT_SUM, CONGRUENCE)
     for n in (30, 31):
         phi = random_orthonormal(rng, dofs, n)
         q_r = 1e-3 * rng.normal(size=n)
-        model.internal_force(phi @ q_r)          # as a Newton residual does
-        hessians = {form: model.reduced_hessian(phi, form) for form in forms}
-        assert taken_form(model.reduced_hessian(phi), hessians,
+        system = build_galerkin(model, phi)
+        assert taken_form(system.hess, galerkin_forms(model, phi),
                           q_r) == hessian_form(n, dofs)
 
 
@@ -655,21 +690,34 @@ def test_identity_basis_takes_the_band(bays):
 
 @pytest.mark.parametrize("bays, n", [(20, 13), (20, 36), (40, 13), (40, 61)])
 def test_galerkin_hessian_is_the_band_congruence(bays, n):
-    """Both forms, and the one the Galerkin model takes, equal
-    ``phi^T K(phi q_r) phi`` in the nonlinear range."""
+    """Both Hessian forms, and the one the Galerkin model takes, equal
+    ``phi^T K(phi q_r) phi`` in the nonlinear range; the model's gradient
+    and potential (of one state and of states stacked in rows) equal the
+    projected full-order system's."""
     rng = np.random.default_rng(bays + n)
     model = build_truss(bays, rng.uniform(-0.5, 0.5, 16))
     phi = random_orthonormal(rng, model.dof_count, n)
     system = build_galerkin(model, phi)
+    forms = galerkin_forms(model, phi)
+    states = []
     for _ in range(3):
         q_r = rng.normal(size=n)
         q_r *= 0.5 / np.abs(phi @ q_r).max()   # bars are about 10 long
+        states.append(q_r)
         reference = phi.T @ (model.tangent_stiffness(phi @ q_r) @ phi)
-        model.internal_force(phi @ q_r)          # as a Newton residual does
-        for hess in (system.hess, model.reduced_hessian(phi, ELEMENT_SUM),
-                     model.reduced_hessian(phi, CONGRUENCE)):
+        for hess in (system.hess, *forms.values()):
             assert (np.linalg.norm(hess(q_r) - reference)
                     <= 1e-12 * np.linalg.norm(reference))
+        grad = phi.T @ model.internal_force(phi @ q_r)
+        assert (np.linalg.norm(system.grad(q_r) - grad)
+                <= 1e-12 * np.linalg.norm(grad))
+        energy = model.potential_energy(phi @ q_r)
+        assert abs(system.potential(q_r) - energy) <= 1e-12 * energy
+    states = np.stack(states)
+    energies = model.potential_energy(states @ phi.T)
+    assert system.potential(states).shape == (3,)
+    assert (np.abs(system.potential(states) - energies).max()
+            <= 1e-12 * energies.max())
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.2])

@@ -4,13 +4,14 @@ the pick.
 For Galerkin at n = 13, 30, 36 and 61, each at 20, 40 and 80 bays, builds
 the model at rest parameters and a seeded random orthonormal basis
 (``bench._random_basis``).  It then times ``phi^T K(phi q_r) phi`` in both
-forms (``truss.ELEMENT_SUM`` and ``truss.CONGRUENCE``) with the strains at
-``q_r`` already kept, as in a Newton iteration, and prints the best of
-several ``timeit`` repeats in microseconds, the form
-``truss.hessian_form`` picks, and how much slower the pick measured than
-the faster form.  (The structure-preserving kernel has one form, the
-congruence of its sampled block, and no pick.)  BLAS runs on one thread
-unless ``--threads`` says otherwise::
+forms, the element sum of the reduced element kernel over every bar
+(``truss.ELEMENT_SUM``) and the band congruence (``truss.CONGRUENCE``),
+each with its strains at ``q_r`` already kept, as in a Newton iteration.
+It prints the best of several ``timeit`` repeats in microseconds, the
+form ``truss.hessian_form`` picks, and how much slower the pick measured
+than the faster form.  (The structure-preserving map is as wide as its
+rows, so the rule gives it the congruence of its sampled block at every
+width.)  BLAS runs on one thread unless ``--threads`` says otherwise::
 
     python tools/hessian_forms.py [--threads 1] [--number 200]
 
@@ -34,14 +35,21 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def hessians(bays, n):
     """``(model, {form: q_r -> Hessian}, q_r)`` of one row."""
+    import numpy as np
     from lagrom import truss
     from lagrom.bench import _random_basis
 
     model, phi, rng = _random_basis(bays, n)
     q_r = 1e-3 * rng.normal(size=n)
-    model.internal_force(phi @ q_r)                # keeps the strains
-    return (model, {form: model.reduced_hessian(phi, form)
-                    for form in (truss.ELEMENT_SUM, truss.CONGRUENCE)}, q_r)
+    kernel = truss.ReducedElementKernel(
+        model._plan(), np.arange(model.dof_count), phi, truss.ELEMENT_SUM)
+    kernel.gradient(q_r)                           # keeps its strains
+    model.internal_force(phi @ q_r)                # keeps the full plan's
+
+    def congruence(q_r):
+        return phi.T @ (model.tangent_stiffness_band(phi @ q_r) @ phi)
+    return (model, {truss.ELEMENT_SUM: kernel.hessian,
+                    truss.CONGRUENCE: congruence}, q_r)
 
 
 def main(argv=None) -> None:
