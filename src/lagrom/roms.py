@@ -25,9 +25,16 @@ from .potential_map import (approx_reduced_gradient,  # noqa: F401
                             approx_reduced_hessian)
 from .spd_approx import (MatrixGappyBasis, RBSMap, gappy_matrix_assemble,
                          gappy_matrix_coeffs, rbs_apply, symmetrize)
-from .truss import ELEMENT_SUM, damping_band, hessian_form
+from .truss import damping_band
 
 VARIANTS = ("galerkin", "collocation", "gappy_pod", "sp_rbs", "sp_matrix_gappy")
+
+# Galerkin's widest basis whose potential Hessian takes the element sum of
+# the reduced element kernel; a wider one takes the band congruence.  The
+# width is the crossover at one BLAS thread, a width at every bay count
+# since the bars and dofs both grow by 16 and 12 per bay (README, notes on
+# scale; tools/hessian_forms.py times both forms).
+GALERKIN_ELEMENT_SUM_MAX_N = 30
 
 
 @dataclass
@@ -105,10 +112,11 @@ def build_galerkin(model, phi, alpha=0.0, beta=0.0,
     """The full-order system projected onto span ``phi`` (no reduction).
 
     The potential, gradient and Hessian are the reduced element kernel over
-    every bar (``model.potential_kernel(None, phi)``) up to the width where
-    :func:`truss.hessian_form` picks the element sum, and the projected
-    full-order system's beyond it, with the band congruence: the one form
-    that reproduces the full model bit for bit for the identity basis.
+    every bar (``model.potential_kernel(None, phi)``, whose Hessian is the
+    element sum) for n up to :data:`GALERKIN_ELEMENT_SUM_MAX_N` and below
+    N, and the projected full-order system's beyond, with the band
+    congruence: the one form that reproduces the full model bit for bit
+    for the identity basis.
     """
     phi = _checked_basis(model, phi)
     full = full_order_system(model, alpha, beta, forcing)
@@ -119,7 +127,7 @@ def build_galerkin(model, phi, alpha=0.0, beta=0.0,
     damping_r = symmetrize(phi.T @ (full.damping @ phi))
     force = _reduced_force(model, forcing, phi.T @ model.load_patterns().T)
 
-    if hessian_form(phi.shape[1], model.dof_count) == ELEMENT_SUM:
+    if phi.shape[1] <= min(GALERKIN_ELEMENT_SUM_MAX_N, model.dof_count - 1):
         kernel = model.potential_kernel(None, phi)
         grad, hess, potential = kernel.gradient, kernel.hessian, kernel.energy
     else:

@@ -20,8 +20,9 @@ scatter filtered in its own order, so both agree bit for bit by
 construction.  A potential under a reduced map (Galerkin's basis, the
 structure-preserving sparse map) evaluates a plan's elements through
 reduced maps instead (:class:`ReducedElementKernel`), sharing the plan's
-constants and strain core; its Hessian takes one of two exact forms, the
-one :func:`hessian_form` picks from the map's width and row count.
+constants and strain core; its Hessian form follows from the map: the
+element sum over every dof, the congruence of the rows' stiffness block
+for a map on given rows.
 """
 
 import functools
@@ -63,16 +64,6 @@ _LOAD_AXES = (1, 1, 2, 2)
 # counts whose element arrays are kept (see _bay_elements).
 PLAN_CACHE_SIZE = 256
 BAY_CACHE_SIZE = 16
-
-# The two exact forms of a reduced potential Hessian (hessian_form): the
-# element sum up to a map width, the congruence beyond it.  The width is
-# Galerkin's crossover at one BLAS thread, a width at every bay count since
-# the bars and dofs both grow by 16 and 12 per bay (README, notes on scale;
-# tools/hessian_forms.py times both forms).  The SP map is as wide as its
-# rows, so the rule gives it the congruence of its n x n block.
-ELEMENT_SUM = "element sum"
-CONGRUENCE = "congruence"
-GALERKIN_ELEMENT_SUM_MAX_N = 30
 
 # Element-matrix node blocks ((row end, column end), weight) in the order
 # each full matrix scatter visits them; 0 is an element's first node, 1 its
@@ -429,17 +420,6 @@ class AssemblyPlan:
             _EYE[:, :, None] * self.mass_coeff)
 
 
-def hessian_form(n, row_count) -> str:
-    """The form of the reduced potential Hessian ``Z^T K(Z q_r) Z`` for a
-    map ``Z`` of n columns on ``row_count`` rows: :data:`ELEMENT_SUM` up
-    to :data:`GALERKIN_ELEMENT_SUM_MAX_N`, :data:`CONGRUENCE` beyond it
-    and for every map as wide as its rows, which reduces nothing there:
-    the SP map, square on its rows, and the identity Galerkin basis, whose
-    band congruence reproduces the full model bit for bit."""
-    max_n = min(GALERKIN_ELEMENT_SUM_MAX_N, row_count - 1)
-    return ELEMENT_SUM if n <= max_n else CONGRUENCE
-
-
 class ReducedElementKernel:
     """The potential under the displacement ``Z q_r`` as a function of the
     reduced coordinates ``q_r``, with its gradient and Hessian in them.
@@ -455,24 +435,27 @@ class ReducedElementKernel:
     the bytes of ``q_r``, so the Hessian at a Newton iterate reuses the
     gradient's.
 
-    ``plan`` is the plan over ``rows`` x ``rows``.  The Hessian takes the
-    exact form ``form``, fixed at construction: the :data:`ELEMENT_SUM`
+    The Hessian's exact form follows from the map.  With ``rows`` None
+    (every dof, ``plan`` the full plan) it is the element sum
     ``sum_e (EA/L strain)_e D_e^T D_e + G^T diag(EA/L^3) G`` with the rows
-    ``G_e = d_e^T D_e``, keeping one flattened ``D_e^T D_e`` per element,
-    or the :data:`CONGRUENCE` ``factor^T K_rows factor`` of the stiffness
-    block that the plan's scatter assembles from its element blocks.
+    ``G_e = d_e^T D_e``, keeping one flattened ``D_e^T D_e`` per element.
+    On given ``rows`` (``plan`` the plan over ``rows`` x ``rows``) it is
+    the congruence ``factor^T K_rows factor`` of the stiffness block that
+    the plan's scatter assembles from its element blocks.
     """
 
-    def __init__(self, plan, rows, factor, form):
-        self.plan, self.factor, self.form = plan, factor, form
+    def __init__(self, plan, rows, factor):
+        self.plan, self.factor = plan, factor
         # Z on the plan's compact source (a zero row for clamped dofs), then
         # D_e (elements, 3, n), also flattened to (3 E, n).
+        source_pos = plan.topology.source_pos
         z = np.zeros((plan.topology.dofs.size + 1, factor.shape[1]))
-        z[plan.topology.source_pos[rows]] = factor
+        z[source_pos[:-1] if rows is None else source_pos[rows]] = factor
         self._maps = z[plan.topology.gather2] - z[plan.topology.gather1]
         self._flat = self._maps.reshape(-1, factor.shape[1])
         self._strains = _Recent()
-        if form == ELEMENT_SUM:
+        if rows is None:
+            self._block = None
             self._gram = np.einsum("eki,ekj->eij", self._maps,
                                    self._maps).reshape(len(self._maps), -1)
             self._ea_over_l3 = plan.ea_over_l / plan.length_sq
@@ -502,9 +485,9 @@ class ReducedElementKernel:
         return self._flat.T @ tension.reshape(-1)
 
     def hessian(self, q_r) -> np.ndarray:
-        """``Z^T K(Z q_r) Z`` in the kernel's form."""
+        """``Z^T K(Z q_r) Z`` in the form of the kernel's map."""
         d, strain = self._deformation(q_r)
-        if self.form == CONGRUENCE:
+        if self._block is not None:
             k_rows = self._block(self.plan.element_stiffness(d, strain))
             return self.factor.T @ (k_rows @ self.factor)
         n = self.factor.shape[1]
@@ -631,18 +614,14 @@ class TrussModel:
 
     def potential_kernel(self, rows, factor) -> ReducedElementKernel:
         """The potential, gradient and Hessian in reduced coordinates under
-        the map that is ``factor`` (len(rows), n) on ``rows`` (``None``:
-        every dof, on the full plan), in the form :func:`hessian_form`
-        picks.  Over every dof that must be the element sum: a wider map
-        takes the band congruence of the projected full-order system."""
-        every_dof = rows is None
-        rows = np.arange(self.dof_count) if every_dof else np.asarray(rows, int)
-        form = hessian_form(factor.shape[1], rows.size)
-        if every_dof and form == CONGRUENCE:
-            raise ValueError("a map of n = %d over every dof takes the band "
-                             "congruence" % factor.shape[1])
-        plan = self._plan() if every_dof else self._plan(rows, rows)
-        return ReducedElementKernel(plan, rows, factor, form)
+        the map that is ``factor`` (len(rows), n) on ``rows``: with ``rows``
+        None, every dof on the full plan and the Hessian's element sum;
+        otherwise the plan over ``rows`` x ``rows`` and the congruence of
+        its stiffness block (:class:`ReducedElementKernel`)."""
+        if rows is None:
+            return ReducedElementKernel(self._plan(), None, factor)
+        rows = np.asarray(rows, int)
+        return ReducedElementKernel(self._plan(rows, rows), rows, factor)
 
     def internal_force(self, q) -> np.ndarray:
         """Potential gradient at configuration ``q``."""

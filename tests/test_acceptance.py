@@ -39,7 +39,7 @@ pytestmark = pytest.mark.acceptance
 def report(criterion, passed, detail):
     print("[%s] criterion %s: %s" % ("PASS" if passed else "FAIL", criterion,
                                      detail))
-    assert passed
+    assert passed, detail
 
 
 def test_criterion_01_structure_preservation():

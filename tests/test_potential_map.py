@@ -293,20 +293,22 @@ class TestReducedElementKernel:
 def test_kernel_hessian_forms_agree(bays, n):
     """At the benchmark widths (n = 9, 13) and the criterion-10 sizes the
     kernel's n x n congruence equals the sampled evaluators' ``F^T K_ss F``
-    (``tangent_stiffness_block``) in the nonlinear range."""
+    (``tangent_stiffness_block``) in the nonlinear range; so does the
+    congruence of a map narrower than its rows (F without its last column)."""
     rng = np.random.default_rng(n)
     model = build_truss(bays, rng.uniform(-0.5, 0.5, 16))
     phi = random_orthonormal(rng, model.dof_count, n)
     rows = rng.permutation(model.dof_count)[:n]
     k0 = model.tangent_stiffness(np.zeros(model.dof_count))
     pmap = build_potential_map(phi.T @ k0 @ phi, k0[np.ix_(rows, rows)], rows)
-    kernel = model.potential_kernel(rows, pmap.factor)
-    for _ in range(3):
-        q_r = displaced(pmap, rng)
-        reference = pmap.factor.T @ model.tangent_stiffness_block(
-            rows, rows, rows, pmap.factor @ q_r) @ pmap.factor
-        assert (np.linalg.norm(kernel.hessian(q_r) - reference)
-                <= 1e-12 * np.linalg.norm(reference))
+    for factor in (pmap.factor, pmap.factor[:, :-1]):
+        kernel = model.potential_kernel(rows, factor)
+        for _ in range(3):
+            q_r = displaced(pmap, rng)[:factor.shape[1]]
+            reference = factor.T @ model.tangent_stiffness_block(
+                rows, rows, rows, factor @ q_r) @ factor
+            assert (np.linalg.norm(kernel.hessian(q_r) - reference)
+                    <= 1e-12 * np.linalg.norm(reference))
 
 
 @pytest.mark.parametrize("method", ["rbs", "matrix_gappy"])

@@ -15,8 +15,7 @@ from lagrom.roms import (build_collocation, build_galerkin, build_gappy_rom,
                          reduced_total_energy, total_energy)
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
 from lagrom.spd_approx import build_matrix_gappy_basis, matrix_pod_modes, rbs_fit
-from lagrom.truss import (CONGRUENCE, ELEMENT_SUM, ForcingConfig, build_truss,
-                          fundamental_frequency, hessian_form)
+from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
 from conftest import QuadraticModel, random_orthonormal, random_spd
 
@@ -622,14 +621,24 @@ def test_sp_step_evaluates_each_point_once(t0, monkeypatch):
     assert len(points) == len(set(points)) == result.iterations + 1
 
 
+ELEMENT_SUM, CONGRUENCE = "element sum", "congruence"
+
+
 def galerkin_forms(model, phi):
     """Both exact forms of ``phi^T K(phi q_r) phi``: the element sum of the
     reduced element kernel over every bar, and the band congruence."""
-    kernel = lagrom.truss.ReducedElementKernel(
-        model._plan(), np.arange(model.dof_count), phi, ELEMENT_SUM)
-    return {ELEMENT_SUM: kernel.hessian,
+    return {ELEMENT_SUM: model.potential_kernel(None, phi).hessian,
             CONGRUENCE: lambda q_r: phi.T @ (
                 model.tangent_stiffness_band(phi @ q_r) @ phi)}
+
+
+def galerkin_takes(model, n, seed):
+    """The form that the Galerkin model of a random orthonormal basis of
+    width ``n`` takes, at a small random state."""
+    rng = np.random.default_rng(seed)
+    phi = random_orthonormal(rng, model.dof_count, n)
+    return taken_form(build_galerkin(model, phi).hess,
+                      galerkin_forms(model, phi), 1e-3 * rng.normal(size=n))
 
 
 def taken_form(hess, forms, q_r):
@@ -655,43 +664,39 @@ HESSIAN_TABLE = ((20, 13, 320, ELEMENT_SUM),
 @pytest.mark.parametrize("bays, n, elements, faster", HESSIAN_TABLE,
                          ids=["galerkin-%d-%d-%d-%s" % row for row in HESSIAN_TABLE])
 def test_hessian_form_picks_the_faster_form(bays, n, elements, faster):
-    """The width rule takes each timed row's faster form from n alone;
-    Galerkin's maps touch every bar."""
-    assert elements == len(build_truss(bays, np.zeros(16)).elements)
-    assert hessian_form(n, 12 * bays) == faster
+    """The Galerkin model takes each timed row's faster form from n alone;
+    its maps touch every bar."""
+    model = build_truss(bays, np.zeros(16))
+    assert elements == len(model.elements)
+    assert galerkin_takes(model, n, bays + n) == faster
 
 
 @pytest.mark.parametrize("bays", [20, 40, 80])
 def test_hessian_form_follows_basis_width(bays):
-    """Galerkin takes the element sum up to its width and the congruence
-    beyond it, at every bay count; the models built take that form."""
+    """The Galerkin model takes the element sum up to its width and the
+    congruence beyond it, at every bay count."""
     model = build_truss(bays, np.zeros(16))
-    dofs = model.dof_count
-    assert [hessian_form(n, dofs) for n in (1, 13, 30, 31, 36, 61)] == (
-        [ELEMENT_SUM] * 3 + [CONGRUENCE] * 3)
-    rng = np.random.default_rng(bays)
-    for n in (30, 31):
-        phi = random_orthonormal(rng, dofs, n)
-        q_r = 1e-3 * rng.normal(size=n)
-        system = build_galerkin(model, phi)
-        assert taken_form(system.hess, galerkin_forms(model, phi),
-                          q_r) == hessian_form(n, dofs)
+    assert [galerkin_takes(model, n, bays) for n in (30, 31)] == [
+        ELEMENT_SUM, CONGRUENCE]
 
 
 @pytest.mark.parametrize("bays", [1, 2, 20])
 def test_identity_basis_takes_the_band(bays):
     """A basis as wide as the model gets the full band's congruence, which
-    the element sum would otherwise win at a few bays."""
-    dofs = build_truss(bays, np.zeros(16)).dof_count
-    assert hessian_form(dofs, dofs) == CONGRUENCE
-    assert hessian_form(dofs - 1, dofs) == (
+    the element sum would otherwise win at a few bays; one column narrower,
+    it takes the element sum up to the width."""
+    model = build_truss(bays, np.zeros(16))
+    dofs = model.dof_count
+    assert galerkin_takes(model, dofs, bays) == CONGRUENCE
+    assert galerkin_takes(model, dofs - 1, bays) == (
         ELEMENT_SUM if bays <= 2 else CONGRUENCE)
 
 
 @pytest.mark.parametrize("bays, n", [(20, 13), (20, 36), (40, 13), (40, 61)])
 def test_galerkin_hessian_is_the_band_congruence(bays, n):
     """Both Hessian forms, and the one the Galerkin model takes, equal
-    ``phi^T K(phi q_r) phi`` in the nonlinear range; the model's gradient
+    ``phi^T K(phi q_r) phi`` in the nonlinear range (the every-dof kernel's
+    element sum also beyond Galerkin's width); the model's gradient
     and potential (of one state and of states stacked in rows) equal the
     projected full-order system's."""
     rng = np.random.default_rng(bays + n)
