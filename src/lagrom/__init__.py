@@ -2,10 +2,11 @@
 
 from .pod import PODBasis, compute_pod_basis, pod_dimension
 from .sampling import SampleIndexSet, greedy_sample_indices, validate_sample_set
-from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
-                         eigen_constrained_solve, gappy_matrix_assemble,
-                         gappy_matrix_coeffs, generalized_interlacing_check,
-                         matrix_pod_modes, rbs_apply, rbs_fit)
+from .spd_approx import (MatrixGappyBasis, RBSMap, TrainingBlocks,
+                         build_matrix_gappy_basis, eigen_constrained_solve,
+                         gappy_matrix_assemble, gappy_matrix_coeffs,
+                         generalized_interlacing_check, matrix_pod_modes,
+                         rbs_apply, rbs_fit, training_blocks)
 from .potential_map import (SparsePotentialMap, approx_reduced_gradient,
                             approx_reduced_hessian, build_potential_map)
 from .gappy import (apply_force_reconstructor, build_force_reconstructor,

@@ -29,7 +29,7 @@ from .roms import (build_collocation, build_galerkin, build_gappy_rom,
                    integrate_full_model, integrate_rom, VARIANTS)
 from .sampling import SampleIndexSet, greedy_sample_indices, validate_sample_set
 from .spd_approx import (MatrixGappyBasis, RBSMap, build_matrix_gappy_basis,
-                         matrix_pod_modes, rbs_fit)
+                         matrix_pod_modes, rbs_fit, training_blocks)
 from .truss import (PARAMETER_COUNT, ForcingConfig, build_truss,
                     fundamental_frequency, rayleigh_coefficients)
 
@@ -370,7 +370,8 @@ def _fit_reconstructor(phi, term_basis, sample_set, name):
 
 def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProducts:
     """Greedy sample selection on the potential term basis plus all
-    sampling-dependent fits."""
+    sampling-dependent fits.  Both mass fits read one set of training
+    blocks (sampled principal blocks and reduced masses)."""
     _check_percentage(percentage)
     config = offline.config
     phi = offline.phi
@@ -379,9 +380,9 @@ def reduce_products(offline: OfflineProducts, percentage: float) -> ReducedProdu
 
     sample_set = greedy_sample_indices(offline.term_bases["potential"], m)
 
-    rbs_map = rbs_fit(offline.mass_snapshots, phi, sample_set)
-    gappy_basis = build_matrix_gappy_basis(offline.matrix_modes,
-                                           offline.mass_snapshots, phi, sample_set)
+    blocks = training_blocks(offline.mass_snapshots, phi, sample_set)
+    rbs_map = rbs_fit(blocks)
+    gappy_basis = build_matrix_gappy_basis(offline.matrix_modes, blocks)
     problems = validate_sample_set(sample_set, gappy_basis.sampled_operator)
     if problems:
         logger.warning("sample-set diagnostics at %.3g%%: %s",
@@ -609,31 +610,47 @@ def _random_basis(bays: int, n: int):
     return model, phi, rng
 
 
-def _best_step_seconds(system, q_r0, steps, dt) -> float:
-    """Best per-step wall time of ``SP_STEP_REPEATS`` integrations."""
-    best = np.inf
+def _best_step_seconds(runs, steps, dt) -> list[float]:
+    """Best per-step wall time of ``SP_STEP_REPEATS`` integrations of each
+    ``(system, q_r0)`` in ``runs``.  The runs alternate (first, second, ...,
+    first, second, ...), so drift in machine load reaches every system
+    alike."""
+    best = [np.inf] * len(runs)
     for _ in range(SP_STEP_REPEATS):
-        traj = integrate_rom(system, dt, steps * dt,
-                             state0=State(q=q_r0.copy(), v=np.zeros_like(q_r0)))
-        best = min(best, traj.wall_time / traj.n_steps)
+        for i, (system, q_r0) in enumerate(runs):
+            traj = integrate_rom(system, dt, steps * dt,
+                                 state0=State(q=q_r0.copy(), v=np.zeros_like(q_r0)))
+            best[i] = min(best[i], traj.wall_time / traj.n_steps)
     return best
+
+
+def interleaved_sp_step_seconds(bays_sizes, n: int, m: int, steps: int = 200,
+                                dt: float = 0.05) -> list[float]:
+    """Per-step online cost of the SP-RBS model at pinned (n, m), one value
+    per truss size in ``bays_sizes``.
+
+    Uses a seeded random orthonormal basis so the reduced dimensions stay
+    fixed while the truss size varies.  Every model is built before any is
+    timed, and their timing runs alternate; each value is the best of
+    ``SP_STEP_REPEATS`` runs.
+    """
+    runs = []
+    for bays in bays_sizes:
+        model, phi, rng = _random_basis(bays, n)
+        big_n = model.dof_count
+        indices = rng.permutation(big_n)[:m]
+        sample_set = SampleIndexSet(indices, big_n)
+        rbs_map = rbs_fit(training_blocks([model.mass_dense()], phi, sample_set))
+        system = build_structure_preserving(model, phi, sample_set, rbs_map)
+        runs.append((system, 1e-3 * rng.normal(size=n)))
+    return _best_step_seconds(runs, steps, dt)
 
 
 def sp_step_seconds(bays: int, n: int, m: int, steps: int = 200,
                     dt: float = 0.05) -> float:
-    """Per-step online cost of the SP-RBS model at pinned (n, m).
-
-    Uses a seeded random orthonormal basis so the reduced dimensions stay
-    fixed while the truss size varies; returns the best of
-    ``SP_STEP_REPEATS`` timing runs.
-    """
-    model, phi, rng = _random_basis(bays, n)
-    big_n = model.dof_count
-    indices = rng.permutation(big_n)[:m]
-    sample_set = SampleIndexSet(indices, big_n)
-    rbs_map = rbs_fit([model.mass_dense()], phi, sample_set)
-    system = build_structure_preserving(model, phi, sample_set, rbs_map)
-    return _best_step_seconds(system, 1e-3 * rng.normal(size=n), steps, dt)
+    """Per-step online cost of the SP-RBS model at pinned (n, m) on one
+    truss size (:func:`interleaved_sp_step_seconds`)."""
+    return interleaved_sp_step_seconds([bays], n, m, steps, dt)[0]
 
 
 def galerkin_step_seconds(bays: int, n: int, steps: int = 200,
@@ -642,7 +659,7 @@ def galerkin_step_seconds(bays: int, n: int, steps: int = 200,
     basis of :func:`sp_step_seconds`; the best of ``SP_STEP_REPEATS``."""
     model, phi, rng = _random_basis(bays, n)
     system = build_galerkin(model, phi)
-    return _best_step_seconds(system, 1e-3 * rng.normal(size=n), steps, dt)
+    return _best_step_seconds([(system, 1e-3 * rng.normal(size=n))], steps, dt)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -316,15 +316,17 @@ def integrate_full_model(model, dt, t_end, state0: State, alpha=0.0, beta=0.0,
     traj = implicit_midpoint_solve(system, state0, dt, t_end, settings)
     traj.quantity = traj.q[:, model.tip_dof]
     if record_energy:
-        traj.energy = np.array([total_energy(model, q, v)
-                                for q, v in zip(traj.q, traj.v)])
+        traj.energy = total_energy(model, traj.q, traj.v)
     return traj
 
 
-def total_energy(model, q, v) -> float:
-    """Hamiltonian of the full model: kinetic plus potential energy."""
+def total_energy(model, q, v):
+    """Hamiltonian of the full model: kinetic plus potential energy, at one
+    state or, for states stacked in rows (T, N), the (T,) values from one
+    band product and one potential evaluation."""
     v = np.asarray(v, dtype=float)
-    return 0.5 * float(v @ (model.mass_band() @ v)) + model.potential_energy(q)
+    kinetic = 0.5 * np.sum(v * (model.mass_band() @ v.T).T, axis=-1)
+    return kinetic + model.potential_energy(np.asarray(q, dtype=float))
 
 
 def reduced_total_energy(system: ReducedSystem, q_r, v_r):

@@ -10,8 +10,17 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 logger = logging.getLogger(__name__)
+
+# Candidate magnitudes within this fraction of the largest are tied, and the
+# lowest index among them is picked: exact ties in a basis (mirrored rows,
+# equal load-pattern entries) then do not fall to the fit's round-off.
+TIE_RTOL = 1e-12
+
+_GELSY, _GELSY_LWORK = scipy.linalg.get_lapack_funcs(("gelsy", "gelsy_lwork"),
+                                                     (np.zeros(1),))
 
 
 @dataclass(frozen=True)
@@ -47,9 +56,12 @@ def greedy_sample_indices(residual_basis, m) -> SampleIndexSet:
     Basis columns are visited cyclically.  At each step the candidate row
     maximizing the magnitude of the current column's gappy reconstruction
     residual (least-squares fit over already-selected rows, in the span of
-    previously visited columns) is added.  Ties break toward the lowest
-    index.  Columns that vanish on the remaining rows fall back to plain
-    largest-magnitude selection on the next column.
+    previously visited columns, by LAPACK ``gelsy``) is added.  Ties break
+    toward the lowest index, where magnitudes within a relative
+    ``TIE_RTOL`` of the largest count as tied, so a pick does not depend on
+    the least-squares solver's round-off.  Columns that vanish on the
+    remaining rows fall back to plain largest-magnitude selection on the
+    next column.
     """
     basis = np.asarray(residual_basis, dtype=float)
     if basis.ndim != 2:
@@ -87,22 +99,38 @@ def greedy_sample_indices(residual_basis, m) -> SampleIndexSet:
 
 def _gappy_residual(basis, col, visited, selected):
     """Residual of reconstructing column ``col`` from the visited columns,
-    fitted on the selected rows only."""
+    fitted on the selected rows only.
+
+    The fit is the minimum-norm least-squares solution by LAPACK ``gelsy``
+    (complete orthogonal factorization with rank-revealing column
+    pivoting), with numpy's rank cutoff ``eps * max(rows, cols)``."""
     c = basis[:, col]
     prior = [j for j in visited if j != col]
     if not prior or not selected:
         return c
-    sub = basis[np.ix_(selected, prior)]
-    coeffs, *_ = np.linalg.lstsq(sub, c[selected], rcond=None)
-    return c - basis[:, prior] @ coeffs
+    columns = basis[:, prior]
+    sub = columns[selected]
+    rows, cols = sub.shape
+    cond = np.finfo(float).eps * max(rows, cols)
+    work, _ = _GELSY_LWORK(rows, cols, 1, cond)
+    # gelsy returns the solution in the first ``cols`` entries of the rhs.
+    rhs = np.zeros(max(rows, cols))
+    rhs[:rows] = c[selected]
+    _, x, _, _, info = _GELSY(sub, rhs, np.zeros(cols, dtype=np.int32), cond,
+                              int(work), overwrite_a=True, overwrite_b=True)
+    if info < 0:
+        raise ValueError("illegal value in argument %d of gelsy" % -info)
+    return c - columns @ x[:cols]
 
 
 def _argmax_abs(values, taken):
-    """Lowest index not taken attaining the max magnitude; None if all zero."""
+    """Lowest index not taken whose magnitude is within a relative
+    ``TIE_RTOL`` of the largest; None if every untaken value is zero."""
     mags = np.where(taken, 0.0, np.abs(values))
-    if mags.max() == 0.0:
+    best = mags.max()
+    if best == 0.0:
         return None
-    return int(np.argmax(mags))
+    return int(np.argmax(mags >= (1.0 - TIE_RTOL) * best))
 
 
 def validate_sample_set(sample_set, vectorized_operator) -> list[str]:

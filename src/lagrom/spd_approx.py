@@ -39,16 +39,30 @@ def symmetrize(a):
     return 0.5 * (a + a.T)
 
 
-def _sampled_and_reduced(matrices, phi, sample_set):
-    """Sampled principal blocks (K, m, m) and reduced matrices
-    ``phi.T @ A @ phi`` (K, n, n) of full-size matrices, stacked."""
+@dataclass(frozen=True)
+class TrainingBlocks:
+    """What both mass fits read of the training matrices, formed once per
+    sample set by :func:`training_blocks`."""
+
+    sampled: np.ndarray      # (K, m, m): sampled principal blocks S^T A S
+    reduced: np.ndarray      # (K, n, n): reduced matrices phi^T A phi
+    phi_rows: np.ndarray     # (m, n): the sampled rows of phi
+
+
+def training_blocks(matrices, phi, sample_set) -> TrainingBlocks:
+    """Sampled principal blocks and reduced matrices ``phi.T @ A @ phi`` of
+    full-size matrices, stacked, with the sampled rows of ``phi``.  The
+    dense congruences cost O(N^2 n) per matrix, so a reduction forms them
+    once and hands them to :func:`rbs_fit` and
+    :func:`build_matrix_gappy_basis`."""
     phi = np.asarray(phi, dtype=float)
     mats = [np.asarray(a, dtype=float) for a in matrices]
     if not mats:
         raise ValueError("no matrix snapshots")
     block = np.ix_(sample_set.indices, sample_set.indices)
-    return (np.array([a[block] for a in mats]),
-            np.array([phi.T @ a @ phi for a in mats]))
+    return TrainingBlocks(sampled=np.array([a[block] for a in mats]),
+                          reduced=np.array([phi.T @ a @ phi for a in mats]),
+                          phi_rows=phi[sample_set.indices, :])
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +114,23 @@ def rbs_relative_residual(rbs_map: RBSMap, matrix_snapshots, phi) -> float:
     return float(np.sqrt(rbs_map.fit_residual / _objective_scale(reduced)))
 
 
-def rbs_fit(matrix_snapshots, phi, sample_set) -> RBSMap:
+def rbs_fit(blocks: TrainingBlocks) -> RBSMap:
     """Fit the dense factor of the sparse reduced basis over matrix snapshots.
 
-    Minimizes the summed squared Frobenius error between the sparse
-    congruence and the true reduced matrices, by limited-memory
-    quasi-Newton descent started from the sampled rows of ``phi``, for at
-    most ``RBS_MAX_ITERS`` iterations.  A fit stopped at that budget keeps the
-    achieved residual and is flagged unconverged rather than raising.
+    Reads the snapshots' sampled blocks and reduced matrices from
+    ``blocks`` (:func:`training_blocks`, shared with
+    :func:`build_matrix_gappy_basis`).  Minimizes the summed squared
+    Frobenius error between the sparse congruence and the true reduced
+    matrices, by limited-memory quasi-Newton descent started from the
+    sampled rows of ``phi``, for at most ``RBS_MAX_ITERS`` iterations.  A
+    fit stopped at that budget keeps the achieved residual and is flagged
+    unconverged rather than raising.
     """
-    phi = np.asarray(phi, dtype=float)
-    n = phi.shape[1]
-    m = sample_set.m
+    sampled, reduced = blocks.sampled, blocks.reduced
+    m, n = blocks.phi_rows.shape
     if m < n:
         raise ValueError("need at least as many samples as basis columns (m >= n)")
-    sampled, reduced = _sampled_and_reduced(matrix_snapshots, phi, sample_set)
-    z0 = phi[sample_set.indices, :].copy()
+    z0 = blocks.phi_rows.copy()
 
     def fun(x):
         value, grad = _congruence_objective(x.reshape(m, n), sampled, reduced)
@@ -230,18 +245,18 @@ def matrix_pod_modes(matrix_snapshots, energy):
     return np.linalg.lstsq(vectorized, basis.columns, rcond=None)[0].T
 
 
-def build_matrix_gappy_basis(coefficients, matrix_snapshots, phi,
-                             sample_set) -> MatrixGappyBasis:
+def build_matrix_gappy_basis(coefficients, blocks: TrainingBlocks) -> MatrixGappyBasis:
     """Sampled operator and reduced blocks of the principal matrices
-    ``sum_j C[i, j] * A_j``, from (k, K) coefficients C and K snapshots."""
+    ``sum_j C[i, j] * A_j``, from (k, K) coefficients C and the K
+    snapshots' sampled blocks and reduced matrices in ``blocks``
+    (:func:`training_blocks`, shared with :func:`rbs_fit`)."""
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 2 or c.shape[1] != len(matrix_snapshots):
+    if c.ndim != 2 or c.shape[1] != len(blocks.sampled):
         raise ValueError("need (k, %d) coefficients, got shape %s"
-                         % (len(matrix_snapshots), c.shape))
-    sampled, reduced = _sampled_and_reduced(matrix_snapshots, phi, sample_set)
-    sampled = np.tensordot(c, sampled, axes=1)
-    reduced = np.tensordot(c, reduced, axes=1)
-    rows, cols = np.triu_indices(sample_set.m)
+                         % (len(blocks.sampled), c.shape))
+    sampled = np.tensordot(c, blocks.sampled, axes=1)
+    reduced = np.tensordot(c, blocks.reduced, axes=1)
+    rows, cols = np.triu_indices(len(blocks.phi_rows))
     return MatrixGappyBasis(
         sampled_operator=np.ascontiguousarray(sampled[:, rows, cols].T),
         reduced_basis=0.5 * (reduced + reduced.transpose(0, 2, 1)))

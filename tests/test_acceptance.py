@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from lagrom.bench import (ExperimentConfig, energy_drift, error_metric,
-                          galerkin_step_seconds, online_points,
-                          reduce_products, run_offline, run_online,
-                          sp_step_seconds, verify_timestep)
+                          galerkin_step_seconds, interleaved_sp_step_seconds,
+                          online_points, reduce_products, run_offline,
+                          run_online, sp_step_seconds, verify_timestep)
 from lagrom.gappy import (apply_force_reconstructor, build_force_reconstructor,
                           gappy_error_bound)
 from lagrom.midpoint import (NewtonSettings, SecondOrderSystem, State,
@@ -28,7 +28,7 @@ from lagrom.spd_approx import (assembled_eigen_gradients,
                                build_matrix_gappy_basis, gappy_matrix_assemble,
                                gappy_matrix_coeffs,
                                generalized_interlacing_check,
-                               matrix_pod_modes, rbs_fit)
+                               matrix_pod_modes, rbs_fit, training_blocks)
 from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
 from conftest import random_orthonormal, random_spd, stiefel_feasibility_search
@@ -56,11 +56,11 @@ def test_criterion_01_structure_preservation():
         sample_set = SampleIndexSet(rng.permutation(big_n)[:m], big_n)
         mass = model.mass_dense()
 
-        rbs = rbs_fit([mass], phi, sample_set)
+        rbs = rbs_fit(training_blocks([mass], phi, sample_set))
         sp1 = model.mass_entries(sample_set.indices, sample_set.indices)
         mass_rbs = rbs.factor.T @ sp1 @ rbs.factor
-        basis = build_matrix_gappy_basis(matrix_pod_modes([mass], 1.0), [mass],
-                                         phi, sample_set)
+        basis = build_matrix_gappy_basis(matrix_pod_modes([mass], 1.0),
+                                         training_blocks([mass], phi, sample_set))
         coeffs = gappy_matrix_coeffs(sp1, basis)
         mass_gap = gappy_matrix_assemble(coeffs, basis)
 
@@ -98,8 +98,8 @@ def test_criterion_02_matrix_gappy_exactness():
         snaps = [h1 * a1 + h2 * a2 for h1, h2 in weights]
         phi = random_orthonormal(rng, big_n, n)
         sample_set = SampleIndexSet(rng.permutation(big_n)[:6], big_n)
-        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0), snaps, phi,
-                                         sample_set)
+        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0),
+                                         training_blocks(snaps, phi, sample_set))
         target = snaps[int(rng.integers(n_train))]
         coeffs = gappy_matrix_coeffs(
             target[np.ix_(sample_set.indices, sample_set.indices)], basis)
@@ -118,7 +118,7 @@ def test_criterion_03_rbs_full_sampling_exactness():
         phi = random_orthonormal(rng, big_n, n)
         snaps = [random_spd(rng, big_n) for _ in range(3)]
         sample_set = SampleIndexSet(rng.permutation(big_n), big_n)
-        fit = rbs_fit(snaps, phi, sample_set)
+        fit = rbs_fit(training_blocks(snaps, phi, sample_set))
         worst = max(worst, fit.fit_residual)
     report(3, worst <= 1e-12, "max full-sampling fit residual %.2e" % worst)
 
@@ -184,8 +184,8 @@ def test_criterion_05_derivative_consistency():
         local = np.random.default_rng(seed)
         modes = [0.5 * (a + a.T) for a in local.normal(size=(3, 4, 4))]
         phi = random_orthonormal(local, 4, 4)
-        basis = build_matrix_gappy_basis(np.eye(3), modes, phi,
-                                         SampleIndexSet(np.arange(4), 4))
+        basis = build_matrix_gappy_basis(
+            np.eye(3), training_blocks(modes, phi, SampleIndexSet(np.arange(4), 4)))
         x = local.normal(size=3)
         _, grads = assembled_eigen_gradients(basis, x)
         for i in range(3):
@@ -224,7 +224,7 @@ def test_criterion_06_interlacing():
         a2 = np.diag(rng.uniform(0.1, 30.0, size=big_n))
         phi = random_orthonormal(rng, big_n, n)
         sample_set = SampleIndexSet(rng.permutation(big_n)[:m], big_n)
-        fit = rbs_fit([a1, a2], phi, sample_set)
+        fit = rbs_fit(training_blocks([a1, a2], phi, sample_set))
         scale = sum(np.linalg.norm(phi.T @ a @ phi)**2 for a in (a1, a2))
         if fit.fit_residual <= 1e-3 * scale:
             continue
@@ -427,9 +427,10 @@ def test_criterion_10_predictive_study():
 
     # Online per-step cost must not scale with the full dimension beyond
     # the documented amortized setup: doubling the truss leaves the
-    # stepping cost flat at pinned reduced dimensions.
-    t_small = sp_step_seconds(20, n=10, m=24, steps=300, dt=config.dt)
-    t_large = sp_step_seconds(40, n=10, m=24, steps=300, dt=config.dt)
+    # stepping cost flat at pinned reduced dimensions.  Both models are
+    # built first and their timed runs alternate (20, 40, 20, 40, ...).
+    t_small, t_large = interleaved_sp_step_seconds((20, 40), n=10, m=24,
+                                                   steps=300, dt=config.dt)
     scaling = t_large / t_small
     all_ok &= scaling <= 1.5
     lines.append("per-step scaling x%.2f for 2x dofs" % scaling)

@@ -24,7 +24,8 @@ from lagrom.archive import load_archive, save_archive
 from lagrom.cli import main as cli_main
 from lagrom.midpoint import State
 from lagrom.roms import VARIANTS, integrate_full_model
-from lagrom.spd_approx import rbs_apply
+from lagrom.spd_approx import (build_matrix_gappy_basis, rbs_apply, rbs_fit,
+                               training_blocks)
 from lagrom.truss import TrussModel, build_truss
 
 
@@ -205,6 +206,30 @@ class TestOfflineProducts:
         save_reduced(tmp_path / "reduced.lgrm", red)
         assert_same_products(load_reduced(tmp_path / "reduced.lgrm", offline),
                              red)
+
+    def test_mass_fits_share_one_set_of_training_blocks(self, tiny_offline,
+                                                        monkeypatch):
+        """``reduce_products`` forms the training blocks once, and both mass
+        fits from them equal, bit for bit, the fits from blocks formed for
+        each fit on its own."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return training_blocks(*args)
+
+        monkeypatch.setattr(lagrom.bench, "training_blocks", counted)
+        red = reduce_products(tiny_offline, 50.0)
+        assert len(calls) == 1
+        args = (tiny_offline.mass_snapshots, tiny_offline.phi, red.sample_set)
+        rbs = rbs_fit(training_blocks(*args))
+        gappy = build_matrix_gappy_basis(tiny_offline.matrix_modes,
+                                         training_blocks(*args))
+        assert np.array_equal(red.rbs_map.factor, rbs.factor)
+        assert red.rbs_map.fit_residual == rbs.fit_residual
+        assert np.array_equal(red.gappy_basis.sampled_operator,
+                              gappy.sampled_operator)
+        assert np.array_equal(red.gappy_basis.reduced_basis, gappy.reduced_basis)
 
     def test_reduced_products_round_trip(self, tiny_offline, tmp_path):
         red = reduce_products(tiny_offline, 50.0)

@@ -7,7 +7,8 @@ the residual; the reduced models take their force from reduced loads and
 record their energies in one stacked evaluation.  The references below are
 the replaced forms, kept here.  The full-order (band) path must give the
 same bytes; a reduced model, whose force and energy are now summed in
-another order, the same Newton counts and its trajectory to round-off.
+another order, the same Newton counts and its trajectory to round-off.  The
+full-order energy record, also one stacked evaluation, matches to round-off.
 """
 
 import dataclasses
@@ -168,6 +169,12 @@ def reference_energy(system, q, v):
                      + float(system.potential(qk)) for qk, vk in zip(q, v)])
 
 
+def reference_full_energy(model, q, v):
+    """The replaced full-order energy record: one state at a time."""
+    return np.array([0.5 * float(vk @ (model.mass_band() @ vk))
+                     + model.potential_energy(qk) for qk, vk in zip(q, v)])
+
+
 # ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
@@ -316,6 +323,20 @@ def test_full_order_run_equals_replaced_step(hard_point, monkeypatch):
     assert ref.newton_iterations.sum() > 2 * 20   # some steps backtrack
     for name in ("q", "v", "newton_iterations", "quantity"):
         assert _bits(getattr(new, name)) == _bits(getattr(ref, name)), name
+
+
+def test_full_order_energy_record_equals_each_state(hard_point):
+    """The HFM energy record, one stacked evaluation, is the replaced
+    per-state record to round-off."""
+    model, forcing = hard_point
+    q0 = model.initial_displacement(forcing)
+    traj = integrate_full_model(model, 0.05, 1.0,
+                                State(q=q0, v=np.zeros_like(q0)),
+                                forcing=forcing, record_energy=True)
+    expected = reference_full_energy(model, traj.q, traj.v)
+    assert traj.energy.shape == (21,)
+    assert (np.abs(traj.energy - expected).max()
+            <= 1e-14 * np.abs(expected).max())
 
 
 @pytest.fixture(scope="module")

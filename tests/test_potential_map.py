@@ -12,7 +12,7 @@ from lagrom.potential_map import (approx_reduced_gradient,
 from lagrom.roms import build_structure_preserving, integrate_rom
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
 from lagrom.spd_approx import (build_matrix_gappy_basis, matrix_pod_modes,
-                               rbs_fit, symmetrize)
+                               rbs_fit, symmetrize, training_blocks)
 from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
 from conftest import (DenseKernel, random_orthonormal, random_spd,
@@ -319,9 +319,9 @@ def test_sp_trajectory_matches_sampled_evaluators(truss20, modal_basis, method,
     model, phi = truss20, modal_basis
     sample_set = greedy_sample_indices(phi, 2 * phi.shape[1])
     mass = [model.mass_dense()]
-    product = (rbs_fit(mass, phi, sample_set) if method == "rbs" else
-               build_matrix_gappy_basis(matrix_pod_modes(mass, 1.0), mass, phi,
-                                        sample_set))
+    blocks = training_blocks(mass, phi, sample_set)
+    product = (rbs_fit(blocks) if method == "rbs" else
+               build_matrix_gappy_basis(matrix_pod_modes(mass, 1.0), blocks))
     forcing = ForcingConfig(nominal_amplitudes=(2 * 9.81, 2 * 9.81,
                                                 0.4 * 9.81, 0.4 * 9.81),
                             omega0=fundamental_frequency(model), final_time=2.0)

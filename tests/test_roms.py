@@ -14,7 +14,8 @@ from lagrom.roms import (build_collocation, build_galerkin, build_gappy_rom,
                          integrate_full_model, integrate_rom,
                          reduced_total_energy, total_energy)
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
-from lagrom.spd_approx import build_matrix_gappy_basis, matrix_pod_modes, rbs_fit
+from lagrom.spd_approx import (build_matrix_gappy_basis, matrix_pod_modes, rbs_fit,
+                               training_blocks)
 from lagrom.truss import ForcingConfig, build_truss, fundamental_frequency
 
 from conftest import QuadraticModel, random_orthonormal, random_spd
@@ -44,11 +45,11 @@ def basis(truss, forcing):
 def sp_products(truss, phi, m, method="rbs"):
     sample_set = greedy_sample_indices(phi, m)
     if method == "rbs":
-        product = rbs_fit([truss.mass_dense()], phi, sample_set)
+        product = rbs_fit(training_blocks([truss.mass_dense()], phi, sample_set))
     else:
         mass = [truss.mass_dense()]
-        product = build_matrix_gappy_basis(matrix_pod_modes(mass, 1.0), mass, phi,
-                                           sample_set)
+        product = build_matrix_gappy_basis(matrix_pod_modes(mass, 1.0),
+                                           training_blocks(mass, phi, sample_set))
     return sample_set, product
 
 
@@ -71,7 +72,7 @@ def build_on(builder, truss, basis, phi, sample_set):
         recs = dict.fromkeys(("mass", "damping", "potential", "force"),
                              build_force_reconstructor(basis, basis, fit_set))
         return build_gappy_rom(truss, phi, recs, sample_set)
-    product = rbs_fit([truss.mass_dense()], basis, fit_set)
+    product = rbs_fit(training_blocks([truss.mass_dense()], basis, fit_set))
     return build_structure_preserving(truss, phi, sample_set, product)
 
 
@@ -102,7 +103,7 @@ def test_misshapen_sampled_operator_rejected(truss, basis):
     sample_set = greedy_sample_indices(basis, 12)
     n, m = basis.shape[1], sample_set.m
     good = np.zeros((n, m))
-    product = rbs_fit([truss.mass_dense()], basis, sample_set)
+    product = rbs_fit(training_blocks([truss.mass_dense()], basis, sample_set))
     for shape in ((n, m - 1), (n - 1, m), (m, n), (n * m,)):
         expected = r"operator of shape %s, expected \(n, m\) = \(%d, %d\)" % (
             re.escape(str(shape)), n, m)
@@ -153,7 +154,7 @@ def test_reduced_loads_equal_sampled_row_force(truss, forcing, basis, variant,
     else:
         system = build_structure_preserving(
             model, basis, sample_set,
-            rbs_fit([model.mass_dense()], basis, sample_set),
+            rbs_fit(training_blocks([model.mass_dense()], basis, sample_set)),
             force_reconstructor=operator, forcing=forcing)
     expected = replaced_force(model, basis, operator, sample_set, forcing)
     for t in (0.0, 1.9, 2.5, 5.5, 7.9):
@@ -441,7 +442,7 @@ class TestStructurePreserving:
         model = QuadraticModel(mass, stiffness, force_pattern=pattern)
         phi = random_orthonormal(rng, big_n, 3)
         sample_set = SampleIndexSet(rng.permutation(big_n), big_n)
-        product = rbs_fit([mass], phi, sample_set)
+        product = rbs_fit(training_blocks([mass], phi, sample_set))
         force_rec = build_force_reconstructor(
             phi, pattern[:, None] / np.linalg.norm(pattern), sample_set)
         sp = build_structure_preserving(model, phi, sample_set, product,
@@ -465,6 +466,16 @@ class TestEnergyAndReconstruction:
         v = rng.normal(size=truss.dof_count)
         expected = 0.5 * v @ truss.mass_dense() @ v + truss.potential_energy(q)
         assert np.isclose(total_energy(truss, q, v), expected, rtol=1e-12)
+
+    def test_stacked_total_energies_equal_each_state(self, truss, rng):
+        """States stacked in rows (one band product, one potential call)
+        give each state's Hamiltonian to round-off."""
+        q = 0.01 * rng.normal(size=(5, truss.dof_count))
+        v = rng.normal(size=(5, truss.dof_count))
+        energies = total_energy(truss, q, v)
+        each = np.array([total_energy(truss, qi, vi) for qi, vi in zip(q, v)])
+        assert energies.shape == (5,)
+        assert np.abs(energies - each).max() <= 1e-14 * np.abs(each).max()
 
     def test_reduced_energy_requires_potential(self, truss, basis):
         sample_set = SampleIndexSet(np.arange(10), truss.dof_count)
@@ -564,7 +575,8 @@ def local_sp_system(bays, n=6):
                             final_time=0.4)
     force_basis = np.linalg.qr(model.load_patterns().T)[0]
     system = build_structure_preserving(
-        model, phi, sample_set, rbs_fit([model.mass_dense()], phi, sample_set),
+        model, phi, sample_set,
+        rbs_fit(training_blocks([model.mass_dense()], phi, sample_set)),
         alpha=0.05, beta=2e-4,
         force_reconstructor=build_force_reconstructor(phi, force_basis,
                                                       sample_set),
@@ -759,7 +771,7 @@ def test_sp_model_at_criterion_10_size_holds_no_element_gram():
     phi = random_orthonormal(rng, model.dof_count, n)
     sample_set = SampleIndexSet(rng.permutation(model.dof_count)[:m],
                                 model.dof_count)
-    product = rbs_fit([model.mass_dense()], phi, sample_set)
+    product = rbs_fit(training_blocks([model.mass_dense()], phi, sample_set))
     model.tangent_stiffness_band(np.zeros(model.dof_count))
     tracemalloc.start()
     try:

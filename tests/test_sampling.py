@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagrom.sampling import (SampleIndexSet, _gappy_residual,
+import lagrom.sampling
+from lagrom.sampling import (TIE_RTOL, SampleIndexSet, _gappy_residual,
                              greedy_sample_indices, validate_sample_set)
-from lagrom.spd_approx import build_matrix_gappy_basis
+from lagrom.spd_approx import build_matrix_gappy_basis, training_blocks
+from lagrom.truss import build_truss
 
 from conftest import random_orthonormal, random_spd
 
@@ -46,28 +48,15 @@ class TestGreedySampleIndices:
         assert list(s.indices) == [0, 1, 2]
 
     def test_matches_bruteforce_greedy_oracle(self, rng):
-        basis = rng.normal(size=(6, 2))
-        got = list(greedy_sample_indices(basis, 3).indices)
-
-        # Independent re-implementation: cyclic column visits, least-squares
-        # reconstruction on selected rows over previously visited columns.
-        selected, visited = [], []
-        for step in range(3):
-            col = step % 2
-            c = basis[:, col]
-            prior = [j for j in visited if j != col]
-            if prior and selected:
-                coeff, *_ = np.linalg.lstsq(
-                    basis[np.ix_(selected, prior)], c[selected], rcond=None)
-                resid = c - basis[:, prior] @ coeff
-            else:
-                resid = c.copy()
-            if col not in visited:
-                visited.append(col)
-            mags = np.abs(resid)
-            mags[selected] = -1.0
-            selected.append(int(np.argmax(mags)))
-        assert got == selected
+        # A Gaussian 6 x 2 basis, then random orthonormal ones at m = k and
+        # m > k (past the first cycle through the columns).
+        cases = [(rng.normal(size=(6, 2)), 3)]
+        for big_n, k in ((60, 8), (120, 20)):
+            basis = random_orthonormal(rng, big_n, k)
+            cases += [(basis, k), (basis, 2 * k + 3)]
+        for basis, m in cases:
+            assert list(greedy_sample_indices(basis, m).indices) == \
+                _bruteforce_greedy(basis, m)
 
     def test_deterministic_and_tie_break_low_index(self):
         basis = np.ones((4, 1))
@@ -107,6 +96,38 @@ class TestGreedySampleIndices:
         got = greedy_sample_indices(basis, m).indices
         assert list(got) == _setdiff_greedy(basis, m)
 
+    @pytest.mark.parametrize("residual", ["gelsy", "gelsd"])
+    def test_mirrored_rows_take_lowest_index(self, rng, monkeypatch, residual):
+        """Rows 7 and 2 mirror rows 1 and 5: every residual is equal in
+        magnitude on each pair, so a pair member is never picked before its
+        lower-index partner, under either least-squares routine."""
+        if residual == "gelsd":
+            monkeypatch.setattr(lagrom.sampling, "_gappy_residual",
+                                _lstsq_residual)
+        basis = rng.normal(size=(10, 3))
+        basis[7] = -basis[1]
+        basis[2] = -basis[5]
+        got = list(greedy_sample_indices(basis, 10).indices)
+        assert got.index(1) < got.index(7)
+        assert got.index(2) < got.index(5)
+        assert got == _setdiff_greedy(basis, 10)
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_load_pattern_ties_independent_of_solver(self, seed, monkeypatch):
+        """Orthonormalized load patterns have entries equal in size along a
+        chord line, so residual magnitudes tie in exact arithmetic; the
+        picks take the lowest tied index under ``gelsy`` and ``gelsd``
+        alike."""
+        rng = np.random.default_rng(seed)
+        model = build_truss(5, np.zeros(16))
+        phi = random_orthonormal(rng, model.dof_count, 4)
+        loads = np.linalg.qr(model.load_patterns().T)[0]
+        basis = np.linalg.qr(np.column_stack([phi, loads]))[0]
+        got = list(greedy_sample_indices(basis, 30).indices)
+        assert got == _setdiff_greedy(basis, 30)
+        monkeypatch.setattr(lagrom.sampling, "_gappy_residual", _lstsq_residual)
+        assert list(greedy_sample_indices(basis, 30).indices) == got
+
     def test_first_n_block_nonsingular(self, rng):
         """The leading indices must support the square sparse-basis block."""
         for trial in range(25):
@@ -117,13 +138,52 @@ class TestGreedySampleIndices:
             assert np.linalg.matrix_rank(block) == 4
 
 
+def _bruteforce_greedy(basis, m):
+    """Independent re-implementation: cyclic column visits, least-squares
+    reconstruction (``np.linalg.lstsq``) on selected rows over previously
+    visited columns, exact argmax."""
+    k = basis.shape[1]
+    selected, visited = [], []
+    for step in range(m):
+        col = step % k
+        c = basis[:, col]
+        prior = [j for j in visited if j != col]
+        if prior and selected:
+            coeff, *_ = np.linalg.lstsq(
+                basis[np.ix_(selected, prior)], c[selected], rcond=None)
+            resid = c - basis[:, prior] @ coeff
+        else:
+            resid = c.copy()
+        if col not in visited:
+            visited.append(col)
+        mags = np.abs(resid)
+        mags[selected] = -1.0
+        selected.append(int(np.argmax(mags)))
+    return selected
+
+
+def _lstsq_residual(basis, col, visited, selected):
+    """``_gappy_residual`` with the fit by ``np.linalg.lstsq`` (LAPACK
+    ``gelsd``, an SVD) in place of ``gelsy``."""
+    c = basis[:, col]
+    prior = [j for j in visited if j != col]
+    if not prior or not selected:
+        return c
+    coeffs, *_ = np.linalg.lstsq(basis[np.ix_(selected, prior)], c[selected],
+                                 rcond=None)
+    return c - basis[:, prior] @ coeffs
+
+
 def _setdiff_greedy(basis, m):
     """Reference selection loop that recomputes the remaining rows with
-    ``np.setdiff1d`` at every step."""
+    ``np.setdiff1d`` at every step; magnitudes within ``TIE_RTOL`` of the
+    largest are tied and the lowest remaining index among them wins."""
     def argmax_abs(values, candidates):
         mags = np.abs(values[candidates])
         best = mags.max() if mags.size else 0.0
-        return None if best == 0.0 else int(candidates[np.argmax(mags)])
+        if best == 0.0:
+            return None
+        return int(candidates[np.argmax(mags >= (1.0 - TIE_RTOL) * best)])
 
     big_n, k = basis.shape
     selected, visited = [], []
@@ -164,6 +224,6 @@ class TestValidateSampleSet:
         phi = random_orthonormal(rng, 10, 3)
         s = greedy_sample_indices(phi, 10)
         modes = [random_spd(rng, 10) for _ in range(3)]
-        op = build_matrix_gappy_basis(np.eye(3), modes, phi,
-                                      s).sampled_operator
+        op = build_matrix_gappy_basis(np.eye(3), training_blocks(modes, phi, s)
+                                      ).sampled_operator
         assert validate_sample_set(s, op) == []

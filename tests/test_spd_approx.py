@@ -11,7 +11,8 @@ from lagrom.spd_approx import (_congruence_objective, assembled_eigen_gradients,
                                build_matrix_gappy_basis, eigen_constrained_solve,
                                gappy_matrix_assemble, gappy_matrix_coeffs,
                                generalized_interlacing_check,
-                               matrix_pod_modes, rbs_apply, rbs_fit, symmetrize)
+                               matrix_pod_modes, rbs_apply, rbs_fit, symmetrize,
+                               training_blocks)
 from lagrom.truss import build_truss
 
 from conftest import random_orthonormal, random_spd
@@ -45,6 +46,21 @@ def affine_family(rng, big_n):
     return a1, a2, lambda h1, h2: h1 * a1 + h2 * a2
 
 
+def test_training_blocks_are_the_per_matrix_blocks(rng):
+    """Each stacked block is the sampled principal block and the reduced
+    matrix of its snapshot, bit for bit."""
+    phi = random_orthonormal(rng, 9, 3)
+    mats = [random_spd(rng, 9) for _ in range(3)]
+    s = SampleIndexSet(np.array([4, 0, 7, 2]), 9)
+    blocks = training_blocks(mats, phi, s)
+    for a, sampled, reduced in zip(mats, blocks.sampled, blocks.reduced):
+        assert np.array_equal(sampled, a[np.ix_(s.indices, s.indices)])
+        assert np.array_equal(reduced, phi.T @ a @ phi)
+    assert np.array_equal(blocks.phi_rows, phi[s.indices])
+    with pytest.raises(ValueError, match="no matrix snapshots"):
+        training_blocks([], phi, s)
+
+
 class TestRbsFit:
     @pytest.mark.parametrize("snapshots", [1, 2, 5])
     def test_objective_equals_per_snapshot_loop(self, rng, snapshots):
@@ -69,7 +85,7 @@ class TestRbsFit:
         phi = random_orthonormal(rng, big_n, n)
         snaps = [random_spd(rng, big_n) for _ in range(2)]
         s = SampleIndexSet(rng.permutation(big_n), big_n)
-        fit = rbs_fit(snaps, phi, s)
+        fit = rbs_fit(training_blocks(snaps, phi, s))
         assert fit.fit_residual <= 1e-16
         assert fit.converged
 
@@ -78,7 +94,7 @@ class TestRbsFit:
         phi = random_orthonormal(rng, big_n, n)
         a = random_spd(rng, big_n)
         s = SampleIndexSet(np.arange(n), big_n)
-        fit = rbs_fit([a], phi, s)
+        fit = rbs_fit(training_blocks([a], phi, s))
         assert fit.fit_residual <= 1e-10
 
     def test_matches_grid_search_oracle(self):
@@ -87,7 +103,7 @@ class TestRbsFit:
         a1, a2 = np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 2.0, 2.0])
         phi = np.array([[1.0], [0.0], [0.0]])
         s = SampleIndexSet(np.array([0, 1]), 3)
-        fit = rbs_fit([a1, a2], phi, s)
+        fit = rbs_fit(training_blocks([a1, a2], phi, s))
 
         grid = np.linspace(-2.0, 2.0, 161)
         best = np.inf
@@ -106,7 +122,7 @@ class TestRbsFit:
         phi = random_orthonormal(rng, big_n, n)
         snaps = [random_spd(rng, big_n) for _ in range(4)]
         s = SampleIndexSet(np.arange(3), big_n)
-        fit = rbs_fit(snaps, phi, s)
+        fit = rbs_fit(training_blocks(snaps, phi, s))
         assert np.isfinite(fit.fit_residual)
 
     def test_stagnation_warning_reports_relative_residual(self, rng, caplog,
@@ -118,7 +134,7 @@ class TestRbsFit:
         phi = random_orthonormal(rng, big_n, n)
         snaps = [random_spd(rng, big_n) for _ in range(4)]
         s = SampleIndexSet(np.arange(3), big_n)
-        fit = rbs_fit(snaps, phi, s)
+        fit = rbs_fit(training_blocks(snaps, phi, s))
         assert not fit.converged
         scale = sum(float(np.sum((phi.T @ a @ phi) ** 2)) for a in snaps)
         assert "relative %.3e" % np.sqrt(fit.fit_residual / scale) in caplog.text
@@ -127,13 +143,13 @@ class TestRbsFit:
         phi = random_orthonormal(rng, 6, 3)
         s = SampleIndexSet(np.arange(2), 6)
         with pytest.raises(ValueError, match="m >= n"):
-            rbs_fit([np.eye(6)], phi, s)
+            rbs_fit(training_blocks([np.eye(6)], phi, s))
 
 
 class TestRbsApply:
     def test_scalar_congruence(self, rng):
         s = SampleIndexSet(np.array([0]), 3)
-        fit = rbs_fit([np.diag([4.0, 1.0, 1.0])], np.eye(3)[:, :1], s)
+        fit = rbs_fit(training_blocks([np.diag([4.0, 1.0, 1.0])], np.eye(3)[:, :1], s))
         out = rbs_apply(fit, np.array([[4.0]]))
         assert out.shape == (1, 1)
 
@@ -148,7 +164,7 @@ class TestRbsApply:
         big_n, n, m = 10, 3, 5
         phi = random_orthonormal(rng, big_n, n)
         s = SampleIndexSet(np.arange(m), big_n)
-        fit = rbs_fit([random_spd(rng, big_n)], phi, s)
+        fit = rbs_fit(training_blocks([random_spd(rng, big_n)], phi, s))
         for _ in range(20):
             spd = random_spd(rng, m)
             out = rbs_apply(fit, spd)
@@ -158,7 +174,7 @@ class TestRbsApply:
     def test_dimension_mismatch(self, rng):
         phi = random_orthonormal(rng, 6, 2)
         s = SampleIndexSet(np.arange(3), 6)
-        fit = rbs_fit([random_spd(rng, 6)], phi, s)
+        fit = rbs_fit(training_blocks([random_spd(rng, 6)], phi, s))
         with pytest.raises(ValueError, match="shape"):
             rbs_apply(fit, np.eye(4))
 
@@ -248,8 +264,8 @@ class TestMatrixPodBasis:
         snaps = [random_spd(rng, big_n) for _ in range(3)]
         phi = random_orthonormal(rng, big_n, n)
         s = SampleIndexSet(np.arange(m), big_n)
-        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0), snaps,
-                                         phi, s)
+        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0),
+                                         training_blocks(snaps, phi, s))
         for k in range(basis.k):
             assert np.abs(basis.reduced_basis[k]
                           - basis.reduced_basis[k].T).max() <= 1e-12
@@ -265,8 +281,8 @@ class TestMatrixPodBasis:
         s = greedy_sample_indices(phi, 9)
         coefficients = matrix_pod_modes(masses, 1.0)
         modes = materialize(coefficients, masses)
-        got = build_matrix_gappy_basis(coefficients, masses, phi, s)
-        want = build_matrix_gappy_basis(np.eye(len(modes)), list(modes), phi, s)
+        got = build_matrix_gappy_basis(coefficients, training_blocks(masses, phi, s))
+        want = build_matrix_gappy_basis(np.eye(len(modes)), training_blocks(list(modes), phi, s))
         for field in ("sampled_operator", "reduced_basis"):
             a, b = getattr(got, field), getattr(want, field)
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), field
@@ -277,7 +293,7 @@ class TestMatrixPodBasis:
         phi = random_orthonormal(rng, masses[0].shape[0], 4)
         s = greedy_sample_indices(phi, 7)
         coefficients = matrix_pod_modes(masses, 1.0)
-        basis = build_matrix_gappy_basis(coefficients, masses, phi, s)
+        basis = build_matrix_gappy_basis(coefficients, training_blocks(masses, phi, s))
         rows, cols = np.triu_indices(s.m)
         want = np.column_stack([mode[np.ix_(s.indices, s.indices)][rows, cols]
                                 for mode in materialize(coefficients, masses)])
@@ -288,7 +304,7 @@ class TestMatrixPodBasis:
     def test_sampled_matrix_of_wrong_shape_rejected(self, rng):
         snaps = [random_spd(rng, 6) for _ in range(2)]
         s = SampleIndexSet(np.arange(3), 6)
-        basis = build_matrix_gappy_basis(np.eye(2), snaps, np.eye(6)[:, :2], s)
+        basis = build_matrix_gappy_basis(np.eye(2), training_blocks(snaps, np.eye(6)[:, :2], s))
         for bad in (np.eye(2), np.eye(4), np.ones((3, 4)), np.ones(6)):
             with pytest.raises(ValueError, match="does not match basis"):
                 gappy_matrix_coeffs(bad, basis)
@@ -298,7 +314,7 @@ class TestMatrixPodBasis:
         s = SampleIndexSet(np.arange(2), 4)
         for bad in (np.ones((1, 3)), np.ones(2), np.ones((1, 1, 2))):
             with pytest.raises(ValueError, match="coefficients"):
-                build_matrix_gappy_basis(bad, snaps, np.eye(4)[:, :2], s)
+                build_matrix_gappy_basis(bad, training_blocks(snaps, np.eye(4)[:, :2], s))
 
 
 class TestGappyCoeffs:
@@ -307,8 +323,8 @@ class TestGappyCoeffs:
         snaps = [random_spd(rng, big_n) for _ in range(2)]
         phi = random_orthonormal(rng, big_n, n)
         s = SampleIndexSet(np.arange(m), big_n)
-        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0), snaps,
-                                         phi, s)
+        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0),
+                                         training_blocks(snaps, phi, s))
         idx = np.ix_(s.indices, s.indices)
         coeffs = gappy_matrix_coeffs(np.asarray(snaps[0])[idx], basis)
         recon = basis.sampled_operator @ coeffs
@@ -320,8 +336,8 @@ class TestGappyCoeffs:
         phi = random_orthonormal(rng, big_n, 3)
         snaps = [fam(1.0, 0.5), fam(0.3, 1.2), fam(0.8, 0.8)]
         s = SampleIndexSet(np.arange(4), big_n)
-        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0), snaps,
-                                         phi, s)
+        basis = build_matrix_gappy_basis(matrix_pod_modes(snaps, 1.0),
+                                         training_blocks(snaps, phi, s))
         target = fam(0.3, 1.2)
         coeffs = gappy_matrix_coeffs(target[np.ix_(s.indices, s.indices)], basis)
         approx = gappy_matrix_assemble(coeffs, basis)
@@ -330,15 +346,15 @@ class TestGappyCoeffs:
 
     def test_hand_least_squares(self):
         s = SampleIndexSet(np.arange(2), 2)
-        basis = build_matrix_gappy_basis(np.eye(1), [np.eye(2)], np.eye(2), s)
+        basis = build_matrix_gappy_basis(np.eye(1), training_blocks([np.eye(2)], np.eye(2), s))
         coeffs = gappy_matrix_coeffs(np.diag([2.0, 4.0]), basis)
         assert np.allclose(coeffs, [3.0])
 
     def test_rank_deficient_operator_rejected(self, rng):
         s = SampleIndexSet(np.array([0]), 3)
         modes = [np.diag([0.0, 1.0, 1.0]), np.diag([0.0, 2.0, 1.0])]
-        basis = build_matrix_gappy_basis(np.eye(2), modes,
-                                         random_orthonormal(rng, 3, 1), s)
+        basis = build_matrix_gappy_basis(
+            np.eye(2), training_blocks(modes, random_orthonormal(rng, 3, 1), s))
         with pytest.raises(ValueError, match="invalid sampling"):
             gappy_matrix_coeffs(np.eye(1), basis)
 
@@ -362,8 +378,9 @@ class TestGappyAssemble:
     def test_identity_combinations(self):
         s = SampleIndexSet(np.arange(2), 2)
         basis = build_matrix_gappy_basis(
-            np.eye(2), [np.diag([1.0, 0.0]) + 1e-3 * np.eye(2),
-             np.diag([0.0, 1.0]) + 1e-3 * np.eye(2)], np.eye(2), s)
+            np.eye(2), training_blocks([np.diag([1.0, 0.0]) + 1e-3 * np.eye(2),
+                                        np.diag([0.0, 1.0]) + 1e-3 * np.eye(2)],
+                                       np.eye(2), s))
         out = gappy_matrix_assemble(np.array([1.0, 1.0]), basis)
         assert np.allclose(out, np.eye(2) + 2e-3 * np.eye(2))
 
@@ -371,14 +388,14 @@ class TestGappyAssemble:
         s = SampleIndexSet(np.arange(3), 3)
         modes = [0.5 * (m + m.T) for m in rng.normal(size=(2, 3, 3))]
         modes = [m + 3 * np.eye(3) for m in modes]
-        basis = build_matrix_gappy_basis(np.eye(2), modes, np.eye(3), s)
+        basis = build_matrix_gappy_basis(np.eye(2), training_blocks(modes, np.eye(3), s))
         x = rng.normal(size=2) ** 2 + 0.1
         expected = x[0] * modes[0] + x[1] * modes[1]
         assert np.allclose(gappy_matrix_assemble(x, basis), expected)
 
     def test_indefinite_assembly_rejected(self):
         s = SampleIndexSet(np.arange(2), 2)
-        basis = build_matrix_gappy_basis(np.eye(1), [np.eye(2)], np.eye(2), s)
+        basis = build_matrix_gappy_basis(np.eye(1), training_blocks([np.eye(2)], np.eye(2), s))
         with pytest.raises(ValueError, match="positive definite"):
             gappy_matrix_assemble(np.array([-1.0]), basis)
 
@@ -386,7 +403,7 @@ class TestGappyAssemble:
 class TestEigenConstrainedSolve:
     def test_feasible_returned_unchanged(self, rng):
         s = SampleIndexSet(np.arange(3), 3)
-        basis = build_matrix_gappy_basis(np.eye(1), [np.eye(3)], np.eye(3), s)
+        basis = build_matrix_gappy_basis(np.eye(1), training_blocks([np.eye(3)], np.eye(3), s))
         x0 = np.array([2.0])
         assert np.array_equal(
             eigen_constrained_solve(basis, 2 * np.eye(3), x0, pd_threshold=1e-8),
@@ -395,7 +412,7 @@ class TestEigenConstrainedSolve:
     def test_one_dimensional_clip(self, rng):
         a1 = random_spd(rng, 3)
         s = SampleIndexSet(np.arange(3), 3)
-        basis = build_matrix_gappy_basis(np.eye(1), [a1], np.eye(3), s)
+        basis = build_matrix_gappy_basis(np.eye(1), training_blocks([a1], np.eye(3), s))
         lam_min = np.linalg.eigvalsh(a1)[0]
         x = eigen_constrained_solve(basis, -a1, np.array([-1.0]),
                                     pd_threshold=0.5)
@@ -406,7 +423,7 @@ class TestEigenConstrainedSolve:
         modes = [0.5 * (m + m.T) for m in rng.normal(size=(k, big_n, big_n))]
         phi = random_orthonormal(rng, big_n, n)
         s = SampleIndexSet(np.arange(big_n), big_n)
-        basis = build_matrix_gappy_basis(np.eye(len(modes)), modes, phi, s)
+        basis = build_matrix_gappy_basis(np.eye(len(modes)), training_blocks(modes, phi, s))
         for trial in range(10):
             x = np.random.default_rng(trial).normal(size=k)
             lam, grads = assembled_eigen_gradients(basis, x)
@@ -431,7 +448,7 @@ class TestEigenConstrainedSolve:
         modes = [base / np.linalg.norm(base), random_spd(rng, big_n)]
         modes[1] /= np.linalg.norm(modes[1])
         s = SampleIndexSet(np.arange(4), big_n)
-        basis = build_matrix_gappy_basis(np.eye(len(modes)), modes, phi, s)
+        basis = build_matrix_gappy_basis(np.eye(len(modes)), training_blocks(modes, phi, s))
         target = -3.0 * base[np.ix_(s.indices, s.indices)]
         x = eigen_constrained_solve(
             basis, target,
@@ -443,8 +460,8 @@ class TestEigenConstrainedSolve:
 
     def test_infeasible_raises(self):
         s = SampleIndexSet(np.arange(2), 2)
-        basis = build_matrix_gappy_basis(np.eye(1), [np.diag([1.0, -1.0])],
-                                         np.eye(2), s)
+        basis = build_matrix_gappy_basis(
+            np.eye(1), training_blocks([np.diag([1.0, -1.0])], np.eye(2), s))
         with pytest.raises(ValueError, match="cannot preserve definiteness"):
             eigen_constrained_solve(basis, np.eye(2), np.array([0.0]),
                                     pd_threshold=1e-6)
@@ -494,7 +511,7 @@ def test_rbs_fit_residual_implies_interlacing(rng):
         a1, a2 = random_spd(local, big_n), random_spd(local, big_n)
         phi = random_orthonormal(local, big_n, n)
         s = greedy_sample_indices(phi, m)
-        fit = rbs_fit([a1, a2, 0.5 * a1 + 0.5 * a2], phi, s)
+        fit = rbs_fit(training_blocks([a1, a2, 0.5 * a1 + 0.5 * a2], phi, s))
         scale = sum(np.linalg.norm(phi.T @ a @ phi)**2 for a in (a1, a2))
         if fit.fit_residual > 1e-10 * scale:
             continue
