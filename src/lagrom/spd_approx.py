@@ -14,6 +14,16 @@ Both approximations are symmetric by construction; RBS outputs inherit
 positive definiteness from the sampled block, and the gappy coefficients
 are pushed back into the feasible set by an eigenvalue-constrained solve
 when the unconstrained solution violates the constraint.
+
+Both offline minimizations (the RBS fit and the penalized constrained
+solve) run one in-package L-BFGS, :func:`_lbfgs`: the limited-memory BFGS
+of Liu & Nocedal (1989), memory ``LBFGS_MEMORY`` = 10, with its inverse
+Hessian applied in the compact form of Byrd, Nocedal & Schnabel (1994),
+and steps from the Moré-Thuente strong-Wolfe line search (sufficient
+decrease 1e-3, curvature 0.9, bracket width 0.1, cubic and quadratic
+interpolation, at most 20 evaluations) tried first at the unit step.
+These are the choices L-BFGS-B makes on an unconstrained problem, without
+the import cost of SciPy's optimizer package.
 """
 
 import logging
@@ -30,8 +40,24 @@ RANK_PROJECT_RTOL = 1e-10
 # of the one at the start, or after RBS_MAX_ITERS L-BFGS iterations.
 RBS_GRAD_TOL = 1e-9
 RBS_MAX_ITERS = 50
-# Penalty escalations of eigen_constrained_solve, each ten times the last.
+# Penalty escalations of eigen_constrained_solve, each ten times the last,
+# and the iteration budget and gradient tolerance of each one's descent.
 CONSTRAINED_ROUNDS = 10
+CONSTRAINED_MAX_ITERS = 500
+CONSTRAINED_GRAD_TOL = 1e-5
+
+# L-BFGS: correction pairs kept, and the stop on a step that lowers the
+# objective by less than this fraction of max(|f_old|, |f_new|, 1).
+LBFGS_MEMORY = 10
+LBFGS_REL_DECREASE = 1e-16
+# Moré-Thuente line search: sufficient-decrease and curvature constants of
+# the strong Wolfe conditions, the relative bracket width below which it
+# stops, its largest step and its evaluations per iteration.
+WOLFE_DECREASE = 1e-3
+WOLFE_CURVATURE = 0.9
+BRACKET_XTOL = 0.1
+STEP_MAX = 1e10
+LINE_SEARCH_EVALS = 20
 
 
 def symmetrize(a):
@@ -54,15 +80,233 @@ def training_blocks(matrices, phi, sample_set) -> TrainingBlocks:
     full-size matrices, stacked, with the sampled rows of ``phi``.  The
     dense congruences cost O(N^2 n) per matrix, so a reduction forms them
     once and hands them to :func:`rbs_fit` and
-    :func:`build_matrix_gappy_basis`."""
+    :func:`build_matrix_gappy_basis`.
+
+    Raises ``ValueError`` naming the snapshots whose sampled block or
+    reduced matrix is not finite: what both fits read.  A non-finite entry
+    off the sampled rows reaches them through ``phi.T @ A @ phi``."""
     phi = np.asarray(phi, dtype=float)
     mats = [np.asarray(a, dtype=float) for a in matrices]
     if not mats:
         raise ValueError("no matrix snapshots")
     block = np.ix_(sample_set.indices, sample_set.indices)
-    return TrainingBlocks(sampled=np.array([a[block] for a in mats]),
-                          reduced=np.array([phi.T @ a @ phi for a in mats]),
+    sampled = np.array([a[block] for a in mats])
+    with np.errstate(invalid="ignore", over="ignore"):   # reported below
+        reduced = np.array([phi.T @ a @ phi for a in mats])
+    bad = ~(np.isfinite(sampled).all(axis=(1, 2)) & np.isfinite(reduced).all(axis=(1, 2)))
+    if np.any(bad):
+        raise ValueError("matrix snapshot(s) %s not finite" % np.flatnonzero(bad).tolist())
+    return TrainingBlocks(sampled=sampled, reduced=reduced,
                           phi_rows=phi[sample_set.indices, :])
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS with the Moré-Thuente line search
+# ---------------------------------------------------------------------------
+
+def _cubic_minimizer(a, fa, da, b, fb, db):
+    """The minimizer of the cubic through values and slopes at ``a`` and
+    ``b``, as the fraction ``r`` of ``b - a`` from ``a``, and the cubic's
+    ``gamma`` (zero when it has no interior stationary point)."""
+    theta = 3.0 * (fa - fb) / (b - a) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+    if b < a:
+        gamma = -gamma
+    return ((gamma - da) + theta) / (((gamma - da) + gamma) + db), gamma
+
+
+def _trial_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stmin, stmax):
+    """One safeguarded interpolation step of Moré & Thuente (1994).
+
+    ``stx`` is the best step so far, ``sty`` the other end of the interval
+    and ``stp`` the step just evaluated, each with its value and slope.
+    Returns the updated interval ends, the next trial step and whether a
+    minimizer is bracketed.
+    """
+    opposite = dp * math.copysign(1.0, dx) < 0.0
+    if fp > fx:
+        # Higher value: the minimizer is bracketed.  Take the cubic step,
+        # or halfway to the quadratic one when the cubic step is farther.
+        r, _ = _cubic_minimizer(stx, fx, dx, stp, fp, dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        bracketed = True
+    elif opposite:
+        # Lower value and the slope changes sign: bracketed.
+        r, _ = _cubic_minimizer(stp, fp, dp, stx, fx, dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        bracketed = True
+    elif abs(dp) < abs(dx):
+        # Lower value, same slope sign, smaller slope: the cubic step if
+        # it lies beyond stp, else the bound in that direction.
+        r, gamma = _cubic_minimizer(stp, fp, dp, stx, fx, dx)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stmax if stp > stx else stmin
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if bracketed:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            limit = stp + 0.66 * (sty - stp)
+            stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(stmax, max(stmin, stpf))
+    elif bracketed:
+        # Lower value, slope not smaller: the cubic step toward sty.
+        r, _ = _cubic_minimizer(stp, fp, dp, sty, fy, dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stmax if stp > stx else stmin
+
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, bracketed
+
+
+def _line_search(fun, x, f0, d, slope0, stp):
+    """Moré-Thuente search along the descent direction ``d`` from ``x``
+    (value ``f0``, slope ``slope0`` < 0), first trying ``stp``.
+
+    Returns ``(stp, x, f, g, slope)`` at the first trial step that meets
+    the strong Wolfe conditions, or at the last one when the bracket
+    cannot shrink further; ``None`` when no such step is found within
+    ``LINE_SEARCH_EVALS`` evaluations or a value is not finite.
+    """
+    gtest = WOLFE_DECREASE * slope0
+    bracketed, stage1 = False, True
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = slope0
+    width = STEP_MAX
+    width1 = 2.0 * width
+    stmin, stmax = 0.0, 5.0 * stp
+    for _ in range(LINE_SEARCH_EVALS):
+        xt = x + stp * d
+        f, g = fun(xt)
+        f, slope = float(f), float(g @ d)
+        if not (math.isfinite(f) and math.isfinite(slope)):
+            return None
+        ftest = f0 + stp * gtest
+        if (ftest >= f and abs(slope) <= -WOLFE_CURVATURE * slope0) or (
+                bracketed and (stp <= stmin or stp >= stmax
+                               or stmax - stmin <= BRACKET_XTOL * stmax)) or (
+                stp == STEP_MAX and f <= ftest and slope <= gtest):
+            return stp, xt, f, g, slope
+        if stage1 and f <= ftest and slope >= 0.0:
+            stage1 = False
+        try:
+            if stage1 and ftest < f <= fx:
+                # Interpolate psi(t) = f(t) - f0 - t * gtest, whose minimizer
+                # meets sufficient decrease, until a step does.
+                stx, fxm, gxm, sty, fym, gym, stp, bracketed = _trial_step(
+                    stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest,
+                    gy - gtest, stp, f - stp * gtest, slope - gtest,
+                    bracketed, stmin, stmax)
+                fx, fy = fxm + stx * gtest, fym + sty * gtest
+                gx, gy = gxm + gtest, gym + gtest
+            else:
+                stx, fx, gx, sty, fy, gy, stp, bracketed = _trial_step(
+                    stx, fx, gx, sty, fy, gy, stp, f, slope,
+                    bracketed, stmin, stmax)
+        except ZeroDivisionError:   # a degenerate interpolation: no progress
+            return None
+        if bracketed:
+            # Bisect when the bracket did not shrink enough in two steps.
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), STEP_MAX)
+        if bracketed and (stp <= stmin or stp >= stmax
+                          or stmax - stmin <= BRACKET_XTOL * stmax):
+            stp = stx
+    return None
+
+
+def _lbfgs(fun, x, f, g, max_iters, gtol):
+    """Minimize ``fun`` (returning value and gradient) by L-BFGS from
+    ``x``, where ``(f, g) = fun(x)``.  Returns
+    ``(x, f, iterations, converged)``.
+
+    Each iteration steps along ``-H g``: ``H`` is the inverse BFGS matrix
+    of the last ``LBFGS_MEMORY`` pairs ``(s, y)`` from ``gamma I``,
+    ``gamma = s.y / y.y`` of the newest, in the compact form of Byrd,
+    Nocedal & Schnabel (1994, thm 2.2): ``H g = gamma g + S p - gamma Y
+    R^-1 S^T g``, ``p = R^-T ((D + gamma Y^T Y) R^-1 S^T g - gamma Y^T g)``,
+    ``R`` the upper triangle of ``S^T Y`` (oldest first), ``D`` its
+    diagonal.  The small matrices are indexed by ring slot, so ``R^-1`` is
+    a permuted triangle, updated a column at a time: the inverse of a
+    trailing block of a triangle is that block of its inverse, so dropping
+    the oldest pair zeroes its row and column.  A slot with a zero row and
+    column of ``R^-1`` adds nothing, whatever else it holds.
+
+    The first step is tried at length one, later ones at the unit step
+    (:func:`_line_search`).  A pair with ``s.y`` at round-off level is not
+    stored.  A failed line search clears the memory and retries along
+    ``-g``, or ends the descent if the memory is empty.  Converged: the
+    largest gradient entry is at most ``gtol``, or a step lowers ``f`` by at
+    most ``LBFGS_REL_DECREASE * max(|f_old|, |f|, 1)``.
+    """
+    mem = LBFGS_MEMORY
+    pairs = np.zeros((2 * mem, x.size))   # by slot: rows s, then rows y
+    r_inv = np.zeros((mem, mem))          # by slot, like Y^T Y and s_i.y_i
+    yy = np.zeros((mem, mem))
+    sy = np.zeros(mem)
+    stored, newest = False, mem - 1     # any pair stored; the newest's slot
+    if abs(g).max() <= gtol:
+        return x, f, 0, True
+    iterations = 0
+    while iterations < max_iters:
+        if stored:
+            gamma = sy[newest] / yy[newest, newest]
+            ab = pairs @ g
+            ria = r_inv @ ab[:mem]
+            p = r_inv.T @ (sy * ria + gamma * (yy @ ria - ab[mem:]))
+            d = -(gamma * g + np.concatenate((p, -gamma * ria)) @ pairs)
+        else:
+            d = -g
+        slope = float(g @ d)
+        # The first direction is -g, of length sqrt(-slope).
+        step = min(1.0 / math.sqrt(-slope), STEP_MAX) if iterations == 0 else 1.0
+        found = _line_search(fun, x, f, d, slope, step) if slope < 0.0 else None
+        if found is None:
+            if not stored:
+                break
+            r_inv[:] = 0.0
+            stored = False
+            continue
+        stp, x_new, f_new, g_new, slope_new = found
+        iterations += 1
+        if (abs(g_new).max() <= gtol
+                or f - f_new <= LBFGS_REL_DECREASE * max(abs(f), abs(f_new), 1.0)):
+            return x_new, f_new, iterations, True
+        # Store the pair unless s.y = stp (slope_new - slope), from the
+        # slopes the search measured, is round-off next to -s.g = -stp slope.
+        if slope_new - slope > np.finfo(float).eps * -slope:
+            newest = (newest + 1) % mem   # the oldest pair's slot when full
+            stored = True
+            r_inv[newest] = r_inv[:, newest] = 0.0
+            np.multiply(d, stp, out=pairs[newest])
+            np.subtract(g_new, g, out=pairs[mem + newest])
+            py = pairs @ pairs[mem + newest]
+            sy[newest] = py[newest]
+            r_inv[:, newest] = r_inv @ py[:mem]
+            r_inv[:, newest] /= -sy[newest]
+            r_inv[newest, newest] = 1.0 / sy[newest]
+            yy[newest] = yy[:, newest] = py[mem:]
+        x, f, g = x_new, f_new, g_new
+    return x, f, iterations, False
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +335,17 @@ def _congruence_objective(z, sampled, reduced):
     """Sum of squared Frobenius mismatches and its gradient w.r.t. z.
 
     ``sampled`` (K, m, m) and ``reduced`` (K, n, n) stack the snapshots.
-    Both sums run over the snapshots in order, as running totals from zero.
+    Both sums run over the snapshots in order, each snapshot's term added
+    to the running total of those before it.
     """
     az = sampled @ z
     err = z.T @ az - reduced
-    value = np.cumsum(np.sum((err * err).reshape(len(err), -1), axis=1))[-1]
-    grad = np.add.accumulate(4.0 * (az @ err), axis=0)[-1]
+    values = np.sum((err * err).reshape(len(err), -1), axis=1)
+    grads = 4.0 * (az @ err)
+    value, grad = values[0], grads[0]
+    for k in range(1, len(err)):
+        value += values[k]
+        grad += grads[k]
     return float(value), grad
 
 
@@ -121,10 +370,15 @@ def rbs_fit(blocks: TrainingBlocks) -> RBSMap:
     ``blocks`` (:func:`training_blocks`, shared with
     :func:`build_matrix_gappy_basis`).  Minimizes the summed squared
     Frobenius error between the sparse congruence and the true reduced
-    matrices, by limited-memory quasi-Newton descent started from the
-    sampled rows of ``phi``, for at most ``RBS_MAX_ITERS`` iterations.  A
-    fit stopped at that budget keeps the achieved residual and is flagged
-    unconverged rather than raising.
+    matrices by :func:`_lbfgs` (memory ``LBFGS_MEMORY`` = 10, Moré-Thuente
+    line search), started from the sampled rows of ``phi``, for at most
+    ``RBS_MAX_ITERS`` iterations.  The fit converges when the largest
+    gradient entry falls to ``RBS_GRAD_TOL`` times the one at the start, or
+    a step lowers the objective by a relative ``LBFGS_REL_DECREASE``.  A
+    fit stopped at the budget keeps the achieved residual and is flagged
+    unconverged rather than raising.  A start that is already exact (full
+    sampling) is returned after no iteration; a factor that lost column
+    rank has its collapsed singular values inflated.
     """
     sampled, reduced = blocks.sampled, blocks.reduced
     m, n = blocks.phi_rows.shape
@@ -145,14 +399,10 @@ def rbs_fit(blocks: TrainingBlocks) -> RBSMap:
         # e.g. under full sampling.
         return RBSMap(factor=z0, fit_residual=float(f0), converged=True,
                       iterations=0)
-    import scipy.optimize   # imported here: only the offline fits need it
-
-    result = scipy.optimize.minimize(
-        fun, z0.ravel(), jac=True, method="L-BFGS-B",
-        options={"maxiter": RBS_MAX_ITERS,
-                 "gtol": RBS_GRAD_TOL * (np.max(np.abs(g0)) or 1.0),
-                 "ftol": 1e-16})
-    z = result.x.reshape(m, n)
+    x, residual, iterations, converged = _lbfgs(
+        fun, z0.ravel(), f0, g0, RBS_MAX_ITERS,
+        gtol=RBS_GRAD_TOL * (np.max(np.abs(g0)) or 1.0))
+    z = x.reshape(m, n)
 
     # Project back to full column rank: inflate collapsed singular values.
     u, sv, vt = np.linalg.svd(z, full_matrices=False)
@@ -161,18 +411,18 @@ def rbs_fit(blocks: TrainingBlocks) -> RBSMap:
         logger.warning("rbs_fit: rank-deficient factor, inflating %d singular value(s)",
                        int(np.sum(sv <= floor)))
         z = u @ np.diag(np.maximum(sv, floor)) @ vt
+        residual, _ = _congruence_objective(z, sampled, reduced)
 
-    residual, _ = _congruence_objective(z, sampled, reduced)
-    converged = bool(result.success or residual <= 1e-24 * obj_scale)
+    converged = converged or residual <= 1e-24 * obj_scale
     if not converged:
         logger.info("rbs_fit stopped after %d iterations: residual %.3e "
-                    "(relative %.3e)", result.nit, residual,
+                    "(relative %.3e)", iterations, residual,
                     np.sqrt(residual / obj_scale))
     return RBSMap(
         factor=z,
         fit_residual=float(residual),
-        converged=converged,
-        iterations=int(result.nit),
+        converged=bool(converged),
+        iterations=iterations,
     )
 
 
@@ -331,10 +581,15 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
     """Eigenvalue-constrained sampled least squares.
 
     Keeps the coefficients feasible (all eigenvalues of the assembled
-    reduced matrix at or above the threshold) via penalized gradient
-    descent with the analytic eigenvalue gradient; for a single basis
-    matrix the feasible set is an interval and the solution is a direct
-    projection.  A feasible input is returned unchanged.
+    reduced matrix at or above the threshold) by a quadratic penalty on
+    the eigenvalues short of twice the threshold, with the analytic
+    eigenvalue gradient, escalated tenfold for up to ``CONSTRAINED_ROUNDS``
+    rounds.  Each round runs :func:`_lbfgs` (memory ``LBFGS_MEMORY`` = 10,
+    Moré-Thuente line search: sufficient decrease 1e-3, curvature 0.9) for
+    at most ``CONSTRAINED_MAX_ITERS`` iterations, to a largest gradient
+    entry of ``CONSTRAINED_GRAD_TOL``.  For a single basis matrix the
+    feasible set is an interval and the solution is a direct projection.
+    A feasible input is returned unchanged.
     """
     x0 = np.asarray(x0, dtype=float).copy()
     eps = float(pd_threshold)
@@ -359,8 +614,6 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
         x = float(np.clip(x0[0], lo, hi))
         return np.array([x])
 
-    import scipy.optimize   # imported here: only this branch needs it
-
     # Penalized descent: quadratic penalty on eigenvalues short of a target
     # slightly above the threshold, escalated until feasible.
     target = 2.0 * eps
@@ -377,9 +630,9 @@ def eigen_constrained_solve(basis: MatrixGappyBasis, sampled_online, x0,
             grad = 2.0 * (op.T @ r) - 2.0 * rho * (short @ grads)
             return value, grad
 
-        result = scipy.optimize.minimize(fun, x, jac=True, method="L-BFGS-B",
-                                         options={"maxiter": 500, "ftol": 1e-16})
-        x = result.x
+        value, grad = fun(x)
+        x = _lbfgs(fun, x, value, grad, CONSTRAINED_MAX_ITERS,
+                   gtol=CONSTRAINED_GRAD_TOL)[0]
         if np.linalg.eigvalsh(_assemble(basis, x))[0] >= eps:
             return x
     raise ValueError("cannot preserve definiteness with this basis")

@@ -789,30 +789,47 @@ class TestCli:
 
 
 def test_import_does_not_load_scipy_stats():
-    """``scipy.stats`` never loads, and ``scipy.optimize`` (slow to import)
-    loads only when a fit runs: not on import, not for the parameter
-    points, not in the offline stage."""
+    """Neither ``scipy.stats`` nor ``scipy.optimize`` (slow to import, and
+    heavy in memory) loads in a lagrom process: not on import, not for the
+    parameter points, the offline stage, the reduce stage, an online query
+    of any variant, nor the penalized constrained gappy solve."""
     src = str(Path(lagrom.bench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     script = "\n".join([
         "import sys",
+        "import numpy as np",
         "import lagrom",
         "from lagrom.bench import (ExperimentConfig, online_points,",
-        "                          run_offline, training_points)",
+        "                          reduce_products, run_offline, run_online,",
+        "                          training_points)",
+        "from lagrom.roms import VARIANTS",
+        "from lagrom.sampling import SampleIndexSet",
+        "from lagrom.spd_approx import (build_matrix_gappy_basis,",
+        "                               eigen_constrained_solve, training_blocks)",
         "loaded = lambda: [m for m in ('scipy.stats', 'scipy.optimize')",
         "                  if m in sys.modules]",
         "print(loaded())",
         "config = ExperimentConfig(bays=2, dt=0.05, final_time=0.5, n_train=2,",
         "                          n_online=2, seed_train=1)",
         "training_points(config)",
-        "online_points(config)",
-        "run_offline(config)",
+        "mu = online_points(config)[0]",
+        "offline = run_offline(config)",
+        "print(loaded())",
+        "reduced = reduce_products(offline, 50.0)",
+        "for variant in VARIANTS:",
+        "    run_online(offline, reduced, mu, variant)",
+        "print(loaded())",
+        "modes = [np.eye(2), np.diag([1.0, -1.0])]",
+        "basis = build_matrix_gappy_basis(",
+        "    np.eye(2), training_blocks(modes, np.eye(2), SampleIndexSet(np.arange(2), 2)))",
+        "x = eigen_constrained_solve(basis, modes[1], np.array([0.0, 1.0]), 1e-3)",
+        "print(bool(np.linalg.eigvalsh(x[0] * modes[0] + x[1] * modes[1])[0] >= 1e-3))",
         "print(loaded())",
     ])
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert out.stdout.split("\n")[:5] == ["[]", "[]", "[]", "True", "[]"]
 
 
 def test_tracer_targets_are_own_attributes():

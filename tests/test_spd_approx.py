@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import lagrom.spd_approx
+from lagrom.bench import lhs_points
 from lagrom.pod import compute_pod_basis
 from lagrom.sampling import SampleIndexSet, greedy_sample_indices
-from lagrom.spd_approx import (_congruence_objective, assembled_eigen_gradients,
+from lagrom.spd_approx import (_congruence_objective, _lbfgs, assembled_eigen_gradients,
                                build_matrix_gappy_basis, eigen_constrained_solve,
                                gappy_matrix_assemble, gappy_matrix_coeffs,
                                generalized_interlacing_check,
@@ -61,6 +62,23 @@ def test_training_blocks_are_the_per_matrix_blocks(rng):
         training_blocks([], phi, s)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_training_blocks_reject_non_finite_snapshots(rng, bad):
+    """A non-finite entry, on the sampled block or off the sampled rows
+    (where only phi.T A phi reads it), is named by its snapshot index.
+    Unchecked, an ``inf`` off the sampled rows made ``rbs_fit`` report an
+    exact fit (``inf <= 1e-24 * inf``) with an infinite residual, and a NaN
+    on a sampled entry an unconverged fit with a NaN residual."""
+    phi = random_orthonormal(rng, 9, 3)
+    s = SampleIndexSet(np.array([4, 0, 7, 2]), 9)
+    for row, col in ((4, 7), (1, 5)):    # sampled entry; entry off the samples
+        mats = [random_spd(rng, 9) for _ in range(4)]
+        for i in (1, 3):
+            mats[i][row, col] = mats[i][col, row] = bad
+        with pytest.raises(ValueError, match=r"snapshot\(s\) \[1, 3\] not finite"):
+            training_blocks(mats, phi, s)
+
+
 class TestRbsFit:
     @pytest.mark.parametrize("snapshots", [1, 2, 5])
     def test_objective_equals_per_snapshot_loop(self, rng, snapshots):
@@ -79,6 +97,24 @@ class TestRbsFit:
         got_value, got_grad = _congruence_objective(z, sampled, reduced)
         assert got_value == value
         assert np.array_equal(got_grad, grad)
+
+    @pytest.mark.parametrize("snapshots", [1, 2, 6])
+    def test_objective_sums_bit_for_bit_as_accumulate(self, rng, snapshots):
+        """The in-order sums give the bits of the running-total forms
+        ``np.cumsum(...)[-1]`` and ``np.add.accumulate(..., axis=0)[-1]``."""
+        m, n = 12, 5
+        sampled = np.array([random_spd(rng, m) for _ in range(snapshots)])
+        reduced = np.array([random_spd(rng, n) for _ in range(snapshots)])
+        z0 = rng.normal(size=(m, n))
+        for scale in np.geomspace(1e-8, 1.0, 50):
+            z = z0 + scale * rng.normal(size=(m, n))
+            az = sampled @ z
+            err = z.T @ az - reduced
+            value = np.cumsum(np.sum((err * err).reshape(len(err), -1), axis=1))[-1]
+            grad = np.add.accumulate(4.0 * (az @ err), axis=0)[-1]
+            got_value, got_grad = _congruence_objective(z, sampled, reduced)
+            assert got_value == float(value)
+            assert np.array_equal(got_grad, grad)
 
     def test_full_sampling_exact(self, rng):
         big_n, n = 9, 3
@@ -144,6 +180,113 @@ class TestRbsFit:
         s = SampleIndexSet(np.arange(2), 6)
         with pytest.raises(ValueError, match="m >= n"):
             rbs_fit(training_blocks([np.eye(6)], phi, s))
+
+
+def rosenbrock(x):
+    a, b = x
+    return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+            np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+
+
+def random_quadratic(seed, dim):
+    """``0.5 x.A x - b.x`` with A SPD, and its minimizer."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(dim, dim))
+    a = q @ q.T + dim * np.eye(dim)
+    b = rng.normal(size=dim)
+    return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), np.linalg.solve(a, b)
+
+
+def minimize(fun, x0, max_iters, gtol):
+    return _lbfgs(fun, x0, *fun(x0), max_iters, gtol)
+
+
+class TestLbfgs:
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_quadratic_reaches_its_minimizer(self, dim):
+        """Memory 10 holds every pair at these sizes.  Finite termination in
+        dim + 1 iterations needs exact line minimization; a unit step that
+        meets the Wolfe conditions is taken as is, so the counts run past
+        dim + 1, as L-BFGS-B's do (see ``test_agrees_with_l_bfgs_b``)."""
+        for seed in range(8):
+            fun, x_star = random_quadratic(seed, dim)
+            x, _, iterations, converged = minimize(fun, np.zeros(dim), 100, 1e-7)
+            assert converged
+            assert iterations <= 2 * dim + 6
+            assert np.abs(x - x_star).max() <= 1e-7 * np.abs(x_star).max()
+
+    def test_rosenbrock_from_the_classic_start(self):
+        x, f, iterations, converged = minimize(rosenbrock, np.array([-1.2, 1.0]),
+                                               200, 1e-8)
+        assert converged and f <= 1e-14
+        assert np.abs(x - 1.0).max() <= 1e-7
+
+    def test_budget_stop_is_not_converged(self):
+        x0 = np.array([-1.2, 1.0])
+        x, f, iterations, converged = minimize(rosenbrock, x0, 5, 1e-8)
+        assert (iterations, converged) == (5, False)
+        assert f < rosenbrock(x0)[0]
+
+    def test_gradient_stop_at_the_start(self):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return rosenbrock(x)
+        x0 = np.array([1.0, 1.0])
+        x, f, iterations, converged = _lbfgs(fun, x0, *rosenbrock(x0), 50, 1e-8)
+        assert (iterations, converged, calls) == (0, True, [])
+        assert x is x0 and f == 0.0
+
+    def test_agrees_with_l_bfgs_b(self):
+        """Minimizers, iteration counts and evaluation counts match
+        SciPy's L-BFGS-B, which makes the same choices (the oracle is
+        imported here only; no lagrom process imports it)."""
+        import scipy.optimize
+        problems = [(rosenbrock, np.array([-1.2, 1.0]))]
+        problems += [(random_quadratic(seed, 6)[0], np.zeros(6)) for seed in range(8)]
+        for fun, x0 in problems:
+            calls = [0]
+
+            def counted(x):
+                calls[0] += 1
+                return fun(x)
+            x, _, iterations, converged = minimize(counted, x0, 200, 1e-7)
+            ref = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+                                          options={"maxiter": 200, "gtol": 1e-7,
+                                                   "ftol": 1e-16})
+            assert converged and ref.success
+            assert np.abs(x - ref.x).max() <= 1e-7 * max(np.abs(ref.x).max(), 1.0)
+            assert abs(iterations - ref.nit) <= 2
+            assert calls[0] <= ref.nfev + 2
+
+    def test_twenty_bay_rbs_fit_matches_l_bfgs_b(self, rng):
+        """On a 20-bay mass family at n = 13, m = 48, the fit after its 50
+        iterations is within 5% of L-BFGS-B's relative residual."""
+        import scipy.optimize
+        truss = build_truss(20, np.zeros(16))
+        big_n = truss.dof_count
+        phi = random_orthonormal(rng, big_n, 13)
+        masses = [build_truss(20, mu).mass_dense() for mu in lhs_points(6, seed=1)]
+        sampling = np.linalg.qr(np.column_stack([phi, truss.load_patterns().T]))[0]
+        blocks = training_blocks(masses, phi, greedy_sample_indices(sampling, 48))
+        fit = rbs_fit(blocks)
+        assert (fit.iterations, fit.converged) == (lagrom.spd_approx.RBS_MAX_ITERS, False)
+
+        m, n = blocks.phi_rows.shape
+
+        def fun(x):
+            value, grad = _congruence_objective(x.reshape(m, n), blocks.sampled,
+                                                blocks.reduced)
+            return value, grad.ravel()
+        g0 = fun(blocks.phi_rows.ravel())[1]
+        ref = scipy.optimize.minimize(
+            fun, blocks.phi_rows.ravel(), jac=True, method="L-BFGS-B",
+            options={"maxiter": lagrom.spd_approx.RBS_MAX_ITERS,
+                     "gtol": lagrom.spd_approx.RBS_GRAD_TOL * np.max(np.abs(g0)),
+                     "ftol": 1e-16})
+        assert ref.nit == fit.iterations
+        assert np.sqrt(fit.fit_residual) <= 1.05 * np.sqrt(ref.fun)
 
 
 class TestRbsApply:
